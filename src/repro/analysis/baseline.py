@@ -61,7 +61,7 @@ class Baseline:
 
     # -- matching ------------------------------------------------------------
 
-    def absorb(self, finding: Finding) -> bool:
+    def consume(self, finding: Finding) -> bool:
         """True (and consume one slot) if the finding is baselined."""
         key = finding.baseline_key()
         if self._remaining.get(key, 0) > 0:

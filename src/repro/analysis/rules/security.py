@@ -34,15 +34,12 @@ from repro.analysis.registry import Rule, register
 # ships with. Widen it in the same PR that adds the import needing it.
 LAYER_ALLOWED: Dict[str, FrozenSet[str]] = {
     "sim": frozenset(),
-    # the REPRO_SPEED switch is pure configuration + ctypes loading; it
-    # imports nothing from the tree so every layer may consult it
-    "speed": frozenset(),
-    "crypto": frozenset({"speed"}),
+    "crypto": frozenset(),
     # area models are pure arithmetic but register their memo caches with
     # the sim-layer stats surface
     "area": frozenset({"sim"}),
     "analysis": frozenset(),  # the checker must never import the simulator
-    "flash": frozenset({"sim", "crypto", "speed"}),
+    "flash": frozenset({"sim", "crypto"}),
     "dram": frozenset({"sim"}),
     "cpu": frozenset(),
     "ftl": frozenset({"flash", "sim"}),
@@ -67,7 +64,7 @@ LAYER_ALLOWED: Dict[str, FrozenSet[str]] = {
     # whole experiments, so it sits just below the CLI in the DAG
     "perf": frozenset(
         {"faults", "flash", "fleet", "platform", "resilience", "sim",
-         "speed", "workloads"}
+         "workloads"}
     ),
     # checkpoint/restore composes every stateful layer's snapshot_state();
     # the monitored layers stay duck-typed (they never import recovery back)

@@ -100,14 +100,14 @@ def _suppression_hygiene(ctx: ModuleContext) -> Iterator[Finding]:
             )
 
 
-def _absorb(
+def _apply_baseline(
     baseline: Optional[Baseline], findings: List[Finding]
 ) -> List[Finding]:
     if baseline is None:
         return findings
     return [
         finding.with_status(FindingStatus.BASELINED)
-        if finding.status is FindingStatus.NEW and baseline.absorb(finding)
+        if finding.status is FindingStatus.NEW and baseline.consume(finding)
         else finding
         for finding in findings
     ]
@@ -154,7 +154,7 @@ def analyze_paths(
             _disposition(ctx, finding) for finding in _dispatch(active_rules, ctx)
         ]
         module_findings.extend(_suppression_hygiene(ctx))
-        result.findings.extend(_absorb(baseline, module_findings))
+        result.findings.extend(_apply_baseline(baseline, module_findings))
 
     # whole-program pass: one ProjectState shared by every project rule,
     # findings dispositioned through their module's suppressions/baseline
@@ -170,7 +170,7 @@ def analyze_paths(
                 project_findings.append(
                     _disposition(owner, finding) if owner else finding
                 )
-        result.findings.extend(_absorb(baseline, project_findings))
+        result.findings.extend(_apply_baseline(baseline, project_findings))
 
     result.findings.sort(key=Finding.sort_key)
     return result

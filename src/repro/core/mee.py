@@ -73,7 +73,7 @@ class MeeAccessResult:
         self.reset()
 
     def reset(self) -> None:
-        """Re-initialize in place (slab/scratch reuse on the replay path)."""
+        """Re-initialize in place (scratch reuse on the replay path)."""
         self.latency = 0.0
         self.counter_hit = True
         self.counter_read_lines = 0.0  # encryption traffic (reads)

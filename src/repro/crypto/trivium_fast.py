@@ -16,14 +16,11 @@ is a plain ``(reg >> tap) & MASK64`` — no bit reversal anywhere.
 
 from __future__ import annotations
 
-import repro.speed as speed
 from repro.crypto.trivium import IV_BYTES, KEY_BYTES
 
 MASK64 = (1 << 64) - 1
 _A_BITS, _B_BITS, _C_BITS = 93, 84, 111
 _WARMUP_BLOCKS = 18  # 18 x 64 = 1152 = 4 x 288 spec warm-up clocks
-# below this many blocks the ctypes call overhead beats the C win
-_COMPILED_MIN_BLOCKS = 4
 
 
 def _reversed_bits(value: int, width: int) -> int:
@@ -72,17 +69,7 @@ class TriviumFast:
         return z
 
     def _blocks(self, nblocks: int) -> bytes:
-        """``nblocks`` x 64 keystream bits, advancing the registers.
-
-        Routed through the C kernel under ``REPRO_SPEED=compiled`` when the
-        library is built (byte-identical by construction and pinned by the
-        differential tests); the word-parallel python step otherwise.
-        """
-        if nblocks >= _COMPILED_MIN_BLOCKS:
-            compiled = speed.trivium_blocks(self._a, self._b, self._c, nblocks)
-            if compiled is not None:
-                stream, self._a, self._b, self._c = compiled
-                return stream
+        """``nblocks`` x 64 keystream bits, advancing the registers."""
         block = self._block
         # collect whole 8-byte words and join once, instead of growing an
         # immutable bytes object per block

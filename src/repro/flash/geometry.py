@@ -10,12 +10,7 @@ sequential reads their channel-level parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple
-
-try:  # numpy is a declared dependency, but the scalar path never needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None  # type: ignore[assignment]
+from typing import NamedTuple
 
 
 class PhysicalAddress(NamedTuple):
@@ -149,34 +144,6 @@ class FlashGeometry:
         rest, chip = divmod(rest, self.chips_per_channel)
         die = rest % self.dies_per_chip
         return channel, (channel * self.chips_per_channel + chip) * self.dies_per_chip + die
-
-    def channel_and_die_arrays(
-        self, ppas: Sequence[int]
-    ) -> "Tuple[List[int], List[int]]":
-        """Vectorized :meth:`channel_and_die` over a whole PPA batch.
-
-        Returns ``(channels, dies)`` as plain lists (the storm kernels index
-        them per event, where list access beats numpy scalar boxing). The
-        arithmetic is pure integer divmod, so the numpy path is exactly —
-        not approximately — the scalar path; without numpy it falls back to
-        a scalar loop.
-        """
-        if _np is not None and len(ppas) >= 64:
-            arr = _np.asarray(ppas, dtype=_np.int64)
-            if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self._total_pages):
-                raise ValueError(f"PPA batch out of range [0, {self._total_pages})")
-            rest, channel = _np.divmod(arr, self.channels)
-            rest, chip = _np.divmod(rest, self.chips_per_channel)
-            die = rest % self.dies_per_chip
-            global_die = (channel * self.chips_per_channel + chip) * self.dies_per_chip + die
-            return channel.tolist(), global_die.tolist()
-        channels: List[int] = []
-        dies: List[int] = []
-        for ppa in ppas:
-            channel, die = self.channel_and_die(ppa)
-            channels.append(channel)
-            dies.append(die)
-        return channels, dies
 
     def die_index(self, ppa: int) -> int:
         """Global die index for ``ppa`` (used to pick the die resource)."""

@@ -12,7 +12,6 @@ from typing import Callable, Iterable, Optional
 
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.flash.storm import StormUnsupported, run_read_storm, run_read_storm_events
 from repro.flash.timing import FlashTiming
 from repro.sim.engine import Engine
 from repro.sim.resource import Resource
@@ -126,19 +125,26 @@ class FlashDevice:
         """Run a windowed closed-loop read storm to completion.
 
         ``window`` reads stay outstanding; every channel completion issues
-        the next page. The whole storm runs through the batched exact
-        kernel (:mod:`repro.flash.storm`) when the preconditions hold —
-        idle device, no functional chip, no armed monitor — and through
-        the per-event engine otherwise; both produce bit-identical engine
-        and resource state. Requires a non-running engine (the storm is
-        drained to completion before returning). Returns the number of
-        engine events the storm fired.
+        the next page. Drives the engine to completion, so it requires a
+        non-running engine. Returns the number of engine events the storm
+        fired (two per page: die sense, then channel transfer).
         """
+        if window < 1:
+            raise ValueError("window must be >= 1")
         ppa_list = list(ppas)
-        try:
-            return run_read_storm(self, ppa_list, window)
-        except StormUnsupported:
-            return run_read_storm_events(self, ppa_list, window)
+        pending = iter(ppa_list)
+        engine = self.engine
+        before = engine.events_fired
+
+        def issue_one() -> None:
+            ppa = next(pending, None)
+            if ppa is not None:
+                self.read(ppa, on_done=issue_one)
+
+        for _ in range(min(window, len(ppa_list))):
+            issue_one()
+        engine.run()
+        return engine.events_fired - before
 
     def write_many(self, ppas: Iterable[int], on_all_done: Callback = None) -> int:
         """Issue many writes; ``on_all_done`` fires after the last completes."""

@@ -28,7 +28,6 @@ from repro.ftl.mapping import AccessDeniedError
 from repro.host.pcie import PcieLink
 from repro.sim.engine import Engine, Event
 from repro.sim.resource import Resource
-from repro.sim.slab import Slab
 from repro.sim.stats import Histogram
 
 SQ_ENTRY_BYTES = 64
@@ -127,15 +126,6 @@ class NvmeCommand:
     def timed_out(self) -> bool:
         return self.status is NvmeStatus.COMMAND_ABORTED
 
-    def reinit(self, opcode: str, nbytes: int, submitted_at: float) -> None:
-        """Re-initialize a slab-recycled command record in place."""
-        self.opcode = opcode
-        self.nbytes = nbytes
-        self.submitted_at = submitted_at
-        self.completed_at = None
-        self.status = NvmeStatus.SUCCESS
-        self.timeout_event = None
-
 
 class NvmeQueuePair:
     """One submission/completion queue pair with bounded depth."""
@@ -165,12 +155,7 @@ class NvmeQueuePair:
         self.error_completions = 0
         self.timeouts = 0
         self.admission_rejections = 0
-        # slab-recycled command records: long soak workloads drain the
-        # completion list back into the slab instead of allocating a fresh
-        # NvmeCommand per I/O. Aggregates survive draining.
-        self._command_slab: Slab[NvmeCommand] = Slab(
-            lambda: NvmeCommand(opcode="read", nbytes=0), max_size=queue_depth * 4
-        )
+        # completion aggregates survive drain_completed()
         self.completed_count = 0
         self.completed_bytes = 0
 
@@ -206,8 +191,7 @@ class NvmeQueuePair:
             raise ValueError(f"unsupported opcode {opcode}")
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        command = self._command_slab.acquire()
-        command.reinit(opcode, nbytes, self.engine.now)
+        command = NvmeCommand(opcode=opcode, nbytes=nbytes, submitted_at=self.engine.now)
 
         if self.admission is not None and not self.admission.admit(
             self.engine.now, self._in_flight + len(self._waiting)
@@ -290,8 +274,7 @@ class NvmeQueuePair:
     def _finalize(self, command: NvmeCommand, on_done) -> None:
         command.completed_at = self.engine.now
         if command.timeout_event is not None:
-            # nobody holds the handle past this point: recycle it
-            self.engine.cancel(command.timeout_event, recycle=True)
+            self.engine.cancel(command.timeout_event)
             command.timeout_event = None
         self.completed.append(command)
         self.completed_count += 1
@@ -301,23 +284,17 @@ class NvmeQueuePair:
             on_done(command)
 
     def drain_completed(self) -> int:
-        """Recycle finished command records back into the slab.
+        """Forget finished command records; returns how many were dropped.
 
         Long soak workloads call this between windows so the completion
-        list (and allocation rate) stays bounded. The aggregate counters —
-        ``completed_count``, ``completed_bytes``, the latency histogram and
-        the error/timeout tallies — are accumulated at completion time and
-        are unaffected. Returns the number of records recycled.
+        list stays bounded. The aggregate counters — ``completed_count``,
+        ``completed_bytes``, the latency histogram and the error/timeout
+        tallies — are accumulated at completion time and are unaffected.
+        Records the caller still holds are left untouched.
         """
         drained = len(self.completed)
-        for command in self.completed:
-            self._command_slab.release(command)
         self.completed.clear()
         return drained
-
-    @property
-    def slab_stats(self) -> dict:
-        return self._command_slab.stats()
 
     def run(self) -> float:
         return self.engine.run()
@@ -378,7 +355,7 @@ class NvmeQueuePair:
         """Sustained data throughput over the finished run.
 
         Counts every completion since construction — including records
-        already recycled by :meth:`drain_completed`.
+        already dropped by :meth:`drain_completed`.
         """
         if self.completed_count == 0 or self.engine.now <= 0:
             return 0.0

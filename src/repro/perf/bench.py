@@ -28,7 +28,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-import repro.speed as speed
 from repro.flash.geometry import small_geometry
 from repro.flash.ssd import FlashDevice
 from repro.flash.timing import FlashTiming
@@ -99,10 +98,8 @@ def _bench_kernel_flash_read(quick: bool, jobs: int) -> Optional[int]:
     """Raw event-kernel throughput: a windowed page-read storm.
 
     Single-engine on purpose; parallel speedup is measured by the pipeline
-    cases below. Goes through :meth:`FlashDevice.read_storm`, which picks
-    the fastest available exact kernel (compiled > vectorized python >
-    per-event engine) for the active ``REPRO_SPEED`` mode — all of them
-    produce byte-identical engine and resource state.
+    cases below. Goes through :meth:`FlashDevice.read_storm`, the same
+    windowed loop the platform's flash-throughput probe runs.
     """
     pages = 2000 if quick else 8000
     engine = Engine()
@@ -213,7 +210,6 @@ def run_bench(quick: bool = False, jobs: int = 1) -> Dict[str, Any]:
         "mode": "quick" if quick else "full",
         "jobs": jobs,
         "python": ".".join(str(v) for v in sys.version_info[:3]),
-        "speed": speed.describe(),
         "calibration_s": calibration,
         "peak_rss_kb": _peak_rss_kb(),
         "benchmarks": benchmarks,
@@ -343,8 +339,6 @@ def compare_benches(
         "mode_current": current.get("mode"),
         "calibration_s_baseline": cal_base,
         "calibration_s_current": cal_now,
-        "speed_baseline": baseline.get("speed"),
-        "speed_current": current.get("speed"),
         "cases": cases,
     }
 

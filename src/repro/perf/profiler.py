@@ -106,7 +106,7 @@ def profile_run(
     ``top_allocs > 0`` additionally traces allocations with ``tracemalloc``
     and reports the heaviest allocation sites by total size. Tracing slows
     the run down (so the cProfile numbers shift), but the *relative* ranking
-    of allocation sites is what the slab/batching work cares about.
+    of allocation sites is what allocation-reduction work cares about.
     """
     if sort not in _SORT_KEYS:
         raise ValueError(f"sort must be one of {_SORT_KEYS}")

@@ -134,20 +134,8 @@ def flash_read_throughput(config: PlatformConfig, sample_pages: int = 4096) -> f
         )
         device = FlashDevice(engine, geometry, timing)
         pages = min(sample_pages, geometry.total_pages)
-        state = {"next": 0}
-
-        def issue_one() -> None:
-            if state["next"] >= pages:
-                return
-            ppa = state["next"]
-            state["next"] += 1
-            device.read(ppa, on_done=issue_one)
-
-        window = config.queue_depth_per_channel * config.channels
-        for _ in range(min(window, pages)):
-            issue_one()
-        elapsed = engine.run()
-        _throughput_cache[key] = pages * geometry.page_bytes / elapsed
+        device.read_storm(range(pages), config.queue_depth_per_channel * config.channels)
+        _throughput_cache[key] = pages * geometry.page_bytes / engine.now
     return _throughput_cache[key]
 
 

@@ -13,35 +13,17 @@ allocates an :class:`Event` handle (needed for :meth:`Engine.cancel`);
 the handle entirely. Cancelled entries are skipped lazily on pop, and the
 heap is compacted whenever cancelled entries outnumber live ones, which
 bounds memory under heavy hedged-read cancellation.
-
-Two further fast paths (the ``repro.speed`` work):
-
-- :meth:`Engine.schedule_batch` files a same-timestamp event storm through
-  a sorted side lane (one deque append per event) instead of N heap pushes;
-  the run loop merges the lane against the heap by ``(time, seq)``, so
-  firing order is exactly what N individual ``schedule_after`` calls would
-  have produced.
-- :class:`Event` handles are slab-recycled: ``cancel(event, recycle=True)``
-  donates the handle back to the engine's free list once its heap entry is
-  reclaimed, and :meth:`Engine.schedule` reuses pooled handles instead of
-  constructing. Timeout-timer-heavy paths (NVMe command aborts, hedged
-  reads) stop allocating entirely in steady state.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 # Compact below this queue size is not worth the rebuild.
 _COMPACT_MIN_QUEUE = 64
-# Upper bound on pooled Event handles; beyond this, reclaimed handles are
-# simply dropped for the garbage collector.
-_EVENT_POOL_MAX = 256
 
 _Entry = Tuple[float, int, Callable[[], Any], Optional["Event"]]
-_DueEntry = Tuple[float, int, Callable[[], Any]]
 
 
 class Event:
@@ -52,7 +34,7 @@ class Event:
     distinguish fired-vs-cancelled races deterministically.
     """
 
-    __slots__ = ("time", "seq", "callback", "name", "cancelled", "fired", "pooled")
+    __slots__ = ("time", "seq", "callback", "name", "cancelled", "fired")
 
     def __init__(
         self,
@@ -69,10 +51,6 @@ class Event:
         self.name = name
         self.cancelled = cancelled
         self.fired = fired
-        # set by cancel(recycle=True): the canceller has dropped its
-        # reference, so the engine may reuse this handle once the heap
-        # entry is reclaimed
-        self.pooled = False
 
     @property
     def live(self) -> bool:
@@ -89,15 +67,11 @@ class Engine:
 
     def __init__(self) -> None:
         self._queue: List[_Entry] = []  # repro: allow[recovery-unserialized-state] -- callbacks are closures; snapshots only happen at quiescent (empty-queue) points, enforced in snapshot_state
-        # the batch lane: (time, seq, callback) entries kept sorted by
-        # (time, seq); the run loop merges it against the heap
-        self._due: Deque[_DueEntry] = deque()  # repro: allow[recovery-unserialized-state] -- same quiescent-point discipline as _queue
         self._now: float = 0.0
         self._seq: int = 0
         self._events_fired: int = 0
         self._running: bool = False  # repro: allow[recovery-unserialized-state] -- transient run()-scope flag; snapshots cannot happen mid-run
         self._cancelled_pending: int = 0  # cancelled entries still in the heap
-        self._free_events: List[Event] = []  # repro: allow[recovery-unserialized-state] -- recycled handles carry no simulation state
         # runtime invariant monitor (repro.recovery); None = disabled. Bound
         # locally by run() — arm before starting a run, not during one.
         self.invariant_monitor: Optional[Any] = None  # repro: allow[recovery-unserialized-state] -- monitors are re-armed by their owner after restore, never serialized
@@ -120,17 +94,12 @@ class Engine:
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return len(self._queue) - self._cancelled_pending + len(self._due)
+        return len(self._queue) - self._cancelled_pending
 
     @property
     def queued_entries(self) -> int:
         """Raw heap size including not-yet-reclaimed cancelled entries."""
         return len(self._queue)
-
-    @property
-    def pooled_events(self) -> int:
-        """Recycled :class:`Event` handles awaiting reuse."""
-        return len(self._free_events)
 
     def schedule(
         self,
@@ -146,18 +115,7 @@ class Engine:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
         time = self._now + delay
-        free = self._free_events
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = self._seq
-            event.callback = callback
-            event.name = name
-            event.cancelled = False
-            event.fired = False
-            event.pooled = False
-        else:
-            event = Event(time, self._seq, callback, name)
+        event = Event(time, self._seq, callback, name)
         heapq.heappush(self._queue, (time, self._seq, callback, event))
         return event
 
@@ -174,41 +132,6 @@ class Engine:
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, self._seq, callback, None))
 
-    def schedule_batch(self, delay: float, callbacks: Iterable[Callable[[], Any]]) -> int:
-        """Schedule many callbacks at one timestamp with O(1) work each.
-
-        Fire-and-forget like :meth:`schedule_after` (no handles, not
-        cancellable), and fires in exactly the order N individual
-        ``schedule_after`` calls would have: each callback gets its own
-        sequence number, and the run loop merges the batch lane against the
-        heap by ``(time, seq)``. The lane is kept sorted by construction —
-        a batch scheduled *earlier* than the lane's tail falls back to
-        plain heap pushes, which is merely slower, never wrong.
-
-        Returns the number of callbacks scheduled.
-        """
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
-        time = self._now + delay
-        due = self._due
-        if due and due[-1][0] > time:
-            # would break the lane's sort order: take the heap path
-            count = 0
-            for callback in callbacks:
-                self._seq += 1
-                heapq.heappush(self._queue, (time, self._seq, callback, None))
-                count += 1
-            return count
-        seq = self._seq
-        append = due.append
-        count = 0
-        for callback in callbacks:
-            seq += 1
-            append((time, seq, callback))
-            count += 1
-        self._seq = seq
-        return count
-
     def schedule_at(
         self,
         time: float,
@@ -218,54 +141,20 @@ class Engine:
         """Schedule ``callback`` at an absolute simulation time."""
         return self.schedule(time - self._now, callback, name=name)
 
-    def cancel(self, event: Event, recycle: bool = False) -> bool:
+    def cancel(self, event: Event) -> bool:
         """Cancel a previously scheduled event.
 
         Returns True when the event was still pending (the cancel mattered)
         and False when it had already fired — the distinction timers need to
         resolve completion-vs-timeout races deterministically.
-
-        ``recycle=True`` declares that the caller holds no further reference
-        to ``event``: once its heap entry is reclaimed (lazy skip or
-        compaction), the handle returns to the engine's free list and a
-        later :meth:`schedule` reuses it instead of allocating.
         """
         if event.fired:
             return False
         if not event.cancelled:
             event.cancelled = True
-            if recycle:
-                event.pooled = True
             self._cancelled_pending += 1
             self._maybe_compact()
         return True
-
-    def _reclaim(self, event: Event) -> None:
-        """Return a pooled cancelled handle to the free list."""
-        event.callback = _noop  # drop the closure reference
-        if len(self._free_events) < _EVENT_POOL_MAX:
-            self._free_events.append(event)
-
-    def absorb(self, now: float, events: int, seqs: int) -> None:
-        """Account for events executed by an external exact batch kernel.
-
-        The storm kernels (:mod:`repro.flash.storm`) emulate a run of this
-        engine outside it — bit-identically — and then report the clock
-        advance, the events fired, and the sequence numbers consumed here.
-        Only legal at a quiescent point: the kernel's exactness proof
-        assumes no interleaving work.
-        """
-        if self._running:
-            raise RuntimeError("cannot absorb external events during run()")
-        if self._queue or self._due:
-            raise RuntimeError("cannot absorb external events with a non-empty queue")
-        if now < self._now:
-            raise ValueError(f"absorb would move time backwards ({now} < {self._now})")
-        if events < 0 or seqs < 0:
-            raise ValueError("absorbed event/seq counts must be non-negative")
-        self._now = now
-        self._events_fired += events
-        self._seq += seqs
 
     def _maybe_compact(self) -> None:
         """Rebuild the heap once cancelled entries outnumber live ones.
@@ -285,8 +174,6 @@ class Engine:
             event = entry[3]
             if event is None or not event.cancelled:
                 live.append(entry)
-            elif event.pooled:
-                self._reclaim(event)
         queue[:] = live
         heapq.heapify(queue)
         self._cancelled_pending = 0
@@ -294,36 +181,23 @@ class Engine:
     def step(self) -> Optional[Event]:
         """Execute the next live event; return its handle, or None if empty.
 
-        Fast-path entries (from :meth:`schedule_after` and
-        :meth:`schedule_batch`) have no persistent handle; for those a
-        transient, already-fired :class:`Event` is returned so callers
-        still observe time/seq.
+        Fast-path entries (from :meth:`schedule_after`) have no persistent
+        handle; for those a transient, already-fired :class:`Event` is
+        returned so callers still observe time/seq.
         """
         queue = self._queue
-        due = self._due
-        # locate the next live entry (merging the batch lane against the
-        # heap) without executing anything; the single firing — including
-        # the one transient Event construction — happens after the loop
-        entry: Optional[_Entry] = None
+        # drop cancelled heads without executing anything; the single
+        # firing — including the one transient Event construction — happens
+        # after the loop
         while queue:
-            head = queue[0]
-            event = head[3]
-            if event is not None and event.cancelled:
-                heapq.heappop(queue)
-                self._cancelled_pending -= 1
-                if event.pooled:
-                    self._reclaim(event)
-                continue
-            entry = head
-            break
-        if due and (entry is None or (due[0][0], due[0][1]) < (entry[0], entry[1])):
-            time, seq, callback = due.popleft()
-            event = None
-        elif entry is not None:
+            event = queue[0][3]
+            if event is None or not event.cancelled:
+                break
             heapq.heappop(queue)
-            time, seq, callback, event = entry
-        else:
+            self._cancelled_pending -= 1
+        if not queue:
             return None
+        time, seq, callback, event = heapq.heappop(queue)
         if time < self._now:
             raise RuntimeError("event queue corrupted: time went backwards")
         self._now = time
@@ -347,41 +221,16 @@ class Engine:
         # hot globals locally: this loop is the simulator's innermost path
         pop = heapq.heappop
         queue = self._queue
-        due = self._due
         monitor = self.invariant_monitor
         try:
             fired = 0
-            while queue or due:
-                if queue:
-                    head: Optional[_Entry] = queue[0]
-                    event = head[3]
-                    if event is not None and event.cancelled:
-                        pop(queue)
-                        self._cancelled_pending -= 1
-                        if event.pooled:
-                            self._reclaim(event)
-                        continue
-                else:
-                    head = None
-                if due and (head is None or (due[0][0], due[0][1]) < (head[0], head[1])):
-                    # batch lane wins the (time, seq) merge
-                    time = due[0][0]
-                    if until is not None and time > until:
-                        self._now = until
-                        break
-                    if max_events is not None and fired >= max_events:
-                        break
-                    _dt, _ds, callback = due.popleft()
-                    if time < self._now:
-                        raise RuntimeError("event queue corrupted: time went backwards")
-                    self._now = time
-                    self._events_fired += 1
-                    callback()
-                    fired += 1
-                    if monitor is not None:
-                        monitor.after_engine_event(self._now)
+            while queue:
+                head = queue[0]
+                event = head[3]
+                if event is not None and event.cancelled:
+                    pop(queue)
+                    self._cancelled_pending -= 1
                     continue
-                assert head is not None
                 time = head[0]
                 if until is not None and time > until:
                     self._now = until
@@ -406,23 +255,13 @@ class Engine:
             self._running = False
         return self._now
 
-    def run_until(self, time: float, max_events: Optional[int] = None) -> float:
-        """Run the queue up to (and including) absolute time ``time``.
-
-        The named companion of :meth:`schedule_batch`: drain the storm you
-        just filed, stop at the horizon. Equivalent to ``run(until=time)``.
-        """
-        return self.run(until=time, max_events=max_events)
-
     def reset(self) -> None:
         """Drop all pending events and rewind the clock to zero."""
         self._queue.clear()
-        self._due.clear()
         self._now = 0.0
         self._seq = 0
         self._events_fired = 0
         self._cancelled_pending = 0
-        self._free_events.clear()
 
     # -- checkpoint/restore ----------------------------------------------------
 
@@ -434,10 +273,10 @@ class Engine:
         quiescent-point operation, the same discipline real SSD firmware
         uses for power-loss-protected flush points.
         """
-        if self._queue or self._due:
+        if self._queue:
             raise RuntimeError(
-                f"cannot snapshot an engine with {len(self._queue) + len(self._due)} "
-                "queued events; drain the queue (quiescent point) first"
+                f"cannot snapshot an engine with {len(self._queue)} queued "
+                "events; drain the queue (quiescent point) first"
             )
         return {
             "now": self._now,
@@ -447,13 +286,10 @@ class Engine:
         }
 
     def restore_state(self, state: Dict[str, Any]) -> None:
-        if self._queue or self._due:
+        if self._queue:
             raise RuntimeError("cannot restore into an engine with queued events")
         self._now = state["now"]
         self._seq = state["seq"]
         self._events_fired = state["events_fired"]
         self._cancelled_pending = state["cancelled_pending"]
 
-
-def _noop() -> None:
-    """Placeholder callback for pooled Event handles."""

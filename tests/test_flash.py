@@ -15,6 +15,8 @@ from repro.flash import (
 from repro.flash.chip import FlashProgramError
 from repro.flash.ecc import EccConfig, EccUncorrectableError
 from repro.flash.geometry import small_geometry
+from repro.platform.config import PlatformConfig
+from repro.platform.schemes import flash_read_throughput
 from repro.sim import Engine
 
 
@@ -280,3 +282,46 @@ class TestDeviceTiming:
         dev.read(chip.pages_of_block(0)[0], data_sink=sink)
         engine.run()
         assert sink == [b"payload"]
+
+
+class TestReadStorm:
+    def make(self, channels=4):
+        engine = Engine()
+        return engine, FlashDevice(engine, small_geometry(channels=channels), FlashTiming())
+
+    def test_two_events_per_page(self):
+        engine, dev = self.make()
+        events = dev.read_storm(range(10))
+        assert events == engine.events_fired == 20
+        assert dev.stats.counter("page_reads").value == 10
+
+    def test_empty_storm_is_a_noop(self):
+        engine, dev = self.make()
+        assert dev.read_storm([]) == 0
+        assert engine.now == 0.0
+
+    def test_window_below_one_rejected(self):
+        _, dev = self.make()
+        with pytest.raises(ValueError):
+            dev.read_storm(range(4), window=0)
+
+    @pytest.mark.parametrize("channels,read_latency", [(4, 10e-6), (8, 110e-6)])
+    def test_flash_read_throughput_is_a_read_storm(self, channels, read_latency):
+        """The Fig. 14 probe equals pages*page_bytes/now of an explicit storm."""
+        config = PlatformConfig(
+            channels=channels, flash_timing=FlashTiming(read_latency=read_latency)
+        )
+        engine = Engine()
+        geometry = small_geometry(
+            channels=channels,
+            chips_per_channel=4,
+            dies_per_chip=4,
+            planes_per_die=2,
+            blocks_per_plane=4,
+            pages_per_block=64,
+        )
+        dev = FlashDevice(engine, geometry, config.flash_timing)
+        pages = min(4096, geometry.total_pages)
+        dev.read_storm(range(pages), config.queue_depth_per_channel * channels)
+        assert flash_read_throughput(config) == pages * geometry.page_bytes / engine.now
+

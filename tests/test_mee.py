@@ -214,3 +214,20 @@ class TestFunctionalMee:
         mee = self.make()
         with pytest.raises(ValueError):
             mee.write_line(8, 0, b"x")
+
+    def test_write_lines_identical_to_write_line_loop(self):
+        key, mac_key = bytes(range(16)), bytes(range(16, 32))
+        items = [
+            (page, line, bytes([page, line, rep]) * 3)
+            for rep in range(2)
+            for page in (0, 1, 3)
+            for line in (0, 2, 5)
+        ]
+        batched = FunctionalMee(4, key, mac_key)
+        sequential = FunctionalMee(4, key, mac_key)
+        batched.write_lines(list(items))
+        for page, line, plaintext in items:
+            sequential.write_line(page, line, plaintext)
+        assert batched.snapshot_state() == sequential.snapshot_state()
+        for page, line, _ in items:
+            assert batched.read_line(page, line) == sequential.read_line(page, line)

@@ -211,3 +211,50 @@ class TestStatusSemantics:
     def test_error_statuses(self):
         assert not NvmeStatus.SUCCESS.is_error
         assert NvmeStatus.COMMAND_ABORTED.is_error
+
+
+class TestDrain:
+    def test_drain_keeps_aggregates(self):
+        engine, qp = make_qp()
+        for _ in range(8):
+            qp.submit("read", 4096)
+        engine.run()
+        assert qp.completed_count == 8
+        assert qp.completed_bytes == 8 * 4096
+        throughput = qp.throughput_bytes_per_s()
+        assert qp.drain_completed() == 8
+        assert qp.completed == []
+        assert qp.completed_count == 8
+        assert qp.throughput_bytes_per_s() == throughput
+        for _ in range(4):
+            qp.submit("write", 512)
+        engine.run()
+        assert qp.completed_count == 12
+        assert qp.completed_bytes == 8 * 4096 + 4 * 512
+
+    def test_held_record_survives_drain_and_resubmit(self):
+        """A record the caller still holds is never rewritten by a later submit."""
+        engine, qp = make_qp()
+        held = qp.submit("read", 4096)
+        engine.run()
+        before = (held.opcode, held.nbytes, held.submitted_at,
+                  held.completed_at, held.status)
+        qp.drain_completed()
+        fresh = qp.submit("write", 512)
+        engine.run()
+        assert fresh is not held
+        assert (held.opcode, held.nbytes, held.submitted_at,
+                held.completed_at, held.status) == before
+
+    def test_snapshot_roundtrip_preserves_aggregates(self):
+        engine, qp = make_qp()
+        for _ in range(3):
+            qp.submit("read", 1024)
+        engine.run()
+        qp.drain_completed()
+        state = qp.snapshot_state()
+        _, fresh = make_qp()
+        fresh.restore_state(state)
+        assert fresh.completed_count == 3
+        assert fresh.completed_bytes == 3 * 1024
+

@@ -18,6 +18,8 @@ from repro.core.mee import EncryptionScheme, MemoryEncryptionEngine
 from repro.perf.bench import (
     SCHEMA_VERSION,
     check_regression,
+    compare_benches,
+    format_compare,
     load_bench,
     next_bench_path,
     write_bench,
@@ -270,6 +272,18 @@ class TestProfiler:
             profile_run("filter", top=0)
 
 
+class TestProfilerAllocs:
+    def test_top_allocs_table_in_report(self):
+        report = profile_run("filter", scheme="host", top=5, top_allocs=5)
+        assert "allocation sites" in report.alloc_table
+        assert "allocation sites" in report.format()
+
+    def test_cli_flag(self, capsys):
+        rc = repro_main(["profile", "filter", "--scheme", "host", "--top-allocs", "3"])
+        assert rc == 0
+        assert "allocation sites" in capsys.readouterr().out
+
+
 # -- bench trajectory ---------------------------------------------------------
 
 
@@ -361,6 +375,54 @@ class TestCheckRegression:
         bad = _payload(case_a=1.0)
         bad["calibration_s"] = 0.0
         assert check_regression(bad, _payload(case_a=1.0))
+
+
+class TestBenchCompare:
+    def _payload(self, wall, cal, mode="quick", rate=None):
+        return {
+            "schema": 1,
+            "mode": mode,
+            "calibration_s": cal,
+            "benchmarks": [
+                {
+                    "name": "kernel-flash-read",
+                    "wall_s": wall,
+                    "events": 4000,
+                    "events_per_s": rate,
+                }
+            ],
+        }
+
+    def test_speedup_is_calibration_normalized(self):
+        baseline = self._payload(2.0, 0.1, rate=1000.0)
+        current = self._payload(1.0, 0.2, rate=5000.0)  # machine is 2x slower
+        comparison = compare_benches(baseline, current)
+        case = comparison["cases"][0]
+        assert case["speedup"] == pytest.approx(4.0)
+        assert case["event_rate_ratio"] == pytest.approx(5.0)
+        assert "kernel-flash-read" in format_compare(comparison)
+
+    def test_mode_mismatch_suppresses_wall_speedups(self):
+        comparison = compare_benches(
+            self._payload(2.0, 0.1, mode="quick"), self._payload(1.0, 0.1, mode="full")
+        )
+        assert not comparison["comparable_modes"]
+        assert comparison["cases"][0]["speedup"] is None
+        assert "WARNING" in format_compare(comparison)
+
+    def test_cli_compare_runs_without_measuring(self, tmp_path, capsys):
+        a = tmp_path / "BENCH_0.json"
+        b = tmp_path / "BENCH_1.json"
+        a.write_text(json.dumps(self._payload(2.0, 0.1)))
+        b.write_text(json.dumps(self._payload(1.0, 0.1)))
+        out = tmp_path / "cmp.json"
+        rc = repro_main(
+            ["bench", "--compare", str(a), str(b), "--compare-json", str(out)]
+        )
+        assert rc == 0
+        assert "kernel-flash-read" in capsys.readouterr().out
+        written = json.loads(out.read_text())
+        assert written["cases"][0]["speedup"] == pytest.approx(2.0)
 
 
 # -- CLI ----------------------------------------------------------------------
