@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.analysis.cli import add_lint_arguments, run_lint
 from repro.platform import PlatformConfig, make_platform
@@ -227,6 +227,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _same_twice(first: str, second: str) -> bool:
+    """Print the double-run verdict on two fingerprints of one campaign."""
+    deterministic = first == second
+    print(f"deterministic: {'yes' if deterministic else 'NO — runs diverged'}")
+    return deterministic
+
+
 def cmd_chaos(args: argparse.Namespace) -> int:
     if _check_workload(args.workload) is None:
         return 2
@@ -288,8 +295,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     # the repeat run is always unarmed, so with --monitors this equality also
     # proves the armed suite is fingerprint-neutral
     repeat = run_chaos(args.workload, profile.write_ratio, seed=seed, ops=args.ops)
-    deterministic = report.fingerprint() == repeat.fingerprint()
-    print(f"deterministic: {'yes' if deterministic else 'NO — runs diverged'}")
+    deterministic = _same_twice(report.fingerprint(), repeat.fingerprint())
     if not deterministic or report.invariant_violations or monitor_violations:
         return 1
     return 0
@@ -342,8 +348,25 @@ def cmd_soak(args: argparse.Namespace) -> int:
     return exit_code
 
 
+def _check_oracle_args(args: argparse.Namespace) -> bool:
+    """Reject sweeps the crash oracles cannot cut (``oracle`` and ``fleet-oracle``)."""
+    fleet = args.command == "fleet-oracle"
+    length, flag = (args.requests, "--requests") if fleet else (args.ops, "--ops")
+    checks = [
+        (args.points < 1, "--points must be >= 1"),
+        (args.seeds < 1, "--seeds must be >= 1"),
+        (length < 2, f"{flag} must be >= 2"),
+        (fleet and args.devices < 2, "--devices must be >= 2"),
+    ]
+    for failed, message in checks:
+        if failed:
+            print(f"error: {message}", file=sys.stderr)
+            return False
+    return True
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if _check_workload(args.workload) is None:
+    if _check_workload(args.workload) is None or not _check_oracle_args(args):
         return 2
     from repro.recovery import RecoveryStats, run_oracle
 
@@ -366,6 +389,55 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if report.all_passed else 1
 
 
+def _run_lab(
+    args: argparse.Namespace,
+    run: Callable[[], Any],
+    on_arm: Callable[[Any], Any],
+    arm_label: str,
+    gates: List[Tuple[Callable[[Any], bool], str]],
+) -> int:
+    """Print, export, rerun and gate one two-arm lab report.
+
+    ``on_arm(report)`` picks the arm the availability floor judges and
+    ``arm_label`` names it; ``gates`` are the lab's own exit checks.
+    """
+    import json
+
+    report = run()
+    print(report.format())
+    arm = on_arm(report)
+    if args.events:
+        print(f"event log ({arm_label}):")
+        for line in arm.event_log:
+            print(f"  {line}")
+    if args.csv:
+        with open(args.csv, "w") as fh:
+            for row in report.csv_rows():
+                fh.write(",".join(row) + "\n")
+        print(f"wrote {args.csv}")
+    if getattr(args, "json", None):
+        with open(args.json, "w") as fh:
+            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {args.json}")
+    # the whole campaign must be a pure function of the seed: run it again
+    # and require byte-identical fingerprints
+    exit_code = 0 if _same_twice(report.fingerprint(), run().fingerprint()) else 1
+    if arm.availability < args.min_availability / 100.0:
+        print(
+            f"FAIL: {arm_label.replace(' ', '-')} availability "
+            f"{arm.availability * 100:.4f}% is below the "
+            f"{args.min_availability:.2f}% floor",
+            file=sys.stderr,
+        )
+        exit_code = 1
+    for failed, message in gates:
+        if failed(report):
+            print(f"FAIL: {message}", file=sys.stderr)
+            exit_code = 1
+    return exit_code
+
+
 def cmd_resilience(args: argparse.Namespace) -> int:
     if args.ops < 10:
         print("error: resilience needs at least 10 requests (--ops)", file=sys.stderr)
@@ -374,38 +446,12 @@ def cmd_resilience(args: argparse.Namespace) -> int:
 
     seed = args.seed if args.seed is not None else DEFAULT_RESILIENCE_SEED
     ops = 600 if args.quick else args.ops
-    report = run_resilience(seed=seed, ops=ops)
-    print(report.format())
-    if args.events:
-        print("event log (policies on):")
-        for line in report.resilient.event_log:
-            print(f"  {line}")
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            for row in report.csv_rows():
-                fh.write(",".join(row) + "\n")
-        print(f"wrote {args.csv}")
-    # the whole experiment must be a pure function of the seed: run it again
-    # and require byte-identical reports
-    repeat = run_resilience(seed=seed, ops=ops)
-    deterministic = report.fingerprint() == repeat.fingerprint()
-    print(f"deterministic: {'yes' if deterministic else 'NO — runs diverged'}")
-    exit_code = 0
-    if not deterministic:
-        exit_code = 1
-    threshold = args.min_availability / 100.0
-    if report.resilient.availability < threshold:
-        print(
-            f"FAIL: policies-on availability "
-            f"{report.resilient.availability * 100:.4f}% is below the "
-            f"{args.min_availability:.2f}% floor",
-            file=sys.stderr,
-        )
-        exit_code = 1
-    if report.availability_gain() <= 0:
-        print("FAIL: policies did not improve availability", file=sys.stderr)
-        exit_code = 1
-    return exit_code
+    gain = (lambda r: r.availability_gain() <= 0, "policies did not improve availability")
+
+    def run() -> Any:
+        return run_resilience(seed=seed, ops=ops)
+
+    return _run_lab(args, run, lambda r: r.resilient, "policies on", [gain])
 
 
 def cmd_serve_lab(args: argparse.Namespace) -> int:
@@ -415,89 +461,27 @@ def cmd_serve_lab(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    import json as json_module
-
     from repro.serve import run_serve_lab
 
     seed = args.seed if args.seed is not None else DEFAULT_SERVE_SEED
     tenants = 250 if args.quick else args.tenants
     requests = 1000 if args.quick else args.requests
     chaos = not args.no_chaos
-    report = run_serve_lab(
-        seed=seed,
-        tenants=tenants,
-        requests=requests,
-        process=args.process,
-        chaos=chaos,
+    leak = (
+        lambda r: not r.attestation_gate_held(),
+        "attestation gate leaked — tampered handshakes were not all refused "
+        "(or none were exercised)",
     )
-    print(report.format())
-    if args.events:
-        print("event log (policies on):")
-        for line in report.attested.event_log:
-            print(f"  {line}")
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            for row in report.csv_rows():
-                fh.write(",".join(row) + "\n")
-        print(f"wrote {args.csv}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json_module.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    # the whole campaign — handshakes, sealed envelopes, faults, retries —
-    # must be a pure function of the seed: run it again and require
-    # byte-identical fingerprints
-    repeat = run_serve_lab(
-        seed=seed,
-        tenants=tenants,
-        requests=requests,
-        process=args.process,
-        chaos=chaos,
-    )
-    deterministic = report.fingerprint() == repeat.fingerprint()
-    print(f"deterministic: {'yes' if deterministic else 'NO — runs diverged'}")
-    exit_code = 0
-    if not deterministic:
-        exit_code = 1
-    if not report.attestation_gate_held():
-        print(
-            "FAIL: attestation gate leaked — tampered handshakes were not "
-            "all refused (or none were exercised)",
-            file=sys.stderr,
-        )
-        exit_code = 1
-    threshold = args.min_availability / 100.0
-    if report.attested.availability < threshold:
-        print(
-            f"FAIL: policies-on availability "
-            f"{report.attested.availability * 100:.4f}% is below the "
-            f"{args.min_availability:.2f}% floor",
-            file=sys.stderr,
-        )
-        exit_code = 1
-    if chaos and not report.policy_win:
-        print(
-            "FAIL: policies-on did not strictly beat policies-off",
-            file=sys.stderr,
-        )
-        exit_code = 1
-    return exit_code
+    win = (lambda r: not r.policy_win, "policies-on did not strictly beat policies-off")
+    # without a fault plan both arms may serve everything: no win to demand
+    gates = [leak, win] if chaos else [leak]
 
+    def run() -> Any:
+        return run_serve_lab(
+            seed=seed, tenants=tenants, requests=requests, process=args.process, chaos=chaos
+        )
 
-def _run_fleet_arms(
-    seed: int, requests: int, devices: int, replication: int, jobs: int
-):
-    """Both lab arms as fork-pool points (byte-identical at any --jobs)."""
-    from repro.fleet import FleetReport
-    from repro.perf.parallel import fleet_point, map_points
-
-    specs = [
-        fleet_point(seed, requests, devices, 1, False),
-        fleet_point(seed, requests, devices, replication, True),
-    ]
-    off, on = map_points(specs, jobs=jobs)
-    return FleetReport.from_arms(off, on)
+    return _run_lab(args, run, lambda r: r.attested, "policies on", gates)
 
 
 def cmd_fleet_lab(args: argparse.Namespace) -> int:
@@ -512,58 +496,26 @@ def cmd_fleet_lab(args: argparse.Namespace) -> int:
             "error: --replication must lie in [1, --devices]", file=sys.stderr
         )
         return 2
-    import json as json_module
+    from repro.fleet import FleetReport
+    from repro.perf.parallel import fleet_point, map_points
 
     seed = args.seed if args.seed is not None else DEFAULT_FLEET_SEED
     requests = 600 if args.quick else args.requests
-    report = _run_fleet_arms(
-        seed, requests, args.devices, args.replication, args.jobs
+    win = (
+        lambda r: not r.policy_win,
+        "replication-on did not strictly beat replication-off on availability and p99",
     )
-    print(report.format())
-    if args.events:
-        print("event log (replication on):")
-        for line in report.on.event_log:
-            print(f"  {line}")
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            rows = report.csv_rows()
-            fh.write(",".join(rows[0].keys()) + "\n")
-            for row in rows:
-                fh.write(",".join(row.values()) + "\n")
-        print(f"wrote {args.csv}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json_module.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    # the whole campaign — placement, chaos, hedging, rebuild — must be a
-    # pure function of the seed: run it again and require byte-identical
-    # fingerprints (at --jobs N this also proves fork-pool identity)
-    repeat = _run_fleet_arms(
-        seed, requests, args.devices, args.replication, args.jobs
-    )
-    deterministic = report.fingerprint() == repeat.fingerprint()
-    print(f"deterministic: {'yes' if deterministic else 'NO — runs diverged'}")
-    exit_code = 0
-    if not deterministic:
-        exit_code = 1
-    threshold = args.min_availability / 100.0
-    if report.on.availability < threshold:
-        print(
-            f"FAIL: replication-on availability "
-            f"{report.on.availability * 100:.4f}% is below the "
-            f"{args.min_availability:.2f}% floor",
-            file=sys.stderr,
-        )
-        exit_code = 1
-    if not report.policy_win:
-        print(
-            "FAIL: replication-on did not strictly beat replication-off "
-            "on availability and p99",
-            file=sys.stderr,
-        )
-        exit_code = 1
-    return exit_code
+
+    def run() -> FleetReport:
+        # both arms as fork-pool points: byte-identical at any --jobs
+        specs = [
+            fleet_point(seed, requests, args.devices, 1, False),
+            fleet_point(seed, requests, args.devices, args.replication, True),
+        ]
+        off, on = map_points(specs, jobs=args.jobs)
+        return FleetReport(off=off, on=on)
+
+    return _run_lab(args, run, lambda r: r.on, "replication on", [win])
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -635,6 +587,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet_oracle(args: argparse.Namespace) -> int:
+    if not _check_oracle_args(args):
+        return 2
     from repro.fleet import run_fleet_oracle
 
     seed = args.seed if args.seed is not None else DEFAULT_FLEET_SEED
@@ -660,26 +614,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list workloads and schemes").set_defaults(func=cmd_list)
 
     info = sub.add_parser("info", help="show the platform configuration")
-    _add_config_flags(info)
+    _add_platform_flags(info)
     info.set_defaults(func=cmd_info)
 
     run = sub.add_parser("run", help="run one workload on one scheme")
     run.add_argument("workload")
     run.add_argument("--scheme", default="iceclave", choices=sorted(SCHEMES))
     run.add_argument("--verbose", "-v", action="store_true", help="print run stats")
-    _add_config_flags(run)
+    _add_platform_flags(run)
+    _add_seed_flag(run)
     run.set_defaults(func=cmd_run)
 
     compare = sub.add_parser("compare", help="run all four schemes")
     compare.add_argument("workload")
-    _add_config_flags(compare)
+    _add_platform_flags(compare)
+    _add_seed_flag(compare)
     _add_jobs_flag(compare)
     compare.set_defaults(func=cmd_compare)
 
     sweep = sub.add_parser("sweep", help="sensitivity sweep (Figs 12/14/16)")
     sweep.add_argument("parameter", choices=("channels", "latency", "dram"))
     sweep.add_argument("workload")
-    _add_config_flags(sweep)
+    _add_platform_flags(sweep)
+    _add_seed_flag(sweep)
     _add_jobs_flag(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
@@ -697,7 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--top-allocs", type=int, default=0, metavar="N",
         help="also trace allocations (tracemalloc) and print the top N sites",
     )
-    _add_config_flags(prof)
+    _add_platform_flags(prof)
+    _add_seed_flag(prof)
     prof.set_defaults(func=cmd_profile)
 
     bench = sub.add_parser(
@@ -748,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
         "become structured counters and a nonzero exit, the fingerprint is "
         "unchanged",
     )
-    _add_config_flags(chaos)
+    _add_seed_flag(chaos)
     chaos.set_defaults(func=cmd_chaos)
 
     soak = sub.add_parser(
@@ -786,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument(
         "--csv", metavar="PATH", help="write the recovery counters as CSV"
     )
-    _add_config_flags(soak)
+    _add_seed_flag(soak)
     soak.set_defaults(func=cmd_soak)
 
     oracle = sub.add_parser(
@@ -807,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument(
         "--verbose", "-v", action="store_true", help="print each crash point's verdict"
     )
-    _add_config_flags(oracle)
+    _add_seed_flag(oracle)
     oracle.set_defaults(func=cmd_oracle)
 
     resilience = sub.add_parser(
@@ -817,25 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     resilience.add_argument(
         "--ops", type=int, default=2000, help="requests per arm (default 2000)"
     )
-    resilience.add_argument(
-        "--quick", action="store_true", help="small run for CI smoke (600 requests)"
-    )
-    resilience.add_argument(
-        "--min-availability",
-        type=float,
-        default=99.0,
-        help="fail (exit 1) if policies-on availability drops below this %% (default 99)",
-    )
-    resilience.add_argument(
-        "--csv", metavar="PATH", help="write the per-arm SLO summary as CSV"
-    )
-    resilience.add_argument(
-        "--events", "-e", action="store_true",
-        help="print the policies-on fault/transition log",
-    )
-    resilience.add_argument(
-        "--seed", type=int, help="deterministic seed for the fault plan and arrivals"
-    )
+    _add_lab_flags(resilience, "policies-on", "600 requests")
     resilience.set_defaults(func=cmd_resilience)
 
     serve = sub.add_parser(
@@ -857,29 +797,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-chaos", action="store_true", help="disable the seeded fault plan"
     )
     serve.add_argument(
-        "--quick", action="store_true",
-        help="small run for CI smoke (250 tenants, 1000 requests)",
-    )
-    serve.add_argument(
-        "--min-availability",
-        type=float,
-        default=99.0,
-        help="fail (exit 1) if policies-on availability drops below this %% (default 99)",
-    )
-    serve.add_argument(
-        "--csv", metavar="PATH", help="write the campaign summary as CSV"
-    )
-    serve.add_argument(
         "--json", metavar="PATH", help="write the full SLO report as JSON"
     )
-    serve.add_argument(
-        "--events", "-e", action="store_true",
-        help="print the policies-on fault/transition log",
-    )
-    serve.add_argument(
-        "--seed", type=int,
-        help="deterministic seed for tenants, arrivals, faults and crypto",
-    )
+    _add_lab_flags(serve, "policies-on", "250 tenants, 1000 requests")
     serve.set_defaults(func=cmd_serve_lab)
 
     fleet = sub.add_parser(
@@ -898,28 +818,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="replica count for the policies-on arm (default 2)",
     )
     fleet.add_argument(
-        "--quick", action="store_true", help="small run for CI smoke (600 requests)"
-    )
-    fleet.add_argument(
-        "--min-availability",
-        type=float,
-        default=99.0,
-        help="fail (exit 1) if replication-on availability drops below this %% (default 99)",
-    )
-    fleet.add_argument(
-        "--csv", metavar="PATH", help="write the per-arm summary as CSV"
-    )
-    fleet.add_argument(
         "--json", metavar="PATH", help="write the full fleet report as JSON"
     )
-    fleet.add_argument(
-        "--events", "-e", action="store_true",
-        help="print the replication-on chaos/rebuild log",
-    )
-    fleet.add_argument(
-        "--seed", type=int,
-        help="deterministic seed for placement, arrivals and the chaos plan",
-    )
+    _add_lab_flags(fleet, "replication-on", "600 requests")
     _add_jobs_flag(fleet)
     fleet.set_defaults(func=cmd_fleet_lab)
 
@@ -991,13 +892,37 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_platform_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags `_build_config` reads into a PlatformConfig."""
     parser.add_argument("--channels", type=int, help="flash channels (default 8)")
     parser.add_argument("--dram-gb", type=int, help="SSD DRAM capacity in GB")
     parser.add_argument("--dataset-gb", type=int, help="dataset size in GB (default 32)")
     parser.add_argument("--flash-latency-us", type=float, help="flash read latency")
+
+
+def _add_seed_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed", type=int, help="deterministic seed for workload generation and faults"
+    )
+
+
+def _add_lab_flags(parser: argparse.ArgumentParser, arm: str, quick: str) -> None:
+    """The flags every two-arm lab reads; ``arm`` names the judged arm."""
+    parser.add_argument(
+        "--quick", action="store_true", help=f"small run for CI smoke ({quick})"
+    )
+    parser.add_argument(
+        "--min-availability",
+        type=float,
+        default=99.0,
+        help=f"fail (exit 1) if {arm} availability drops below this %% (default 99)",
+    )
+    parser.add_argument("--csv", metavar="PATH", help="write the per-arm summary as CSV")
+    parser.add_argument(
+        "--events", "-e", action="store_true", help=f"print the {arm} event log"
+    )
+    parser.add_argument(
+        "--seed", type=int, help="deterministic seed for the whole campaign"
     )
 
 

@@ -12,6 +12,7 @@ beats replication-off on availability and read tail under device chaos.
 from repro.fleet.checkpoint import (
     FLEET_SNAPSHOT_KIND,
     restore_fleet_runner,
+    run_fleet_oracle,
     snapshot_fleet_runner,
 )
 from repro.fleet.device import DeviceConfig, DeviceResult, FleetDevice
@@ -23,7 +24,6 @@ from repro.fleet.lab import (
     run_fleet,
     run_fleet_arm,
 )
-from repro.fleet.oracle import FleetOraclePoint, FleetOracleReport, run_fleet_oracle
 from repro.fleet.rebuild import RebuildManager
 from repro.fleet.router import (
     FleetRefusal,
@@ -41,8 +41,6 @@ __all__ = [
     "FleetArmReport",
     "FleetChaosConfig",
     "FleetDevice",
-    "FleetOraclePoint",
-    "FleetOracleReport",
     "FleetRefusal",
     "FleetReport",
     "FleetRunner",

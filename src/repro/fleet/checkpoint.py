@@ -10,12 +10,19 @@ pure functions of the seed) and overlays the saved state.
 
 Checkpoints are only valid between requests: the runner asserts the engine
 is quiescent after every step, so between-steps is always a safe cut.
+
+:func:`run_fleet_oracle` runs the `repro.recovery` crash-point sweep over
+these checkpoints and counts the crash points that land mid-rebuild.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Optional
+
 from repro.fleet.lab import FleetRunner
+from repro.recovery.oracle import OracleReport, sweep
 from repro.recovery.snapshot import Snapshot, SnapshotError
+from repro.sim.stats import RecoveryStats
 
 FLEET_SNAPSHOT_KIND = "fleet-run"
 
@@ -71,8 +78,48 @@ def restore_fleet_runner(snapshot: Snapshot) -> FleetRunner:
     return runner
 
 
+def run_fleet_oracle(
+    base_seed: int = 42,
+    seeds: int = 2,
+    points: int = 7,
+    requests: int = 400,
+    devices: int = 6,
+    replication: int = 2,
+    stats: Optional[RecoveryStats] = None,
+    progress: Optional[Callable[[str], None]] = None,
+) -> OracleReport:
+    """The crash-point sweep over a replication-on fleet, tagging mid-rebuild cuts."""
+    return sweep(
+        # rebuild_batch=1 keeps the repair queue populated for many requests
+        # after a device kill, so a healthy sweep reliably cuts mid-rebuild
+        lambda seed: FleetRunner(
+            seed,
+            requests,
+            devices=devices,
+            replication=replication,
+            hedge=True,
+            working_set=min(48, requests),
+            rebuild_batch=1,
+        ),
+        snapshot_fleet_runner,
+        restore_fleet_runner,
+        FLEET_SNAPSHOT_KIND,
+        subject="fleet oracle",
+        scope=f"{requests} requests, {devices} devices, replication={replication}",
+        ops=requests,
+        base_seed=base_seed,
+        seeds=seeds,
+        points=points,
+        cut=lambda runner: runner.rebuild.pending > 0,
+        label="mid-rebuild",
+        stats=stats,
+        progress=progress,
+    )
+
+
 __all__ = [
     "FLEET_SNAPSHOT_KIND",
     "restore_fleet_runner",
+    "run_fleet_oracle",
     "snapshot_fleet_runner",
 ]

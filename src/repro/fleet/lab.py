@@ -436,10 +436,6 @@ class FleetReport:
     off: FleetArmReport
     on: FleetArmReport
 
-    @classmethod
-    def from_arms(cls, off: FleetArmReport, on: FleetArmReport) -> "FleetReport":
-        return cls(off=off, on=on)
-
     @property
     def policy_win(self) -> bool:
         """Replication-on must strictly beat off on availability AND p99."""
@@ -469,23 +465,19 @@ class FleetReport:
         ]
         return "\n".join(lines)
 
-    def csv_rows(self) -> List[Dict[str, str]]:
-        rows = []
+    def csv_rows(self) -> List[List[str]]:
+        header = [
+            "replication", "hedge", "availability", "p99_read_s", "keys_lost",
+            "rebuilds_completed", "under_replicated_key_seconds", "fingerprint",
+        ]
+        rows = [header]
         for arm in (self.off, self.on):
-            rows.append(
-                {
-                    "replication": str(arm.replication),
-                    "hedge": "on" if arm.hedge else "off",
-                    "availability": repr(arm.availability),
-                    "p99_read_s": repr(arm.p99_read_s),
-                    "keys_lost": str(arm.keys_lost),
-                    "rebuilds_completed": str(arm.rebuilds_completed),
-                    "under_replicated_key_seconds": repr(
-                        arm.under_replicated_key_seconds
-                    ),
-                    "fingerprint": arm.fingerprint(),
-                }
-            )
+            rows.append([
+                str(arm.replication), "on" if arm.hedge else "off",
+                repr(arm.availability), repr(arm.p99_read_s), str(arm.keys_lost),
+                str(arm.rebuilds_completed),
+                repr(arm.under_replicated_key_seconds), arm.fingerprint(),
+            ])
         return rows
 
     def to_json(self) -> Dict[str, Any]:
@@ -582,7 +574,7 @@ def run_fleet(
         device_kills=device_kills,
         die_quarantines=die_quarantines,
     )
-    return FleetReport.from_arms(off, on)
+    return FleetReport(off=off, on=on)
 
 
 __all__ = [

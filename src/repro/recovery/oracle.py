@@ -1,6 +1,6 @@
 """Crash-point differential oracle: prove restore is byte-identical.
 
-For each seed the oracle runs one *golden* uninterrupted chaos campaign and
+For each seed the oracle runs one *golden* uninterrupted campaign and
 records its report fingerprint. Then, for every crash point T in a sweep,
 it runs a fresh campaign to T, checkpoints it, round-trips the checkpoint
 through disk (so serialization itself is under test), hard-kills the live
@@ -13,6 +13,10 @@ structure rebuilt wrong shows up as a mismatch at some crash point.
 The oracle also proves the *negative* path: a snapshot file with one
 flipped byte must be rejected by the content fingerprint before any state
 reaches the simulator.
+
+:func:`sweep` does this for any runner with ``run()`` and ``run_until(op)``
+plus snapshot/restore functions; an optional cut predicate tags crash
+points that land in an interesting state (the fleet tags mid-rebuild cuts).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import hashlib
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.faults.chaos import ChaosRunner
 from repro.faults.plan import FaultPlanConfig
@@ -31,6 +35,7 @@ from repro.recovery.checkpoint import (
     snapshot_chaos_runner,
 )
 from repro.recovery.snapshot import (
+    Snapshot,
     SnapshotCorruptError,
     load_snapshot,
     save_snapshot,
@@ -47,15 +52,16 @@ class OraclePoint:
     matched: bool
     golden_digest: str
     resumed_digest: str
+    tagged: bool = False  # the sweep's cut predicate held at the crash point
 
 
 @dataclass
 class OracleReport:
-    """Outcome of a full crash-point sweep."""
+    """Outcome of a full crash-point sweep (``label`` names its cut predicate)."""
 
-    workload: str
-    write_ratio: float
-    ops: int
+    subject: str
+    scope: str
+    label: Optional[str] = None
     points: List[OraclePoint] = field(default_factory=list)
     corruption_rejected: bool = False
 
@@ -68,18 +74,24 @@ class OracleReport:
         return len(self.points) - self.passed
 
     @property
+    def tagged_points(self) -> int:
+        return sum(1 for p in self.points if p.tagged)
+
+    @property
     def all_passed(self) -> bool:
         return self.failed == 0 and self.corruption_rejected and bool(self.points)
 
     def format(self) -> str:
         seeds = sorted({p.seed for p in self.points})
         lines = [
-            f"oracle {self.workload}: {len(self.points)} crash points over "
-            f"{len(seeds)} seeds, {self.ops} ops each",
+            f"{self.subject}: {len(self.points)} crash points over "
+            f"{len(seeds)} seeds, {self.scope}",
             f"  byte-identical  : {self.passed}/{len(self.points)}",
-            "  corrupt snapshot: "
-            + ("rejected (content fingerprint)" if self.corruption_rejected else "NOT REJECTED"),
         ]
+        if self.label is not None:
+            lines.append(f"  {self.label} cuts: {self.tagged_points}")
+        verdict = "rejected (content fingerprint)" if self.corruption_rejected else "NOT REJECTED"
+        lines.append(f"  corrupt snapshot: {verdict}")
         for point in self.points:
             if not point.matched:
                 lines.append(
@@ -97,11 +109,12 @@ def crash_points(ops: int, count: int) -> List[int]:
     return sorted({min(ops - 1, max(1, round(step * (i + 1)))) for i in range(count)})
 
 
-def _digest(fingerprint: str) -> str:
+def digest(fingerprint: str) -> str:
+    """The sha256 hex digest a report fingerprint is compared by."""
     return hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()
 
 
-def _probe_corruption(path: str) -> bool:
+def _probe_corruption(path: str, kind: str) -> bool:
     """Flip one byte of a saved snapshot; loading must refuse it."""
     with open(path, "rb") as fh:
         blob = bytearray(fh.read())
@@ -110,12 +123,71 @@ def _probe_corruption(path: str) -> bool:
     with open(corrupt_path, "wb") as fh:
         fh.write(bytes(blob))
     try:
-        load_snapshot(corrupt_path, expect_kind=CHAOS_SNAPSHOT_KIND)
+        load_snapshot(corrupt_path, expect_kind=kind)
     except SnapshotCorruptError:
         return True
     finally:
         os.unlink(corrupt_path)
     return False
+
+
+def sweep(
+    build: Callable[[int], Any],
+    snapshot: Callable[[Any], Snapshot],
+    restore: Callable[[Snapshot], Any],
+    kind: str,
+    *,
+    subject: str,
+    scope: str,
+    ops: int,
+    base_seed: int,
+    seeds: int,
+    points: int,
+    cut: Optional[Callable[[Any], bool]] = None,
+    label: Optional[str] = None,
+    stats: Optional[RecoveryStats] = None,
+    progress: Optional[Callable[[str], None]] = None,
+) -> OracleReport:
+    """Sweep ``points`` crash points across ``seeds`` consecutive seeds."""
+    report = OracleReport(subject=subject, scope=scope, label=label)
+    stats = stats if stats is not None else RecoveryStats()
+    cuts = crash_points(ops, points)
+    with tempfile.TemporaryDirectory(prefix="repro-oracle-") as tmp:
+        for seed in range(base_seed, base_seed + seeds):
+            golden_fp = build(seed).run().fingerprint()
+            golden_digest = digest(golden_fp)
+            for crash_op in cuts:
+                runner = build(seed)
+                runner.run_until(crash_op)
+                tagged = cut is not None and cut(runner)
+                path = os.path.join(tmp, f"seed{seed}-op{crash_op}.snap")
+                save_snapshot(snapshot(runner), path)
+                stats.snapshots_taken += 1
+                del runner  # the hard kill: only the file survives
+                loaded = load_snapshot(path, expect_kind=kind)
+                if not report.corruption_rejected:
+                    report.corruption_rejected = _probe_corruption(path, kind)
+                resumed = restore(loaded)
+                stats.restores += 1
+                resumed_fp = resumed.run().fingerprint()
+                matched = resumed_fp == golden_fp
+                if matched:
+                    stats.oracle_points_passed += 1
+                report.points.append(
+                    OraclePoint(
+                        seed=seed,
+                        crash_op=crash_op,
+                        matched=matched,
+                        golden_digest=golden_digest,
+                        resumed_digest=digest(resumed_fp),
+                        tagged=tagged,
+                    )
+                )
+                if progress is not None:
+                    status = "ok" if matched else "MISMATCH"
+                    tag = f" {label}" if tagged else ""
+                    progress(f"seed={seed} crash_op={crash_op}{tag}: {status}")
+    return report
 
 
 def run_oracle(
@@ -129,49 +201,23 @@ def run_oracle(
     stats: Optional[RecoveryStats] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> OracleReport:
-    """Sweep ``points`` crash points across ``seeds`` consecutive seeds."""
-    report = OracleReport(workload=workload, write_ratio=write_ratio, ops=ops)
-    stats = stats if stats is not None else RecoveryStats()
-    sweep = crash_points(ops, points)
-    with tempfile.TemporaryDirectory(prefix="repro-oracle-") as tmp:
-        for seed in range(base_seed, base_seed + seeds):
-            golden = ChaosRunner(
-                workload, write_ratio, seed=seed, ops=ops, plan_config=plan_config
-            ).run()
-            golden_fp = golden.fingerprint()
-            golden_digest = _digest(golden_fp)
-            for crash_op in sweep:
-                runner = ChaosRunner(
-                    workload, write_ratio, seed=seed, ops=ops, plan_config=plan_config
-                )
-                runner.run_until(crash_op)
-                path = os.path.join(tmp, f"seed{seed}-op{crash_op}.snap")
-                save_snapshot(snapshot_chaos_runner(runner), path)
-                stats.snapshots_taken += 1
-                del runner  # the hard kill: only the file survives
-                loaded = load_snapshot(path, expect_kind=CHAOS_SNAPSHOT_KIND)
-                if not report.corruption_rejected:
-                    report.corruption_rejected = _probe_corruption(path)
-                resumed = restore_chaos_runner(loaded, plan_config=plan_config)
-                stats.restores += 1
-                resumed.run_until(ops)
-                resumed_fp = resumed.finalize().fingerprint()
-                matched = resumed_fp == golden_fp
-                if matched:
-                    stats.oracle_points_passed += 1
-                report.points.append(
-                    OraclePoint(
-                        seed=seed,
-                        crash_op=crash_op,
-                        matched=matched,
-                        golden_digest=golden_digest,
-                        resumed_digest=_digest(resumed_fp),
-                    )
-                )
-                if progress is not None:
-                    status = "ok" if matched else "MISMATCH"
-                    progress(f"seed={seed} crash_op={crash_op}: {status}")
-    return report
+    """The crash-point sweep over a workload-shaped chaos campaign."""
+    return sweep(
+        lambda seed: ChaosRunner(
+            workload, write_ratio, seed=seed, ops=ops, plan_config=plan_config
+        ),
+        snapshot_chaos_runner,
+        lambda loaded: restore_chaos_runner(loaded, plan_config=plan_config),
+        CHAOS_SNAPSHOT_KIND,
+        subject=f"oracle {workload}",
+        scope=f"{ops} ops each",
+        ops=ops,
+        base_seed=base_seed,
+        seeds=seeds,
+        points=points,
+        stats=stats,
+        progress=progress,
+    )
 
 
-__all__ = ["OraclePoint", "OracleReport", "crash_points", "run_oracle"]
+__all__ = ["OraclePoint", "OracleReport", "crash_points", "digest", "run_oracle", "sweep"]

@@ -33,7 +33,7 @@ from repro.recovery.checkpoint import (
     snapshot_chaos_runner,
 )
 from repro.recovery.monitors import MonitorSuite
-from repro.recovery.oracle import _digest
+from repro.recovery.oracle import digest
 from repro.recovery.snapshot import Snapshot, SnapshotError, load_snapshot, save_snapshot
 from repro.sim.stats import RecoveryStats
 
@@ -153,7 +153,6 @@ def run_soak(
         say(f"checkpoint op {runner.ops_executed}/{ops} -> {path} [{fingerprint[:12]}]")
 
     report = runner.finalize()
-    digest = _digest(report.fingerprint())
     verified: Optional[bool] = None
     if verify:
         golden = ChaosRunner(
@@ -168,7 +167,7 @@ def run_soak(
         workload=workload,
         seed=seed,
         ops=ops,
-        fingerprint_digest=digest,
+        fingerprint_digest=digest(report.fingerprint()),
         resumed_from_op=resumed_from_op,
         invariant_violations=report.invariant_violations,
         verified=verified,

@@ -67,3 +67,10 @@ class TestCli:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_chaos_rejects_platform_flags(self, capsys):
+        # chaos never builds a PlatformConfig, so it takes no platform flags
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "tpch-q1", "--channels", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --channels 2" in capsys.readouterr().err

@@ -486,8 +486,19 @@ class TestFleetRecovery:
         )
         assert report.all_passed
         assert report.failed == 0
-        assert report.mid_rebuild_points >= 1  # the interesting cut happened
+        assert report.tagged_points >= 1  # the interesting mid-rebuild cut happened
         assert report.corruption_rejected
+
+    def test_oracle_counts_recovery_stats(self):
+        from repro.recovery import RecoveryStats
+
+        stats = RecoveryStats()
+        report = run_fleet_oracle(
+            base_seed=42, seeds=1, points=3, requests=200, stats=stats
+        )
+        assert report.all_passed
+        assert stats.snapshots_taken == stats.restores == 3
+        assert stats.oracle_points_passed == 3
 
 
 # -- the fleet-unseeded-topology lint rule -------------------------------------
@@ -581,6 +592,18 @@ class TestFleetCli:
         assert payload["schema"] == "fleet-lab-report/v1"
         assert payload["policy_win"] is True
 
+    def test_fleet_lab_policy_win_failure(self, capsys, monkeypatch):
+        from repro.cli import main
+        from repro.fleet import FleetReport
+
+        monkeypatch.setattr(FleetReport, "policy_win", property(lambda self: False))
+        assert main(["fleet-lab", "--requests", "300", "--devices", "4"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert (
+            "FAIL: replication-on did not strictly beat replication-off "
+            "on availability and p99"
+        ) in err
+
     def test_fleet_lab_rejects_bad_geometry(self, capsys):
         from repro.cli import main
 
@@ -598,3 +621,18 @@ class TestFleetCli:
             == 0
         )
         assert "byte-identical  : 3/3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--points", "0"], "--points must be >= 1"),
+            (["--seeds", "0"], "--seeds must be >= 1"),
+            (["--requests", "1"], "--requests must be >= 2"),
+            (["--devices", "1"], "--devices must be >= 2"),
+        ],
+    )
+    def test_fleet_oracle_rejects_bad_sweep(self, capsys, flags, message):
+        from repro.cli import main
+
+        assert main(["fleet-oracle"] + flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"

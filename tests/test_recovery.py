@@ -398,7 +398,7 @@ class TestCrashPointOracle:
     def test_report_requires_points_and_corruption_probe(self):
         from repro.recovery.oracle import OracleReport
 
-        empty = OracleReport(workload="w", write_ratio=0.5, ops=100)
+        empty = OracleReport(subject="oracle w", scope="100 ops each")
         assert not empty.all_passed
         empty.corruption_rejected = True
         assert not empty.all_passed  # still no points
@@ -467,6 +467,18 @@ class TestRecoveryCli:
         assert code == 0
         assert "byte-identical  : 3/3" in out
         assert "rejected (content fingerprint)" in out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--points", "0"], "--points must be >= 1"),
+            (["--seeds", "0"], "--seeds must be >= 1"),
+            (["--ops", "1"], "--ops must be >= 2"),
+        ],
+    )
+    def test_oracle_command_rejects_bad_sweep(self, capsys, flags, message):
+        assert main(["oracle", "tpch-q1"] + flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_soak_command_kill_then_resume(self, tmp_path, capsys):
         state_dir = str(tmp_path / "soak")

@@ -443,6 +443,21 @@ class TestResilienceCli:
         assert repro_main(["resilience", "--ops", "5"]) == 2
         capsys.readouterr()
 
+    def test_diverged_runs_fail(self, capsys, monkeypatch):
+        from itertools import count
+
+        from repro.resilience.lab import ResilienceReport
+
+        calls = count()
+        monkeypatch.setattr(
+            ResilienceReport, "fingerprint", lambda self: str(next(calls))
+        )
+        assert repro_main([
+            "resilience", "--seed", "7", "--ops", "200", "--min-availability", "0",
+        ]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "deterministic: NO — runs diverged" in out
+
 
 class TestLabEdgeCases:
     def test_hung_channel_latency_is_infinite(self):

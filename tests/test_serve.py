@@ -526,6 +526,43 @@ class TestServeLab:
         assert csv_path.read_text().startswith("seed,")
         assert '"schema": "serve-lab-report/v1"' in json_path.read_text()
 
+    SMALL_CLI = ["serve-lab", "--seed", "3", "--tenants", "40", "--requests", "160"]
+
+    def test_cli_attestation_gate_failure(self, capsys, monkeypatch):
+        from repro.cli import main
+        from repro.serve.lab import ServeLabReport
+
+        monkeypatch.setattr(
+            ServeLabReport, "attestation_gate_held", lambda self: False
+        )
+        assert main(self.SMALL_CLI) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert (
+            "FAIL: attestation gate leaked — tampered handshakes were not all "
+            "refused (or none were exercised)"
+        ) in err
+
+    def test_cli_policy_win_failure(self, capsys, monkeypatch):
+        from repro.cli import main
+        from repro.serve.lab import ServeLabReport
+
+        monkeypatch.setattr(
+            ServeLabReport, "policy_win", property(lambda self: False)
+        )
+        assert main(self.SMALL_CLI) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert "FAIL: policies-on did not strictly beat policies-off" in err
+
+    def test_cli_policy_win_exempt_without_chaos(self, capsys, monkeypatch):
+        from repro.cli import main
+        from repro.serve.lab import ServeLabReport
+
+        monkeypatch.setattr(
+            ServeLabReport, "policy_win", property(lambda self: False)
+        )
+        assert main(self.SMALL_CLI + ["--no-chaos"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_cli_rejects_tiny_campaigns(self):
         from repro.cli import main
 
