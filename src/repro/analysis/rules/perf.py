@@ -73,7 +73,7 @@ class HotLoopAllocRule(Rule):
     family = "perf"
     summary = "bytes concatenation or object allocation inside a hot loop"
     rationale = (
-        "Events/sec (benchmark trajectory, BENCH_*.json): `buf += chunk` "
+        "Host throughput (perfbench ops_per_s): `buf += chunk` "
         "copies the whole buffer every iteration (quadratic), and a fresh "
         "object per simulated event dominated MEE replay time before the "
         "allocation-free fast path. Batch chunks and b''.join them; hoist "

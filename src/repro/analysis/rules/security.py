@@ -60,12 +60,9 @@ LAYER_ALLOWED: Dict[str, FrozenSet[str]] = {
     "resilience": frozenset(
         {"crypto", "faults", "flash", "host", "platform", "sim"}
     ),
-    # perf tooling (profiler, parallel figure runner, bench harness) drives
-    # whole experiments, so it sits just below the CLI in the DAG
-    "perf": frozenset(
-        {"faults", "flash", "fleet", "platform", "resilience", "sim",
-         "workloads"}
-    ),
+    # perf tooling (profiler, parallel experiment runner) drives whole
+    # experiments, so it sits just below the CLI in the DAG
+    "perf": frozenset({"faults", "fleet", "platform", "sim", "workloads"}),
     # checkpoint/restore composes every stateful layer's snapshot_state();
     # the monitored layers stay duck-typed (they never import recovery back)
     "recovery": frozenset({"core", "faults", "sim"}),

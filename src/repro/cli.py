@@ -13,7 +13,6 @@ Examples::
     python -m repro serve-lab --seed 7 --tenants 1000
     python -m repro lint src --format json
     python -m repro profile tpcc --scheme iceclave --top 15
-    python -m repro bench --quick --jobs 4
     python -m repro compare wordcount --jobs 4
 """
 
@@ -46,13 +45,13 @@ def _make_profile(args: argparse.Namespace):
 
 def _build_config(args: argparse.Namespace) -> PlatformConfig:
     config = PlatformConfig()
-    if getattr(args, "channels", None):
+    if getattr(args, "channels", None) is not None:
         config = config.with_channels(args.channels)
-    if getattr(args, "dram_gb", None):
+    if getattr(args, "dram_gb", None) is not None:
         config = config.with_dram(args.dram_gb * GIB)
-    if getattr(args, "dataset_gb", None):
+    if getattr(args, "dataset_gb", None) is not None:
         config = config.with_dataset(args.dataset_gb * GIB)
-    if getattr(args, "flash_latency_us", None):
+    if getattr(args, "flash_latency_us", None) is not None:
         config = config.with_flash_read_latency(args.flash_latency_us * 1e-6)
     return config
 
@@ -179,51 +178,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         top_allocs=args.top_allocs,
     )
     print(report.format())
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    import pathlib
-
-    from repro.perf.bench import (
-        check_regression,
-        compare_benches,
-        format_bench,
-        format_compare,
-        load_bench,
-        run_bench,
-        write_bench,
-    )
-
-    if args.compare:
-        baseline_path, current_path = args.compare
-        comparison = compare_benches(
-            load_bench(pathlib.Path(baseline_path)),
-            load_bench(pathlib.Path(current_path)),
-        )
-        print(format_compare(comparison))
-        if args.compare_json:
-            out = pathlib.Path(args.compare_json)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            with out.open("w") as fh:
-                json.dump(comparison, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {out}")
-        return 0
-
-    payload = run_bench(quick=args.quick, jobs=args.jobs)
-    print(format_bench(payload))
-    path = write_bench(payload, pathlib.Path(args.out))
-    print(f"wrote {path}")
-    if args.check:
-        baseline = load_bench(pathlib.Path(args.check))
-        problems = check_regression(payload, baseline)
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {args.check}")
     return 0
 
 
@@ -485,9 +439,13 @@ def cmd_serve_lab(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet_lab(args: argparse.Namespace) -> int:
-    if args.requests < 10 or args.devices < 2:
+    from repro.fleet import FleetReport
+    from repro.fleet.lab import WORKING_SET
+    from repro.perf.parallel import fleet_point, map_points
+
+    if args.requests < WORKING_SET or args.devices < 2:
         print(
-            "error: fleet-lab needs at least 10 requests and 2 devices",
+            f"error: fleet-lab needs at least {WORKING_SET} requests and 2 devices",
             file=sys.stderr,
         )
         return 2
@@ -496,8 +454,6 @@ def cmd_fleet_lab(args: argparse.Namespace) -> int:
             "error: --replication must lie in [1, --devices]", file=sys.stderr
         )
         return 2
-    from repro.fleet import FleetReport
-    from repro.perf.parallel import fleet_point, map_points
 
     seed = args.seed if args.seed is not None else DEFAULT_FLEET_SEED
     requests = 600 if args.quick else args.requests
@@ -646,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prof.add_argument("workload")
     prof.add_argument("--scheme", default="iceclave", choices=sorted(SCHEMES))
-    prof.add_argument("--top", type=int, default=25, help="profile rows to print")
+    prof.add_argument("--top", type=_positive(int), default=25, help="profile rows to print")
     prof.add_argument(
         "--sort", default="cumulative", choices=("cumulative", "tottime", "ncalls")
     )
@@ -657,31 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_platform_flags(prof)
     _add_seed_flag(prof)
     prof.set_defaults(func=cmd_profile)
-
-    bench = sub.add_parser(
-        "bench",
-        help="measure the benchmark trajectory and write BENCH_<n>.json",
-    )
-    bench.add_argument(
-        "--quick", action="store_true", help="smaller parameters for CI smoke"
-    )
-    bench.add_argument(
-        "--out", default=".", help="directory for BENCH_<n>.json (default .)"
-    )
-    bench.add_argument(
-        "--check", metavar="BASELINE",
-        help="fail (exit 1) on >25%% calibration-normalized regression vs this file",
-    )
-    bench.add_argument(
-        "--compare", nargs=2, metavar=("BASELINE", "CURRENT"),
-        help="compare two existing BENCH_<n>.json files (no new measurement)",
-    )
-    bench.add_argument(
-        "--compare-json", metavar="PATH",
-        help="with --compare: also write the comparison as JSON",
-    )
-    _add_jobs_flag(bench)
-    bench.set_defaults(func=cmd_bench)
 
     lint = sub.add_parser(
         "lint",
@@ -726,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for snapshots and results.json (default .soak-state)",
     )
     soak.add_argument(
-        "--campaigns", type=int, default=1,
+        "--campaigns", type=_positive(int), default=1,
         help="consecutive seeds to run (completed seeds are skipped on rerun)",
     )
     soak.add_argument(
@@ -892,12 +823,25 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive(kind: Callable[[str], Any]) -> Callable[[str], Any]:
+    """An argparse type: parse the text as ``kind`` and require it to be > 0."""
+
+    def parse(text: str) -> Any:
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its own errors
+    return parse
+
+
 def _add_platform_flags(parser: argparse.ArgumentParser) -> None:
     """The flags `_build_config` reads into a PlatformConfig."""
-    parser.add_argument("--channels", type=int, help="flash channels (default 8)")
-    parser.add_argument("--dram-gb", type=int, help="SSD DRAM capacity in GB")
-    parser.add_argument("--dataset-gb", type=int, help="dataset size in GB (default 32)")
-    parser.add_argument("--flash-latency-us", type=float, help="flash read latency")
+    parser.add_argument("--channels", type=_positive(int), help="flash channels (default 8)")
+    parser.add_argument("--dram-gb", type=_positive(int), help="SSD DRAM capacity in GB")
+    parser.add_argument("--dataset-gb", type=_positive(int), help="dataset size in GB (default 32)")
+    parser.add_argument("--flash-latency-us", type=_positive(float), help="flash read latency")
 
 
 def _add_seed_flag(parser: argparse.ArgumentParser) -> None:

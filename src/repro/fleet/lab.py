@@ -33,6 +33,9 @@ from repro.sim.engine import Engine
 
 _WORKLOAD_SALT = 0x0F1EE7
 _PAYLOAD_BYTES = 16
+# keys an arm cycles over by default; its first WORKING_SET requests seed
+# them, so a shorter run is refused
+WORKING_SET = 64
 
 
 def _payload(seed: int, key: int, version: int) -> bytes:
@@ -77,7 +80,7 @@ class FleetRunner:
         devices: int = 6,
         replication: int = 2,
         hedge: bool = True,
-        working_set: int = 64,
+        working_set: int = WORKING_SET,
         write_fraction: float = 0.3,
         write_quorum: int = 1,
         rebuild_batch: int = 4,
@@ -522,7 +525,7 @@ def run_fleet_arm(
     devices: int = 6,
     replication: int = 2,
     hedge: bool = True,
-    working_set: int = 64,
+    working_set: int = WORKING_SET,
     write_quorum: int = 1,
     rebuild_batch: int = 4,
     device_kills: int = 1,
@@ -549,7 +552,7 @@ def run_fleet(
     requests: int,
     devices: int = 6,
     replication: int = 2,
-    working_set: int = 64,
+    working_set: int = WORKING_SET,
     device_kills: int = 1,
     die_quarantines: int = 2,
 ) -> FleetReport:

@@ -1,17 +1,16 @@
-"""Performance tooling: profiler, deterministic parallel runner, bench.
+"""Performance tooling: profiler and deterministic parallel runner.
 
-Three pieces, all sitting just below the CLI:
+Two pieces, both sitting just below the CLI:
 
 - :mod:`repro.perf.parallel` — fan experiment *points* (scheme runs, chaos
-  campaigns, resilience experiments) across worker processes with a
-  fixed-order merge, so ``--jobs N`` output is byte-identical to serial;
+  campaigns, fleet lab arms) across worker processes with a fixed-order
+  merge, so ``--jobs N`` output is byte-identical to serial;
 - :mod:`repro.perf.profiler` — cProfile harness plus the simulator-side
-  counters (memo hit rates, counter-cache stats) for one workload run;
-- :mod:`repro.perf.bench` — the benchmark trajectory: wall-clock,
-  events/sec and peak RSS per figure workload, written as ``BENCH_<n>.json``
-  and regression-gated against a committed baseline in CI.
+  counters (memo hit rates, counter-cache stats) for one workload run.
 
-See docs/PERFORMANCE.md for the methodology and the optimization inventory.
+How fast the stack runs is measured by ``perfbench/`` (see its README); see
+docs/PERFORMANCE.md for the profiling workflow and the optimization
+inventory.
 """
 
 from repro.perf.parallel import (
@@ -19,7 +18,6 @@ from repro.perf.parallel import (
     execute_point,
     map_points,
     platform_point,
-    resilience_point,
 )
 
 __all__ = [
@@ -27,5 +25,4 @@ __all__ = [
     "execute_point",
     "map_points",
     "platform_point",
-    "resilience_point",
 ]

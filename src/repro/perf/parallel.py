@@ -2,7 +2,7 @@
 
 An experiment *point* is a picklable ``(kind, payload)`` tuple describing
 one self-contained piece of work: run one workload on one scheme, run one
-chaos campaign, run one resilience experiment. Points carry names and
+chaos campaign, run one fleet lab arm. Points carry names and
 seeds — never live objects — so a worker process rebuilds exactly the same
 deterministic state the serial path would, and the result is bit-identical
 either way.
@@ -45,11 +45,6 @@ def chaos_point(workload: str, write_ratio: float, seed: int, ops: int) -> Spec:
     return ("chaos", (workload, write_ratio, seed, ops))
 
 
-def resilience_point(seed: int, ops: int) -> Spec:
-    """One two-arm resilience experiment; returns a ``ResilienceReport``."""
-    return ("resilience", (seed, ops))
-
-
 def fleet_point(
     seed: int,
     requests: int,
@@ -88,11 +83,6 @@ def execute_point(spec: Spec) -> Any:
 
         workload, write_ratio, seed, ops = payload
         return run_chaos(workload, write_ratio, seed=seed, ops=ops)
-    if kind == "resilience":
-        from repro.resilience import run_resilience
-
-        seed, ops = payload
-        return run_resilience(seed=seed, ops=ops)
     if kind == "fleet-arm":
         from repro.fleet import run_fleet_arm
 

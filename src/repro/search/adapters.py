@@ -21,7 +21,7 @@ from typing import Callable, Dict
 
 from repro.faults.chaos import ChaosReport, ChaosRunner
 from repro.faults.plan import FaultPlanConfig
-from repro.fleet.lab import run_fleet_arm
+from repro.fleet.lab import WORKING_SET, run_fleet_arm
 from repro.recovery.checkpoint import restore_chaos_runner, snapshot_chaos_runner
 from repro.recovery.monitors import MonitorSuite
 from repro.resilience.lab import LabConfig, run_resilience_arm
@@ -188,7 +188,7 @@ def eval_fleet(scenario: Scenario) -> Evaluation:
         devices=devices,
         replication=min(devices, int(scenario.config.get("replication", 1))),
         hedge=bool(scenario.config.get("hedge", False)),
-        working_set=min(64, scenario.ops),
+        working_set=min(WORKING_SET, scenario.ops),
         device_kills=int(scenario.config.get("device_kills", 1)),
         die_quarantines=int(scenario.faults.get("uncorrectable_pages", 2)),
     )

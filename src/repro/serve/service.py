@@ -311,8 +311,10 @@ class OffloadService:
         """Start the pump task on the running loop (idempotent)."""
         if self._pump is not None:
             return
+        # the pump gets its inbox now: stop() may null the attribute before
+        # the task's first line runs
         self._inbox = asyncio.Queue()
-        self._pump = asyncio.get_running_loop().create_task(self._serve())
+        self._pump = asyncio.get_running_loop().create_task(self._serve(self._inbox))
 
     async def stop(self) -> None:
         # capture-and-null BEFORE awaiting: a concurrent stop() (or a
@@ -326,10 +328,9 @@ class OffloadService:
         await inbox.put(None)
         await pump
 
-    async def _serve(self) -> None:
-        assert self._inbox is not None
+    async def _serve(self, inbox: asyncio.Queue) -> None:
         while True:
-            item = await self._inbox.get()
+            item = await inbox.get()
             if item is None:
                 return
             envelope, future = item

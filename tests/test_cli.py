@@ -74,3 +74,26 @@ class TestCli:
             main(["chaos", "tpch-q1", "--channels", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --channels 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info", "--channels", "0"],
+            ["info", "--dram-gb", "0"],
+            ["info", "--dataset-gb", "0"],
+            ["info", "--flash-latency-us", "0"],
+            ["info", "--channels", "-2"],
+            ["info", "--dram-gb", "-4"],
+            ["info", "--dataset-gb", "-1"],
+            ["info", "--flash-latency-us", "-5"],
+            ["run", "filter", "--dataset-gb", "-1"],
+            ["profile", "filter", "--top", "0"],
+            ["soak", "tpch-q1", "--campaigns", "0"],
+        ],
+        ids=lambda argv: "_".join(arg.removeprefix("--") for arg in argv),
+    )
+    def test_non_positive_number_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: must be positive" in capsys.readouterr().err

@@ -609,6 +609,8 @@ class TestFleetCli:
 
         assert main(["fleet-lab", "--devices", "1"]) == 2
         assert main(["fleet-lab", "--replication", "9"]) == 2
+        # below the runner's working set the arm cannot even seed its keys
+        assert main(["fleet-lab", "--requests", "63"]) == 2
 
     def test_fleet_oracle_quick(self, capsys):
         from repro.cli import main

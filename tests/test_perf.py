@@ -1,35 +1,24 @@
-"""Tests for repro.perf: parallel determinism, profiling, the benchmark
-trajectory, the engine's cancel-compaction bound, and the memo registry.
+"""Tests for repro.perf: parallel determinism, profiling, the engine's
+cancel-compaction bound, and the memo registry.
 
 The load-bearing property is *byte-identity*: the parallel runner must
 produce exactly the same results as the serial path (same fingerprints,
 same CSV bytes), and the MEE bulk replay must be bit-identical to calling
-read()/write() per event. Everything else — speed — is the benchmark
-trajectory's job, not the test suite's.
+read()/write() per event. Everything else — speed — is perfbench's job,
+not the test suite's.
 """
 
-import json
 import struct
 
 import pytest
 
 from repro.cli import main as repro_main
 from repro.core.mee import EncryptionScheme, MemoryEncryptionEngine
-from repro.perf.bench import (
-    SCHEMA_VERSION,
-    check_regression,
-    compare_benches,
-    format_compare,
-    load_bench,
-    next_bench_path,
-    write_bench,
-)
 from repro.perf.parallel import (
     chaos_point,
     execute_point,
     map_points,
     platform_point,
-    resilience_point,
 )
 from repro.perf.profiler import profile_run
 from repro.platform.config import PlatformConfig
@@ -61,12 +50,11 @@ class TestParallelDeterminism:
         parallel = [r.fingerprint() for r in map_points(specs, jobs=4)]
         assert serial == parallel
 
-    def test_chaos_and_resilience_identical_across_jobs(self):
+    def test_chaos_identical_across_jobs(self):
         profile = workload_by_name("tpcc").run()
         specs = [
             chaos_point("tpcc", profile.write_ratio, seed=42, ops=200),
             chaos_point("filter", 0.0, seed=7, ops=200),
-            resilience_point(seed=7, ops=200),
         ]
         serial = [r.fingerprint() for r in map_points(specs, jobs=1)]
         parallel = [r.fingerprint() for r in map_points(specs, jobs=4)]
@@ -284,147 +272,6 @@ class TestProfilerAllocs:
         assert "allocation sites" in capsys.readouterr().out
 
 
-# -- bench trajectory ---------------------------------------------------------
-
-
-def _payload(mode="quick", calibration=0.1, **walls):
-    return {
-        "schema": SCHEMA_VERSION,
-        "mode": mode,
-        "jobs": 1,
-        "python": "3.11.7",
-        "calibration_s": calibration,
-        "peak_rss_kb": 1000,
-        "benchmarks": [
-            {"name": name, "description": name, "wall_s": wall,
-             "events": 100, "events_per_s": 100 / wall}
-            for name, wall in walls.items()
-        ],
-    }
-
-
-class TestBenchPersistence:
-    def test_next_bench_path_numbering(self, tmp_path):
-        assert next_bench_path(tmp_path).name == "BENCH_0.json"
-        (tmp_path / "BENCH_0.json").write_text("{}")
-        (tmp_path / "BENCH_3.json").write_text("{}")
-        assert next_bench_path(tmp_path).name == "BENCH_4.json"
-
-    def test_write_then_load_roundtrip(self, tmp_path):
-        payload = _payload(case_a=1.0)
-        path = write_bench(payload, tmp_path)
-        assert path.name == "BENCH_0.json"
-        assert load_bench(path) == payload
-        # deterministic serialization: sorted keys, trailing newline
-        text = path.read_text()
-        assert text.endswith("\n")
-        assert json.loads(text) == payload
-
-    def test_load_rejects_unknown_schema(self, tmp_path):
-        path = tmp_path / "BENCH_0.json"
-        path.write_text(json.dumps({"schema": 999}))
-        with pytest.raises(ValueError):
-            load_bench(path)
-
-
-class TestCheckRegression:
-    def test_identical_payloads_pass(self):
-        payload = _payload(case_a=1.0, case_b=2.0)
-        assert check_regression(payload, payload) == []
-
-    def test_regression_beyond_threshold_fails(self):
-        baseline = _payload(case_a=1.0)
-        current = _payload(case_a=1.5)
-        problems = check_regression(current, baseline)
-        assert len(problems) == 1
-        assert "case_a" in problems[0]
-
-    def test_within_threshold_passes(self):
-        baseline = _payload(case_a=1.0)
-        current = _payload(case_a=1.2)
-        assert check_regression(current, baseline) == []
-
-    def test_calibration_normalizes_machine_speed(self):
-        # same repo efficiency on a 2x slower machine: both wall and
-        # calibration double, so the normalized ratio is exactly 1.0
-        baseline = _payload(calibration=0.1, case_a=1.0)
-        current = _payload(calibration=0.2, case_a=2.0)
-        assert check_regression(current, baseline) == []
-
-    def test_mode_mismatch_fails(self):
-        problems = check_regression(_payload(mode="full", case_a=1.0),
-                                    _payload(mode="quick", case_a=1.0))
-        assert problems and "mode mismatch" in problems[0]
-
-    def test_zero_comparable_cases_fails(self):
-        problems = check_regression(_payload(case_a=1.0), _payload(case_b=1.0))
-        assert problems and "no comparable benchmarks" in problems[0]
-
-    def test_tiny_cases_are_below_the_noise_floor(self):
-        # a 10ms case regressing 3x is scheduler jitter, not a regression —
-        # as long as a real case is still being compared
-        baseline = _payload(tiny=0.01, big=1.0)
-        current = _payload(tiny=0.03, big=1.0)
-        assert check_regression(current, baseline) == []
-
-    def test_all_tiny_cases_is_zero_comparable(self):
-        problems = check_regression(_payload(tiny=0.01), _payload(tiny=0.01))
-        assert problems and "no comparable benchmarks" in problems[0]
-
-    def test_missing_calibration_fails(self):
-        bad = _payload(case_a=1.0)
-        bad["calibration_s"] = 0.0
-        assert check_regression(bad, _payload(case_a=1.0))
-
-
-class TestBenchCompare:
-    def _payload(self, wall, cal, mode="quick", rate=None):
-        return {
-            "schema": 1,
-            "mode": mode,
-            "calibration_s": cal,
-            "benchmarks": [
-                {
-                    "name": "kernel-flash-read",
-                    "wall_s": wall,
-                    "events": 4000,
-                    "events_per_s": rate,
-                }
-            ],
-        }
-
-    def test_speedup_is_calibration_normalized(self):
-        baseline = self._payload(2.0, 0.1, rate=1000.0)
-        current = self._payload(1.0, 0.2, rate=5000.0)  # machine is 2x slower
-        comparison = compare_benches(baseline, current)
-        case = comparison["cases"][0]
-        assert case["speedup"] == pytest.approx(4.0)
-        assert case["event_rate_ratio"] == pytest.approx(5.0)
-        assert "kernel-flash-read" in format_compare(comparison)
-
-    def test_mode_mismatch_suppresses_wall_speedups(self):
-        comparison = compare_benches(
-            self._payload(2.0, 0.1, mode="quick"), self._payload(1.0, 0.1, mode="full")
-        )
-        assert not comparison["comparable_modes"]
-        assert comparison["cases"][0]["speedup"] is None
-        assert "WARNING" in format_compare(comparison)
-
-    def test_cli_compare_runs_without_measuring(self, tmp_path, capsys):
-        a = tmp_path / "BENCH_0.json"
-        b = tmp_path / "BENCH_1.json"
-        a.write_text(json.dumps(self._payload(2.0, 0.1)))
-        b.write_text(json.dumps(self._payload(1.0, 0.1)))
-        out = tmp_path / "cmp.json"
-        rc = repro_main(
-            ["bench", "--compare", str(a), str(b), "--compare-json", str(out)]
-        )
-        assert rc == 0
-        assert "kernel-flash-read" in capsys.readouterr().out
-        written = json.loads(out.read_text())
-        assert written["cases"][0]["speedup"] == pytest.approx(2.0)
-
-
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -433,10 +280,15 @@ class TestCli:
         assert repro_main(["compare", "tpch-q1", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
-    def test_compare_output_identical_serial_vs_parallel(self, capsys):
-        assert repro_main(["compare", "tpch-q1", "--jobs", "1"]) == 0
+    @pytest.mark.parametrize(
+        "argv",
+        [["compare", "tpch-q1"], ["sweep", "channels", "tpch-q3"]],
+        ids=["compare", "sweep-channels"],
+    )
+    def test_output_identical_serial_vs_parallel(self, capsys, argv):
+        assert repro_main(argv + ["--jobs", "1"]) == 0
         serial = capsys.readouterr().out
-        assert repro_main(["compare", "tpch-q1", "--jobs", "4"]) == 0
+        assert repro_main(argv + ["--jobs", "4"]) == 0
         parallel = capsys.readouterr().out
         assert serial == parallel
 
@@ -444,10 +296,3 @@ class TestCli:
         assert repro_main(["profile", "filter", "--top", "3"]) == 0
         out = capsys.readouterr().out
         assert "profiled filter on iceclave" in out
-
-    def test_bench_check_against_self_passes(self, tmp_path, capsys):
-        from repro.perf import bench as bench_mod
-
-        payload = bench_mod.run_bench(quick=True, jobs=1)
-        path = write_bench(payload, tmp_path)
-        assert check_regression(load_bench(path), payload) == []

@@ -289,6 +289,18 @@ class TestOffloadService:
         with pytest.raises(RuntimeError):
             asyncio.run(service.submit(envelope))
 
+    def test_stop_without_submit(self):
+        # stop() nulls the inbox before the pump task has run a line: the
+        # pump must drain the queue it was started with
+        service, _ = make_service()
+
+        async def go():
+            await service.start()
+            await service.stop()
+
+        asyncio.run(go())
+        assert service.counters == {}
+
     def test_unauthenticated_envelope_refused_in_plaintext(self):
         service, session = make_service()
         envelope = session.seal_request(Request(op="read", lpas=(1,)))
