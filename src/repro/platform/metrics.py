@@ -9,9 +9,12 @@ summaries, which is how the resilience CLI proves determinism.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
+
+from repro.sim.stats import nearest_rank
 
 
 @dataclass
@@ -123,6 +126,11 @@ class SloTracker:
     fixed ``window_s`` sim-time windows for burn-rate inspection; latencies
     are kept exactly so percentiles are exact, and *failed* requests count
     their observed latency too — a timeout is tail latency, not a no-op.
+
+    Each kind's latencies are kept twice: in arrival order (``_by_kind``,
+    what snapshots capture) and sorted as they arrive (``_sorted_cache``,
+    derived). ``record`` costs O(log n) comparisons plus one list insert, so
+    a percentile or hedge-quantile query is a lookup.
     """
 
     def __init__(
@@ -140,6 +148,8 @@ class SloTracker:
         self._failures_by_kind: Dict[str, int] = {}
         # window index -> [requests, failures]
         self._windows: Dict[int, List[int]] = {}
+        # kind -> latencies in ascending order, kept up to date by record();
+        # perfbench's sort probe reads this and _by_kind by name
         self._sorted_cache: Dict[str, List[float]] = {}
 
     # -- recording ------------------------------------------------------------
@@ -147,7 +157,7 @@ class SloTracker:
     def record(self, now: float, kind: str, latency_s: float, ok: bool = True) -> None:
         self.total += 1
         self._by_kind.setdefault(kind, []).append(latency_s)
-        self._sorted_cache.pop(kind, None)
+        bisect.insort(self._sorted_cache.setdefault(kind, []), latency_s)
         window = self._windows.setdefault(int(now / self.window_s), [0, 0])
         window[0] += 1
         if not ok:
@@ -164,20 +174,17 @@ class SloTracker:
         return (self.total - self.failures) / self.total
 
     def sorted_latencies(self, kind: str) -> List[float]:
-        """Sorted latencies for ``kind`` (cached; hedge policies poll this)."""
-        if kind not in self._sorted_cache:
-            self._sorted_cache[kind] = sorted(self._by_kind.get(kind, []))
-        return self._sorted_cache[kind]
+        """Ascending latencies for ``kind``, maintained as samples arrive.
+
+        Returns the tracker's live list (hedge policies poll it on every
+        read), so later ``record`` calls show up in it. Callers must not
+        mutate it.
+        """
+        return self._sorted_cache.setdefault(kind, [])
 
     def percentile(self, kind: str, pct: float) -> float:
         """Exact percentile of ``kind`` latencies; 0.0 with no samples."""
-        ordered = self.sorted_latencies(kind)
-        if not ordered:
-            return 0.0
-        if not 0.0 <= pct <= 100.0:
-            raise ValueError("percentile must lie in [0, 100]")
-        idx = min(len(ordered) - 1, int(round(pct / 100.0 * (len(ordered) - 1))))
-        return ordered[idx]
+        return nearest_rank(self.sorted_latencies(kind), pct)
 
     def error_budget_remaining(self) -> float:
         """Fraction of the availability error budget still unspent.
@@ -211,8 +218,9 @@ class SloTracker:
     def snapshot_state(self) -> Dict[str, object]:
         """Everything recorded so far, as primitives (sorted item lists).
 
-        The sorted-latency cache (``_sorted_cache``) is derived state and is
-        deliberately not captured; restore resets it.
+        Latencies are captured in arrival order. The sorted lists
+        (``_sorted_cache``) are derived state and deliberately not captured;
+        restore rebuilds them.
         """
         return {
             "total": self.total,
@@ -225,6 +233,7 @@ class SloTracker:
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
+        """Inverse of :meth:`snapshot_state`; rebuilds the sorted lists."""
         self.total = state["total"]
         self.failures = state["failures"]
         self._by_kind = {kind: list(vals) for kind, vals in state["by_kind"]}
@@ -232,7 +241,7 @@ class SloTracker:
             kind: count for kind, count in state["failures_by_kind"]
         }
         self._windows = {idx: list(pair) for idx, pair in state["windows"]}
-        self._sorted_cache = {}
+        self._sorted_cache = {kind: sorted(vals) for kind, vals in self._by_kind.items()}
 
     # -- reporting ------------------------------------------------------------
 

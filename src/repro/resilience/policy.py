@@ -101,7 +101,6 @@ class HedgePolicy:
         quantile: float = 0.95,
         floor_s: float = 400e-6,
         min_samples: int = 32,
-        max_hedges_in_flight: int = 4,
     ) -> None:
         if not 0.0 < quantile < 1.0:
             raise ValueError("hedge quantile must lie in (0, 1)")
@@ -110,7 +109,6 @@ class HedgePolicy:
         self.quantile = quantile
         self.floor_s = floor_s
         self.min_samples = min_samples
-        self.max_hedges_in_flight = max_hedges_in_flight
 
     def hedge_delay(self, observed_sorted: list[float]) -> float:
         """Delay before hedging, given *sorted* observed read latencies."""

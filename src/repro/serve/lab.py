@@ -46,7 +46,7 @@ from repro.flash.geometry import small_geometry
 from repro.ftl import Ftl
 from repro.host.library import IceClaveLibrary
 from repro.host.nvme import NvmeStatus
-from repro.platform.metrics import SloBoard, SloObjectives
+from repro.platform.metrics import SloBoard, SloObjectives, nearest_rank
 from repro.resilience.admission import AdmissionConfig, AdmissionController
 from repro.resilience.breaker import BreakerBoard, BreakerConfig
 from repro.resilience.degrade import DegradationLadder, DegradeConfig
@@ -526,20 +526,13 @@ class _ServeArm:
         for tenant_id in self.board.tenant_ids():
             latencies.extend(self.board.tracker(tenant_id).sorted_latencies("read"))
         latencies.sort()
-
-        def pct(p: float) -> float:
-            if not latencies:
-                return 0.0
-            idx = min(len(latencies) - 1, int(round(p / 100.0 * (len(latencies) - 1))))
-            return latencies[idx]
-
         return ServeArmReport(
             policies="on" if self.policies_on else "off",
             requests=self.board.total,
             failures=self.board.failures,
             availability=self.board.availability(),
-            p50_read_s=pct(50.0),
-            p99_read_s=pct(99.0),
+            p50_read_s=nearest_rank(latencies, 50.0),
+            p99_read_s=nearest_rank(latencies, 99.0),
             sessions_established=self.genuine.established,
             sessions_refused=self.sessions_refused,
             tampered_attempted=self.tampered_attempted,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 
 @dataclass
@@ -188,6 +188,20 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
+def nearest_rank(ordered: Sequence[float], pct: float) -> float:
+    """Exact nearest-rank ``pct`` percentile of ascending ``ordered``.
+
+    ``pct`` is checked first, so an out-of-range percentile raises even with
+    no samples; an empty ``ordered`` then yields 0.0.
+    """
+    if not 0.0 <= pct <= 100.0:
+        raise ValueError("percentile must lie in [0, 100]")
+    if not ordered:
+        return 0.0
+    idx = min(len(ordered) - 1, int(round(pct / 100.0 * (len(ordered) - 1))))
+    return ordered[idx]
+
+
 class Histogram:
     """Streaming histogram tracking count/mean/min/max/variance.
 
@@ -263,13 +277,10 @@ class Histogram:
         """Return an exact percentile; requires ``keep_samples=True``."""
         if self._samples is None:
             raise RuntimeError("histogram was created without keep_samples")
+        value = nearest_rank(sorted(self._samples), pct)  # range error first
         if not self._samples:
             raise ValueError("no samples recorded")
-        if not 0.0 <= pct <= 100.0:
-            raise ValueError("percentile must lie in [0, 100]")
-        ordered = sorted(self._samples)
-        idx = min(len(ordered) - 1, int(round(pct / 100.0 * (len(ordered) - 1))))
-        return ordered[idx]
+        return value
 
 
 class StatRegistry:

@@ -11,8 +11,10 @@ The two properties the PR stands on:
 """
 
 import math
+import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cli import main as repro_main
 from repro.host.library import IceClaveLibrary, ServiceDegradedError
@@ -33,6 +35,7 @@ from repro.resilience import (
     TokenBucket,
     run_resilience,
 )
+from repro.sim.stats import Histogram
 
 
 class TestTimeoutBudget:
@@ -368,6 +371,106 @@ class TestSloTracker:
         assert slo.meets_objectives()
         slo.record(1e-4, "read", 5e-3, ok=False)
         assert not slo.meets_objectives()
+
+    @pytest.mark.parametrize("pct", [-0.5, 100.5, 150.0])
+    @pytest.mark.parametrize("samples", [0, 3])
+    def test_out_of_range_percentile_raises(self, samples, pct):
+        # the range check comes first, with or without samples
+        slo = self.make()
+        hist = Histogram("lat", keep_samples=True)
+        for i in range(samples):
+            slo.record(0.0, "read", (i + 1) * 1e-6)
+            hist.record((i + 1) * 1e-6)
+        with pytest.raises(ValueError, match="percentile must lie"):
+            slo.percentile("read", pct)
+        with pytest.raises(ValueError, match="percentile must lie"):
+            hist.percentile(pct)
+
+    def test_percentile_with_no_samples(self):
+        assert self.make().percentile("read", 99) == 0.0
+        with pytest.raises(ValueError, match="no samples"):
+            Histogram("lat", keep_samples=True).percentile(50)
+
+    def test_sorted_latencies_costs_log_comparisons_per_record(self):
+        class CountingFloat(float):
+            compares = 0
+
+            def __lt__(self, other):
+                CountingFloat.compares += 1
+                return float.__lt__(self, other)
+
+        n = 512
+        rng = random.Random(7)
+        slo = self.make()
+        values = [CountingFloat(rng.random() * 1e-3) for _ in range(n)]
+        for i, value in enumerate(values):
+            slo.record(i * 1e-6, "read", value)
+            slo.sorted_latencies("read")  # what a hedged read asks for
+        # insertion is a binary search: ceil(log2 n) + 2 comparisons each,
+        # and a query compares nothing (a re-sort per query is ~n log n)
+        assert CountingFloat.compares <= n * (math.ceil(math.log2(n)) + 2)
+        assert slo.sorted_latencies("read") == sorted(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("record"),
+                st.sampled_from(["read", "write"]),
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 50e-6]),
+                    st.floats(min_value=0.0, max_value=1e-2),
+                ),
+                st.booleans(),
+            ),
+            st.tuples(
+                st.just("percentile"),
+                st.sampled_from(["read", "write"]),
+                st.one_of(st.sampled_from([0.0, 50.0, 99.0, 100.0]),
+                          st.floats(min_value=0.0, max_value=100.0)),
+            ),
+            st.tuples(st.just("hedge")),
+            st.tuples(st.just("restore")),
+        ),
+        max_size=80,
+    ))
+    # equal latencies must stay in arrival order (only their signs differ)
+    @example([("record", "read", x, True) for x in (0.0, -0.0, -0.0)] + [("restore",)])
+    def test_matches_a_resort_on_every_query(self, steps):
+        def bits(values):  # repr tells 0.0 from -0.0, so ties must keep order
+            return [repr(v) for v in values]
+
+        def reference_percentile(values, pct):
+            ordered = sorted(values)
+            if not ordered:
+                return 0.0
+            return ordered[min(len(ordered) - 1, int(round(pct / 100.0 * (len(ordered) - 1))))]
+
+        hedge = HedgePolicy(quantile=0.9, floor_s=1e-9, min_samples=4)
+        slo = self.make()
+        arrivals = {}
+        for i, (op, *args) in enumerate(steps):
+            if op == "record":
+                kind, latency, ok = args
+                slo.record(i * 1e-4, kind, latency, ok=ok)
+                arrivals.setdefault(kind, []).append(latency)
+            elif op == "percentile":
+                kind, pct = args
+                expected = reference_percentile(arrivals.get(kind, []), pct)
+                assert repr(slo.percentile(kind, pct)) == repr(expected)
+            elif op == "hedge":
+                expected = hedge.hedge_delay(sorted(arrivals.get("read", [])))
+                assert hedge.hedge_delay(slo.sorted_latencies("read")) == expected
+            else:
+                state = slo.snapshot_state()
+                # snapshots keep arrival order; the sorted lists are derived
+                assert [(k, bits(v)) for k, v in state["by_kind"]] == [
+                    (k, bits(arrivals[k])) for k in sorted(arrivals)
+                ]
+                slo = self.make()
+                slo.restore_state(state)
+            for kind in ("read", "write"):
+                assert bits(slo.sorted_latencies(kind)) == bits(sorted(arrivals.get(kind, [])))
 
 
 class TestResilienceLab:
