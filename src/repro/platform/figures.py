@@ -11,13 +11,12 @@ import dataclasses
 import statistics
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.mee import EncryptionScheme, MemoryEncryptionEngine
+from repro.core.mee import EncryptionScheme
 from repro.cpu.models import CORTEX_A53, CORTEX_A72
 from repro.platform.config import MAPPING_IN_SECURE, PlatformConfig
 from repro.platform.metrics import RunResult
 from repro.platform.multitenant import MultiTenantIceClave
 from repro.platform.schemes import make_platform
-from repro.query.trace import subsample_events
 from repro.workloads.base import WorkloadProfile
 
 WORKLOAD_ORDER = [
@@ -179,17 +178,18 @@ def fig18_quad(
 
 
 def table6_extra_traffic(
-    profiles: Profiles, config: PlatformConfig, sample: int = 60_000
+    profiles: Profiles, config: PlatformConfig
 ) -> Dict[str, Tuple[float, float]]:
-    """Table 6: (encryption, verification) extra-traffic fractions."""
+    """Table 6: (encryption, verification) extra-traffic fractions.
+
+    Read off the HYBRID IceClave run's own MEE replay of
+    ``config.mee_sample_limit`` events, the replay Figure 11 charges for.
+    """
+    platform = make_platform("iceclave", config.with_mee_scheme(EncryptionScheme.HYBRID))
     out = {}
     for n in _names(profiles):
-        mee = MemoryEncryptionEngine(config=config.iceclave, scheme=EncryptionScheme.HYBRID)
-        mee.replay(subsample_events(profiles[n].trace.events, sample))
-        out[n] = (
-            mee.stats.encryption_extra_traffic(),
-            mee.stats.verification_extra_traffic(),
-        )
+        stats = platform.run(profiles[n]).stats
+        out[n] = (stats["mee_encryption_traffic"], stats["mee_verification_traffic"])
     return out
 
 

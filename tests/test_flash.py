@@ -16,7 +16,7 @@ from repro.flash.chip import FlashProgramError
 from repro.flash.ecc import EccConfig, EccUncorrectableError
 from repro.flash.geometry import small_geometry
 from repro.platform.config import PlatformConfig
-from repro.platform.schemes import flash_read_throughput
+from repro.platform.schemes import FLASH_PROBE_PAGES, flash_read_throughput
 from repro.sim import Engine
 
 
@@ -321,7 +321,7 @@ class TestReadStorm:
             pages_per_block=64,
         )
         dev = FlashDevice(engine, geometry, config.flash_timing)
-        pages = min(4096, geometry.total_pages)
+        pages = min(FLASH_PROBE_PAGES, geometry.total_pages)
         dev.read_storm(range(pages), config.queue_depth_per_channel * channels)
         assert flash_read_throughput(config) == pages * geometry.page_bytes / engine.now
 

@@ -3,6 +3,7 @@
 import statistics
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.mee import EncryptionScheme
 from repro.cpu.models import CORTEX_A53, CORTEX_A72
@@ -11,7 +12,9 @@ from repro.platform import (
     PlatformConfig,
     make_platform,
 )
+from repro.ftl.mapping_cache import MappingCache
 from repro.platform.config import MAPPING_IN_SECURE
+from repro.platform.figures import WORKLOAD_ORDER
 from repro.platform.schemes import flash_read_throughput
 from repro.workloads import ALL_WORKLOADS, workload_by_name
 
@@ -220,6 +223,77 @@ class TestMultiTenant:
     def test_empty_rejected(self, base_config):
         with pytest.raises(ValueError):
             MultiTenantIceClave(base_config).run([])
+
+    @pytest.mark.parametrize(
+        "names",
+        [("tpcc", partner) for partner in WORKLOAD_ORDER if partner != "tpcc"]
+        + [
+            ("tpcc", "tpch-q1", "filter", "wordcount"),  # the Figure 18 quad
+            ("tpcc", "filter", "tpch-q1", "tpcc"),
+        ],
+        ids="+".join,
+    )
+    def test_closed_form_matches_interleaved_cache(self, profiles, base_config, names):
+        """Figures 17/18: the shared miss rate equals an interleaved simulation."""
+        assert_matches_interleaved_cache(base_config, [profiles[n] for n in names])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        names=st.lists(st.sampled_from(sorted(ALL_WORKLOADS)), min_size=2, max_size=4),
+        log2_dataset=st.integers(min_value=12, max_value=36),
+    )
+    def test_closed_form_matches_interleaved_cache_at_any_scale(
+        self, profiles, names, log2_dataset
+    ):
+        config = PlatformConfig().with_dataset(1 << log2_dataset)
+        assert_matches_interleaved_cache(config, [profiles[n] for n in names])
+
+
+def interleaved_shared_miss_rates(config, profiles):
+    """Reference: the tenants' translation streams interleaved through one cache.
+
+    Simulated at translation-page granularity (one access per 512 LPAs)
+    with disjoint LPA ranges per tenant, mirroring datasets placed side by
+    side on the SSD.
+    """
+    cfg = config.iceclave
+    cache = MappingCache(cfg.protected_region_bytes, cfg.page_bytes)
+    spacing = cache.entries_per_page
+    streams = []
+    for idx, profile in enumerate(profiles):
+        pages = max(1, profile.scaled(config.dataset_bytes).input_bytes // cfg.page_bytes)
+        streams.append((idx * (1 << 34), max(1, pages // spacing)))
+    hits = [0] * len(profiles)
+    misses = [0] * len(profiles)
+    longest = max(tpages for _, tpages in streams)
+    stride = max(1, longest // 40_000)  # bounded; the statistics converge fast
+    for step in range(0, longest, stride):
+        for i, (base, tpages) in enumerate(streams):
+            if step >= tpages:
+                continue
+            if cache.access(base + step * spacing):
+                hits[i] += 1
+            else:
+                misses[i] += 1
+    # each simulated access stands for `spacing` real translations, of
+    # which only the first can miss
+    return [
+        (miss / (hit + miss)) / spacing if hit + miss else 0.0
+        for hit, miss in zip(hits, misses)
+    ]
+
+
+def assert_matches_interleaved_cache(config, tenants):
+    """Shared miss rate and security cost, bit for bit, against the reference."""
+    mt = MultiTenantIceClave(config)
+    results = mt.run(tenants)
+    rates = interleaved_shared_miss_rates(mt.config, tenants)
+    for profile, result, rate in zip(tenants, results, rates):
+        solo = mt.run_solo(profile)
+        solo_rate = max(solo.stats.get("translation_miss_rate", 0.0), 1e-9)
+        security = solo.components["security"] * max(1.0, rate / solo_rate)
+        assert repr(result.stats["shared_miss_rate"]) == repr(rate)
+        assert repr(result.components["security"]) == repr(security)
 
 
 class TestConfigValidation:
