@@ -94,7 +94,7 @@ class _AsyncAccessScan:
 
     Deliberately *not* loop-carried: a read that only precedes the await on
     a later iteration is a much weaker signal, and modeling it would flag
-    every single-driver pump loop in the codebase. The linear model catches
+    every single-consumer loop. The linear model catches
     the real hazard shape: check state, await, then write state that the
     check justified.
     """
@@ -162,12 +162,12 @@ class RaceAwaitAtomicityRule(ProjectRule):
     family = "flow"
     summary = "self attribute read before an `await`, written after it"
     rationale = (
-        "The serve front-end is deterministic *because* all shared state "
-        "changes happen atomically between awaits (the single FIFO pump). "
-        "A method that reads `self.x`, awaits, then writes `self.x` has an "
-        "interleaving window: another task can run at the await and act on "
-        "the stale value. Capture the state into locals and null the "
-        "attributes *before* awaiting, or hold a lock across the window."
+        "The tree has no async code today; this rule keeps any that comes "
+        "back from racing on shared state. A method that reads `self.x`, "
+        "awaits, then writes `self.x` has an interleaving window: another "
+        "task can run at the await and act on the stale value. Capture the "
+        "state into locals and null the attributes *before* awaiting, or "
+        "hold a lock across the window."
     )
 
     def check_project(self, project: Any) -> Iterator[Finding]:

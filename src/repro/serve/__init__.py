@@ -1,11 +1,12 @@
 """repro.serve: the attested multi-tenant offload service.
 
 The serving layer on top of the IceClave host library: nonce-challenged
-remote attestation establishes per-session keys (:mod:`.session`), an
-asyncio front-end dispatches sealed requests through admission control,
-circuit breakers and the degradation ladder (:mod:`.service`), and an
-open-loop load generator plus SLO lab measure the whole stack under
-seeded multi-tenant traffic and chaos plans (:mod:`.loadgen`, :mod:`.lab`).
+remote attestation establishes per-session keys (:mod:`.session`), a
+synchronous front-end (``OffloadService.handle``) dispatches sealed
+requests through admission control, circuit breakers and the degradation
+ladder (:mod:`.service`), and an open-loop load generator plus SLO lab
+measure the whole stack under seeded multi-tenant traffic and chaos plans
+(:mod:`.loadgen`, :mod:`.lab`).
 
 See docs/SERVING.md for the handshake sequence, wire schema, and error
 taxonomy.

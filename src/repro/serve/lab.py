@@ -25,9 +25,10 @@ ledger; the lab counts them separately so the CLI can assert that refusals
 equal the planted tampered population exactly.
 
 Determinism: arrivals, tenant mix, fault schedule, channel jitter and the
-session crypto are all pure functions of the seed; the asyncio front-end
-runs a single pump draining a FIFO inbox, so two same-seed campaigns
-produce byte-identical fingerprints — the CLI proves it on every run.
+session crypto are all pure functions of the seed, and the lab hands each
+sealed request to :meth:`~repro.serve.service.OffloadService.handle` in
+agenda order, so two same-seed campaigns produce byte-identical
+fingerprints — the CLI proves it on every run.
 """
 
 from __future__ import annotations
@@ -277,8 +278,7 @@ class _ServeArm:
             for i in range(config.channels)
         ]
 
-        runtime = _make_runtime(config)
-        ladder = (
+        self.ladder = (
             DegradationLadder(
                 DegradeConfig(
                     integrity_violations_readonly=1,
@@ -289,8 +289,6 @@ class _ServeArm:
             if policies_on
             else None
         )
-        self.ladder = ladder
-        library = IceClaveLibrary(runtime, degradation=ladder)
         device = AttestationDevice(DEVICE_SECRET)
         self.genuine = ServerSessionManager(device, DEVICE_SECRET, GENUINE_BINARY)
         self.trojaned = ServerSessionManager(device, DEVICE_SECRET, TROJANED_BINARY)
@@ -299,22 +297,6 @@ class _ServeArm:
             nonce_window=max(4096, config.tenants * 2),
         )
         self.client = AttestClient(self.verifier, DEVICE_SECRET, GENUINE_BINARY)
-        self.service = OffloadService(
-            sessions=self.genuine,
-            library=library,
-            clock=self.clock,
-            channels=config.channels,
-            admission=(
-                AdmissionController(
-                    AdmissionConfig(rate_per_s=150_000.0, burst=128.0, max_queued=96)
-                )
-                if policies_on
-                else None
-            ),
-            breakers=BreakerBoard(BreakerConfig()) if policies_on else None,
-            ladder=ladder,
-            data_path=self._data_path,
-        )
         # tenant_id -> established session, or None after a refusal
         self.sessions: Dict[int, Optional[ClientSession]] = {}
         self.sessions_refused = 0
@@ -439,9 +421,8 @@ class _ServeArm:
 
     # -- the campaign ----------------------------------------------------------
 
-    async def _run_async(self) -> None:
+    def _run(self, service: OffloadService) -> None:
         cfg = self.config
-        await self.service.start()
         agenda: List[_AgendaItem] = []
         seq = 0
         for index, arrival in enumerate(self.arrivals):
@@ -467,7 +448,7 @@ class _ServeArm:
                 self.blocked_unattested += 1
                 continue
             request = Request(op=item.op, lpas=(item.arrival.lpa,))
-            served = await self.service.submit(session.seal_request(request))
+            served = service.handle(session.seal_request(request))
             reply = self._open_reply(session, served.response)
             finish = self.clock.now + served.latency_s
             if reply.ok:
@@ -501,7 +482,6 @@ class _ServeArm:
                 item.arrival.tenant_id, finish, item.op,
                 finish - item.first_start, ok=False,
             )
-        await self.service.stop()
 
     def _open_reply(
         self, session: ClientSession, response: Union[SealedEnvelope, Reply]
@@ -511,15 +491,28 @@ class _ServeArm:
         return response
 
     def run(self) -> ServeArmReport:
-        # a fresh loop per arm keeps the two arms fully isolated
-        import asyncio
-
-        asyncio.run(self._run_async())
+        # the service stays a local: its data path is a bound method of
+        # this arm, so an attribute would tie the two into a cycle
+        service = OffloadService(
+            sessions=self.genuine,
+            library=IceClaveLibrary(_make_runtime(self.config), degradation=self.ladder),
+            clock=self.clock,
+            channels=self.config.channels,
+            admission=(
+                AdmissionController(AdmissionConfig(rate_per_s=150_000.0, burst=128.0))
+                if self.policies_on
+                else None
+            ),
+            breakers=BreakerBoard(BreakerConfig()) if self.policies_on else None,
+            ladder=self.ladder,
+            data_path=self._data_path,
+        )
+        self._run(service)
         if self.ladder is not None:
             self.event_log.extend(self.ladder.transition_log())
-        if self.service.breakers is not None:
-            self.event_log.extend(self.service.breakers.transition_log())
-        for name, value in sorted(self.service.counters.items()):
+        if service.breakers is not None:
+            self.event_log.extend(service.breakers.transition_log())
+        for name, value in sorted(service.counters.items()):
             self._count(f"service.{name}", value)
         # fleet-wide percentiles over every tenant's reads, exact and sorted
         latencies: List[float] = []

@@ -1,11 +1,11 @@
-"""The asyncio offload service: sessions in front, policies at the gate.
+"""The offload service: sessions in front, policies at the gate.
 
 :class:`OffloadService` is the request/response front-end the serving PRs
-build on. One asyncio pump task drains an inbox queue in FIFO order and
-answers each sealed envelope through a future — genuinely asynchronous at
-the API (``await submit(...)``), yet fully deterministic: time comes from
-an injectable :class:`TickClock` (never the wall clock), and the single
-pump imposes a total order on request handling.
+build on. :meth:`OffloadService.handle` is its one entry point: it takes
+one sealed envelope and returns the response synchronously, so callers
+impose the total order on request handling simply by calling in order.
+Time comes from an injectable :class:`TickClock` (never the wall clock),
+which keeps two same-seed campaigns byte-identical.
 
 Request path, in gate order:
 
@@ -27,7 +27,6 @@ Request path, in gate order:
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Protocol, Sequence, Tuple, Union
 
@@ -50,11 +49,10 @@ from repro.serve.wire import (
 
 
 class TickClock:
-    """Deterministic sim-time clock for the asyncio front-end.
+    """Deterministic sim-time clock for the service.
 
-    The event loop never tells the service what time it is; the driver
-    (test, lab, campaign) advances this clock explicitly, which is what
-    keeps two same-seed campaigns byte-identical.
+    The caller (test, lab, campaign) advances this clock explicitly, which
+    is what keeps two same-seed campaigns byte-identical.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -70,11 +68,6 @@ class TickClock:
                 f"clock cannot run backwards ({when!r} < {self._now!r})"
             )
         self._now = when
-
-    def advance(self, delta: float) -> None:
-        if delta < 0:
-            raise ValueError("clock delta must be non-negative")
-        self._now += delta
 
 
 class DataPathFault(Exception):
@@ -120,7 +113,6 @@ class Served:
     """
 
     response: Union[SealedEnvelope, Reply]
-    reply: Reply
     latency_s: float
 
 
@@ -153,9 +145,6 @@ class OffloadService:
         self.auth_penalty_s = auth_penalty_s
         self.router = router
         self.counters: Dict[str, int] = {}
-        self.in_flight = 0
-        self._inbox: Optional[asyncio.Queue] = None
-        self._pump: Optional[asyncio.Task] = None
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -215,29 +204,21 @@ class OffloadService:
             request = self.sessions.open_request(envelope)
         except SessionError as err:
             self._count(f"rejected.{err.status.value}")
-            reply = self._refusal(err.status)
-            return Served(response=reply, reply=reply,
-                          latency_s=self.auth_penalty_s)
+            return Served(response=self._refusal(err.status), latency_s=self.auth_penalty_s)
 
-        if self.admission is not None and not self.admission.admit(
-            now, queued=self.in_flight
-        ):
+        # handle() answers each request before the next arrives: none queue
+        if self.admission is not None and not self.admission.admit(now, queued=0):
             self._count("shed_admission")
             return self._sealed(envelope.session_id, self._refusal(
                 WireStatus.THROTTLED), self.auth_penalty_s)
 
-        self.in_flight += 1
-        try:
-            reply, latency = self._dispatch(request, now)
-        finally:
-            self.in_flight -= 1
+        reply, latency = self._dispatch(request, now)
         self._count(f"reply.{reply.status.value}")
         return self._sealed(envelope.session_id, reply, latency)
 
     def _sealed(self, session_id: int, reply: Reply, latency: float) -> Served:
         return Served(
             response=self.sessions.seal_reply(session_id, reply),
-            reply=reply,
             latency_s=latency,
         )
 
@@ -304,46 +285,6 @@ class OffloadService:
         self.library.execute(handle, lambda tee: b"ok:" + tee.measurement[:4])
         result = self.library.get_result(handle.tid)
         return Reply(status=WireStatus.OK, payload=result, mode=self._mode()), 250e-6
-
-    # -- the asyncio surface ---------------------------------------------------
-
-    async def start(self) -> None:
-        """Start the pump task on the running loop (idempotent)."""
-        if self._pump is not None:
-            return
-        # the pump gets its inbox now: stop() may null the attribute before
-        # the task's first line runs
-        self._inbox = asyncio.Queue()
-        self._pump = asyncio.get_running_loop().create_task(self._serve(self._inbox))
-
-    async def stop(self) -> None:
-        # capture-and-null BEFORE awaiting: a concurrent stop() (or a
-        # submit()) interleaving at the awaits must see the service already
-        # closed, not half-stopped state it could double-drain
-        pump, inbox = self._pump, self._inbox
-        if pump is None or inbox is None:
-            return
-        self._pump = None
-        self._inbox = None
-        await inbox.put(None)
-        await pump
-
-    async def _serve(self, inbox: asyncio.Queue) -> None:
-        while True:
-            item = await inbox.get()
-            if item is None:
-                return
-            envelope, future = item
-            if not future.cancelled():
-                future.set_result(self.handle(envelope))
-
-    async def submit(self, envelope: SealedEnvelope) -> Served:
-        """Enqueue one envelope and await its response."""
-        if self._inbox is None:
-            raise RuntimeError("service not started (await service.start())")
-        future = asyncio.get_running_loop().create_future()
-        await self._inbox.put((envelope, future))
-        return await future
 
 
 __all__ = [

@@ -82,6 +82,11 @@ def _keystream(session_key: bytes, session_id: int, channel: bytes,
     return bytes(out[:nbytes])
 
 
+def _xor(data: bytes, pad: bytes) -> bytes:
+    """``data`` XOR an equal-length ``pad``, as two big integers."""
+    return (int.from_bytes(data, "big") ^ int.from_bytes(pad, "big")).to_bytes(len(data), "big")
+
+
 class SecureChannel:
     """Seal/open primitive bound to one session key.
 
@@ -100,7 +105,7 @@ class SecureChannel:
     def seal(self, channel: bytes, seq: int, plaintext: bytes) -> SealedEnvelope:
         pad = _keystream(self._seal_key, self.session_id, channel, seq,
                          len(plaintext))
-        ciphertext = bytes(a ^ b for a, b in zip(plaintext, pad))
+        ciphertext = _xor(plaintext, pad)
         tag = self._mac.digest(
             self.session_id.to_bytes(8, "big"),
             channel,
@@ -134,7 +139,7 @@ class SecureChannel:
             raise SessionError(WireStatus.AUTH_FAILED, "envelope MAC invalid")
         pad = _keystream(self._seal_key, envelope.session_id, channel, seq,
                          len(envelope.ciphertext))
-        return bytes(a ^ b for a, b in zip(envelope.ciphertext, pad))
+        return _xor(envelope.ciphertext, pad)
 
 
 @dataclass

@@ -383,8 +383,6 @@ class TestServeIntegration:
             assert service._pick_channel("read", lpa) == topo.primary_for(lpa)
 
     def test_service_roundtrip_with_fleet_router(self):
-        import asyncio
-
         from repro.serve import Request
         from tests.test_serve import make_service, roundtrip
 

@@ -1,9 +1,14 @@
-"""Tests for repro.serve: wire protocol, secure sessions, the asyncio
-offload service, the open-loop load generator, and the serve lab."""
+"""Tests for repro.serve: wire protocol, secure sessions, the offload
+service, the open-loop load generator, and the serve lab."""
 
-import asyncio
+import gc
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.attestation import (
     AttestationDevice,
@@ -43,7 +48,9 @@ from repro.serve.lab import GENUINE_BINARY, TROJANED_BINARY, serve_plan_config
 from repro.serve.service import DataPathFault
 from repro.serve.session import (
     CHANNEL_C2S,
+    CHANNEL_S2C,
     SecureChannel,
+    _keystream,
     try_handshake,
 )
 from repro.serve.wire import RETRYABLE
@@ -144,6 +151,37 @@ class TestSecureChannel:
     def test_short_key_rejected(self):
         with pytest.raises(ValueError):
             SecureChannel(session_id=1, session_key=b"short")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.binary(min_size=16, max_size=32),
+        session_id=st.integers(min_value=0, max_value=2**64 - 1),
+        seq=st.integers(min_value=0, max_value=2**64 - 1),
+        direction=st.sampled_from([CHANNEL_C2S, CHANNEL_S2C]),
+        plaintext=st.one_of(
+            st.binary(max_size=300),
+            st.binary(max_size=299).map(lambda b: b"\x00" + b),
+        ),
+    )
+    def test_seal_matches_bytewise_xor_reference(
+        self, key, session_id, seq, direction, plaintext
+    ):
+        channel = SecureChannel(session_id=session_id, session_key=key)
+        envelope = channel.seal(direction, seq, plaintext)
+        pad = _keystream(key, session_id, direction, seq, len(plaintext))
+        assert envelope.ciphertext == bytes(a ^ b for a, b in zip(plaintext, pad))
+        assert channel.open(envelope, direction, seq) == plaintext
+
+    def test_known_answer_vector(self):
+        # pins the wire bytes: keystream, XOR, and MAC framing together
+        channel = SecureChannel(session_id=42, session_key=bytes(range(32)))
+        plaintext = b"\x00\x00IceClave sealed reply"
+        envelope = channel.seal(CHANNEL_S2C, 7, plaintext)
+        assert envelope.ciphertext.hex() == (
+            "3c6c3d3a6fb0896e66e69ea63dc00cdff36e84c8da65b7"
+        )
+        assert envelope.tag.hex() == "c75d3796b998e629"
+        assert channel.open(envelope, CHANNEL_S2C, 7) == plaintext
 
 
 # -- attestation handshake -----------------------------------------------------
@@ -263,15 +301,8 @@ def make_service(**kwargs):
 
 
 def roundtrip(service, session, request):
-    """Submit one sealed request through the asyncio surface."""
-
-    async def go():
-        await service.start()
-        served = await service.submit(session.seal_request(request))
-        await service.stop()
-        return served
-
-    served = asyncio.run(go())
+    """Hand one sealed request to the service and open its response."""
+    served = service.handle(session.seal_request(request))
     if isinstance(served.response, SealedEnvelope):
         return session.open_reply(served.response)
     return served.response
@@ -283,24 +314,6 @@ class TestOffloadService:
         assert roundtrip(service, session, Request(op="read", lpas=(3,))).ok
         assert roundtrip(service, session, Request(op="write", lpas=(3,))).ok
 
-    def test_submit_before_start_raises(self):
-        service, session = make_service()
-        envelope = session.seal_request(Request(op="read", lpas=(1,)))
-        with pytest.raises(RuntimeError):
-            asyncio.run(service.submit(envelope))
-
-    def test_stop_without_submit(self):
-        # stop() nulls the inbox before the pump task has run a line: the
-        # pump must drain the queue it was started with
-        service, _ = make_service()
-
-        async def go():
-            await service.start()
-            await service.stop()
-
-        asyncio.run(go())
-        assert service.counters == {}
-
     def test_unauthenticated_envelope_refused_in_plaintext(self):
         service, session = make_service()
         envelope = session.seal_request(Request(op="read", lpas=(1,)))
@@ -308,14 +321,7 @@ class TestOffloadService:
             session_id=envelope.session_id + 5, channel=envelope.channel,
             seq=envelope.seq, ciphertext=envelope.ciphertext, tag=envelope.tag,
         )
-
-        async def go():
-            await service.start()
-            served = await service.submit(bogus)
-            await service.stop()
-            return served
-
-        served = asyncio.run(go())
+        served = service.handle(bogus)
         # no session key to seal under: the refusal is a plaintext Reply
         assert isinstance(served.response, Reply)
         assert served.response.status is WireStatus.UNKNOWN_SESSION
@@ -412,24 +418,14 @@ class TestOffloadService:
 
     def test_fifo_total_order(self):
         service, session = make_service()
-
-        async def go():
-            await service.start()
-            futures = [
-                asyncio.ensure_future(
-                    service.submit(
-                        session.seal_request(Request(op="read", lpas=(i,)))
-                    )
-                )
-                for i in range(5)
-            ]
-            served = await asyncio.gather(*futures)
-            await service.stop()
-            return served
-
-        served = asyncio.run(go())
-        # replies come back sealed in submission order: s2c seq 0..4
+        served = [
+            service.handle(session.seal_request(Request(op="read", lpas=(i,))))
+            for i in range(5)
+        ]
+        # replies come back sealed in call order: s2c seq 0..4
+        assert all(isinstance(s.response, SealedEnvelope) for s in served)
         assert [s.response.seq for s in served] == list(range(5))
+        assert all(session.open_reply(s.response).ok for s in served)
 
 
 # -- the load generator --------------------------------------------------------
@@ -579,3 +575,25 @@ class TestServeLab:
         from repro.cli import main
 
         assert main(["serve-lab", "--requests", "5"]) == 2
+
+    def test_campaign_leaves_no_cyclic_garbage(self):
+        # each arm and everything it built is freed by reference counting
+        # when run() returns, not held until a full collection
+        gc.collect()
+        gc.disable()
+        try:
+            run_serve_lab(seed=7, tenants=50, requests=400)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def test_serve_and_fleet_do_not_import_asyncio():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.serve, repro.fleet; print('asyncio' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "False\n"
