@@ -1,14 +1,11 @@
 """The interprocedural rule families built on the flow fixpoint.
 
-Four whole-program rules, all anchored back to concrete file/line findings
+Three whole-program rules, all anchored back to concrete file/line findings
 so waivers and the baseline work unchanged:
 
 - ``flow-secret-escape``: a value *provably derived* from key material
   (taint fixpoint, not name matching) reaches a telemetry sink — directly
   or through a call whose summary says the parameter escapes;
-- ``race-await-atomicity``: an async method reads shared ``self`` state
-  before an ``await`` and writes it after — an interleaving window where
-  another task observes/mutates stale state;
 - ``flow-exception-containment``: a broad except inside the enclave
   dispatch packages must re-raise or (transitively) reach the §4.5
   ThrowOutTEE abort path, otherwise it swallows a detected attack;
@@ -20,7 +17,7 @@ so waivers and the baseline work unchanged:
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, Optional, Set, Tuple
 
 from repro.analysis.context import dotted_source
 from repro.analysis.finding import Finding
@@ -79,126 +76,6 @@ class FlowSecretEscapeRule(ProjectRule):
             for _name in _secret_names(arg):
                 return True
         return False
-
-
-# context-manager expressions that make the awaited window atomic
-def _is_lock_guard(item: ast.withitem) -> bool:
-    dotted = dotted_source(item.context_expr)
-    if not dotted and isinstance(item.context_expr, ast.Call):
-        dotted = dotted_source(item.context_expr.func)
-    return "lock" in dotted.lower() or "mutex" in dotted.lower()
-
-
-class _AsyncAccessScan:
-    """Linear pre-order positions of self-attr reads/writes and awaits.
-
-    Deliberately *not* loop-carried: a read that only precedes the await on
-    a later iteration is a much weaker signal, and modeling it would flag
-    every single-consumer loop. The linear model catches
-    the real hazard shape: check state, await, then write state that the
-    check justified.
-    """
-
-    def __init__(self, self_name: str) -> None:
-        self.self_name = self_name
-        self.pos = 0
-        self.reads: Dict[str, int] = {}  # attr -> earliest read position
-        self.writes: Dict[str, List[Tuple[int, ast.AST]]] = {}
-        self.awaits: List[int] = []
-
-    def scan(self, body: List[ast.stmt]) -> None:
-        for stmt in body:
-            self._visit(stmt, locked=False)
-
-    def _visit(self, node: ast.AST, locked: bool) -> None:
-        self.pos += 1
-        pos = self.pos
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            return  # nested scope: different task context
-        if isinstance(node, ast.Await):
-            if not locked:
-                self.awaits.append(pos)
-        if isinstance(node, ast.AsyncWith) and any(
-            _is_lock_guard(item) for item in node.items
-        ):
-            for item in node.items:
-                self._visit(item.context_expr, locked)
-            for sub in node.body:
-                self._visit(sub, locked=True)
-            return
-        if isinstance(node, ast.Attribute):
-            self._record(node, pos, locked)
-        if isinstance(node, ast.AugAssign):
-            # `self.x += 1` reads and writes at (essentially) one position
-            target = node.target
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == self.self_name
-                and not locked
-            ):
-                self.reads.setdefault(target.attr, pos)
-        for child in ast.iter_child_nodes(node):
-            self._visit(child, locked)
-
-    def _record(self, node: ast.Attribute, pos: int, locked: bool) -> None:
-        if locked:
-            return
-        if not (
-            isinstance(node.value, ast.Name) and node.value.id == self.self_name
-        ):
-            return
-        if isinstance(node.ctx, ast.Store):
-            self.writes.setdefault(node.attr, []).append((pos, node))
-        elif isinstance(node.ctx, ast.Load):
-            self.reads.setdefault(node.attr, pos)
-
-
-@register
-class RaceAwaitAtomicityRule(ProjectRule):
-    """Shared state checked before an ``await`` must not be written after."""
-
-    id = "race-await-atomicity"
-    family = "flow"
-    summary = "self attribute read before an `await`, written after it"
-    rationale = (
-        "The tree has no async code today; this rule keeps any that comes "
-        "back from racing on shared state. A method that reads `self.x`, "
-        "awaits, then writes `self.x` has an interleaving window: another "
-        "task can run at the await and act on the stale value. Capture the "
-        "state into locals and null the attributes *before* awaiting, or "
-        "hold a lock across the window."
-    )
-
-    def check_project(self, project: Any) -> Iterator[Finding]:
-        index: ProjectIndex = project.index
-        for fn in index.sorted_functions():
-            if not isinstance(fn.node, ast.AsyncFunctionDef):
-                continue
-            self_name = fn.self_name
-            if self_name is None:
-                continue
-            scan = _AsyncAccessScan(self_name)
-            scan.scan(fn.node.body)
-            if not scan.awaits:
-                continue
-            for attr in sorted(scan.writes):
-                read_pos = scan.reads.get(attr)
-                if read_pos is None:
-                    continue
-                for write_pos, node in scan.writes[attr]:
-                    hole = any(read_pos < a < write_pos for a in scan.awaits)
-                    if hole:
-                        yield fn.ctx.finding(
-                            self.id,
-                            node,
-                            f"`{self_name}.{attr}` is read before an `await` "
-                            f"and written after it in `{fn.qname}`; another "
-                            "task can interleave at the await and see/mutate "
-                            "stale state — move the writes before the await "
-                            "or hold a lock across the window",
-                        )
-                        break  # one finding per attribute per function
 
 
 # packages whose dispatch paths sit inside / in front of the enclave
@@ -330,5 +207,4 @@ __all__ = [
     "FlowExceptionContainmentRule",
     "FlowLayerDriftRule",
     "FlowSecretEscapeRule",
-    "RaceAwaitAtomicityRule",
 ]

@@ -68,10 +68,11 @@ LAYER_ALLOWED: Dict[str, FrozenSet[str]] = {
     "recovery": frozenset({"core", "faults", "sim"}),
     # the serving layer fronts the host library with attested sessions: it
     # composes resilience policies and platform metrics over the device
-    # stack, and nothing below ever imports it back
+    # stack, runs its lab on the sim engine, and nothing below ever
+    # imports it back
     "serve": frozenset(
         {"core", "crypto", "faults", "flash", "ftl", "host", "platform",
-         "resilience"}
+         "resilience", "sim"}
     ),
     # the fleet layer shards N device stacks behind a consistent-hash
     # router: it consumes fault plans, resilience policies, recovery

@@ -25,7 +25,7 @@ from repro.serve.loadgen import (
     generate_arrivals,
     make_tenants,
 )
-from repro.serve.service import DataPathFault, OffloadService, Served, TickClock
+from repro.serve.service import DataPathFault, OffloadService, Served
 from repro.serve.session import (
     AttestClient,
     ClientSession,
@@ -65,7 +65,6 @@ __all__ = [
     "ServerSessionManager",
     "SessionError",
     "TenantProfile",
-    "TickClock",
     "WireStatus",
     "generate_arrivals",
     "make_tenants",

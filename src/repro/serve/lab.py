@@ -24,18 +24,26 @@ refused at session establishment in both arms and never reach the SLO
 ledger; the lab counts them separately so the CLI can assert that refusals
 equal the planted tampered population exactly.
 
+Each arm runs on its own :class:`~repro.sim.engine.Engine`, the event
+substrate the resilience and fleet labs share: every fault in the plan,
+every arrival and every client retry is an engine event, and each client
+attempt hands its sealed request to
+:meth:`~repro.serve.service.OffloadService.handle` at ``engine.now``.
+The plan is scheduled before the arrivals, so a fault wins a same-time
+tie with the arrival of its op.
+
 Determinism: arrivals, tenant mix, fault schedule, channel jitter and the
-session crypto are all pure functions of the seed, and the lab hands each
-sealed request to :meth:`~repro.serve.service.OffloadService.handle` in
-agenda order, so two same-seed campaigns produce byte-identical
-fingerprints — the CLI proves it on every run.
+session crypto are all pure functions of the seed, and the engine fires
+same-time events in the order they were scheduled, so two same-seed
+campaigns produce byte-identical fingerprints — the CLI proves it on
+every run.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from functools import partial
+from typing import Dict, List, Optional, Union
 
 from repro.core.attestation import AttestationDevice, AttestationVerifier
 from repro.core.config import MIB, IceClaveConfig
@@ -58,7 +66,7 @@ from repro.serve.loadgen import (
     generate_arrivals,
     make_tenants,
 )
-from repro.serve.service import DataPathFault, OffloadService, TickClock
+from repro.serve.service import DataPathFault, OffloadService
 from repro.serve.session import (
     AttestClient,
     ClientSession,
@@ -66,6 +74,7 @@ from repro.serve.session import (
     try_handshake,
 )
 from repro.serve.wire import RETRYABLE, Reply, Request, SealedEnvelope, WireStatus
+from repro.sim.engine import Engine
 
 # what the policies-on client will retry: the hinted statuses, plus media
 # errors — the device mirrors every page on a replica channel, so a
@@ -150,18 +159,6 @@ class _ChannelState:
     slow_factor: float = 1.0
     dead_until: float = -1.0
     error_credits: int = 0
-
-
-@dataclass(order=True)
-class _AgendaItem:
-    """One scheduled client action (arrival or retry), heap-ordered."""
-
-    at_s: float
-    seq: int
-    arrival: Arrival = field(compare=False)
-    op: str = field(compare=False, default="read")
-    attempts: int = field(compare=False, default=0)
-    first_start: float = field(compare=False, default=0.0)
 
 
 @dataclass
@@ -262,7 +259,7 @@ class _ServeArm:
         self.arrivals = arrivals
         self.plan = plan
         self.policies_on = policies_on
-        self.clock = TickClock()
+        self.engine = Engine()
         self.board = SloBoard(
             SloObjectives(availability=0.99, p99_read_s=2e-3), window_s=1e-3
         )
@@ -302,9 +299,6 @@ class _ServeArm:
         self.sessions_refused = 0
         self.tampered_attempted = 0
         self.blocked_unattested = 0
-        # fault schedule translated to sim-time, consumed as the clock passes
-        self._fault_agenda = self._translate_plan()
-        self._fault_cursor = 0
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -312,57 +306,41 @@ class _ServeArm:
         self.counters[name] = self.counters.get(name, 0) + amount
 
     def _log(self, message: str) -> None:
-        self.event_log.append(f"t={self.clock.now * 1e3:.3f}ms {message}")
+        self.event_log.append(f"t={self.engine.now * 1e3:.3f}ms {message}")
 
-    # -- fault translation -----------------------------------------------------
+    # -- faults ----------------------------------------------------------------
 
-    def _translate_plan(self) -> List[Tuple[float, FaultKind, int]]:
-        if self.plan is None:
-            return []
-        agenda = []
-        for event in self.plan.events:
-            index = min(event.op_index, len(self.arrivals) - 1)
-            agenda.append((self.arrivals[index].at_s, event.kind, event.param))
-        agenda.sort(key=lambda item: (item[0], item[1].value, item[2]))
-        return agenda
-
-    def _apply_due_faults(self) -> None:
-        now = self.clock.now
+    def _apply_fault(self, kind: FaultKind, param: int) -> None:
+        when = self.engine.now
         cfg = self.config
-        while (
-            self._fault_cursor < len(self._fault_agenda)
-            and self._fault_agenda[self._fault_cursor][0] <= now
-        ):
-            when, kind, param = self._fault_agenda[self._fault_cursor]
-            self._fault_cursor += 1
-            channel = self.channel_states[param % cfg.channels]
-            if kind is FaultKind.READ_BURST:
-                channel.slow_until = when + cfg.storm_window_s
-                channel.slow_factor = cfg.storm_factor
-                channel.error_credits += cfg.storm_errors
-                self._log(f"fault: retry storm on ch{channel.index}")
-            elif kind in (FaultKind.UNCORRECTABLE_PAGE, FaultKind.HARD_UNCORRECTABLE):
-                credits = 2 if kind is FaultKind.UNCORRECTABLE_PAGE else 4
-                channel.error_credits += credits
-                self._log(f"fault: uncorrectable pages on ch{channel.index}")
-            elif kind is FaultKind.DIE_FAILURE:
-                channel.dead_until = when + cfg.die_down_s
-                self._log(f"fault: die on ch{channel.index} dark for "
-                          f"{cfg.die_down_s * 1e3:.1f}ms")
-            elif kind is FaultKind.DRAM_CORRUPTION:
-                self._count("integrity_violations")
-                self.integrity_until = max(
-                    self.integrity_until, when + cfg.integrity_window_s
-                )
-                self._log("fault: protected-DRAM corruption")
-                if self.ladder is not None:
-                    before = self.ladder.mode
-                    self.ladder.note_integrity_violation(when)
-                    if self.ladder.mode is not before:
-                        self._log(f"mode -> {self.ladder.mode.value}")
-            else:  # POWER_LOSS / POWER_LOSS_MID_GC
-                self.stall_until = max(self.stall_until, when + cfg.stall_s)
-                self._log("fault: power-loss stall (all channels)")
+        channel = self.channel_states[param % cfg.channels]
+        if kind is FaultKind.READ_BURST:
+            channel.slow_until = when + cfg.storm_window_s
+            channel.slow_factor = cfg.storm_factor
+            channel.error_credits += cfg.storm_errors
+            self._log(f"fault: retry storm on ch{channel.index}")
+        elif kind in (FaultKind.UNCORRECTABLE_PAGE, FaultKind.HARD_UNCORRECTABLE):
+            credits = 2 if kind is FaultKind.UNCORRECTABLE_PAGE else 4
+            channel.error_credits += credits
+            self._log(f"fault: uncorrectable pages on ch{channel.index}")
+        elif kind is FaultKind.DIE_FAILURE:
+            channel.dead_until = when + cfg.die_down_s
+            self._log(f"fault: die on ch{channel.index} dark for "
+                      f"{cfg.die_down_s * 1e3:.1f}ms")
+        elif kind is FaultKind.DRAM_CORRUPTION:
+            self._count("integrity_violations")
+            self.integrity_until = max(
+                self.integrity_until, when + cfg.integrity_window_s
+            )
+            self._log("fault: protected-DRAM corruption")
+            if self.ladder is not None:
+                before = self.ladder.mode
+                self.ladder.note_integrity_violation(when)
+                if self.ladder.mode is not before:
+                    self._log(f"mode -> {self.ladder.mode.value}")
+        else:  # POWER_LOSS / POWER_LOSS_MID_GC
+            self.stall_until = max(self.stall_until, when + cfg.stall_s)
+            self._log("fault: power-loss stall (all channels)")
 
     # -- the device-side data path --------------------------------------------
 
@@ -423,65 +401,74 @@ class _ServeArm:
 
     def _run(self, service: OffloadService) -> None:
         cfg = self.config
-        agenda: List[_AgendaItem] = []
-        seq = 0
+        engine = self.engine
+        if self.plan is not None:
+            # each op-indexed plan event lands on its op's arrival time;
+            # scheduled before the arrivals, a fault wins the same-time tie
+            faults = []
+            for event in self.plan.events:
+                index = min(event.op_index, len(self.arrivals) - 1)
+                faults.append((self.arrivals[index].at_s, event.kind, event.param))
+            faults.sort(key=lambda item: (item[0], item[1].value, item[2]))
+            for when, kind, param in faults:
+                engine.schedule_at(when, partial(self._apply_fault, kind, param))
         for index, arrival in enumerate(self.arrivals):
             op = (
                 "offload"
                 if index % cfg.offload_every == cfg.offload_every - 1
                 else arrival.op
             )
-            heapq.heappush(
-                agenda,
-                _AgendaItem(
-                    at_s=arrival.at_s, seq=seq, arrival=arrival, op=op,
-                    attempts=0, first_start=arrival.at_s,
+            engine.schedule_at(
+                arrival.at_s,
+                partial(self._attempt, service, arrival, op, 0, arrival.at_s),
+            )
+        engine.run()
+
+    def _attempt(
+        self,
+        service: OffloadService,
+        arrival: Arrival,
+        op: str,
+        attempts: int,
+        first_start: float,
+    ) -> None:
+        """One client attempt (the arrival itself or a retry) at engine.now."""
+        cfg = self.config
+        now = self.engine.now
+        session = self._session_for(arrival.tenant_id)
+        if session is None:
+            self.blocked_unattested += 1
+            return
+        request = Request(op=op, lpas=(arrival.lpa,))
+        served = service.handle(session.seal_request(request), now)
+        reply = self._open_reply(session, served.response)
+        finish = now + served.latency_s
+        if reply.ok:
+            self.board.record(
+                arrival.tenant_id, finish, op, finish - first_start, ok=True
+            )
+            return
+        retry_at = finish + max(reply.retry_after_s, 50e-6)
+        can_retry = (
+            self.policies_on
+            and reply.status in _CLIENT_RETRYABLE
+            and attempts + 1 < cfg.max_attempts
+            and retry_at < first_start + cfg.request_deadline_s
+        )
+        if can_retry:
+            self._count("client_retries")
+            self.engine.schedule_at(
+                retry_at,
+                partial(
+                    self._attempt, service, arrival, op, attempts + 1, first_start
                 ),
             )
-            seq += 1
-        while agenda:
-            item = heapq.heappop(agenda)
-            self.clock.advance_to(item.at_s)
-            self._apply_due_faults()
-            session = self._session_for(item.arrival.tenant_id)
-            if session is None:
-                self.blocked_unattested += 1
-                continue
-            request = Request(op=item.op, lpas=(item.arrival.lpa,))
-            served = service.handle(session.seal_request(request))
-            reply = self._open_reply(session, served.response)
-            finish = self.clock.now + served.latency_s
-            if reply.ok:
-                self.board.record(
-                    item.arrival.tenant_id, finish, item.op,
-                    finish - item.first_start, ok=True,
-                )
-                continue
-            retry_at = finish + max(reply.retry_after_s, 50e-6)
-            can_retry = (
-                self.policies_on
-                and reply.status in _CLIENT_RETRYABLE
-                and item.attempts + 1 < cfg.max_attempts
-                and retry_at < item.first_start + cfg.request_deadline_s
-            )
-            if can_retry:
-                self._count("client_retries")
-                heapq.heappush(
-                    agenda,
-                    _AgendaItem(
-                        at_s=retry_at, seq=seq, arrival=item.arrival,
-                        op=item.op, attempts=item.attempts + 1,
-                        first_start=item.first_start,
-                    ),
-                )
-                seq += 1
-                continue
-            reason = reply.status.value
-            self.failure_reasons[reason] = self.failure_reasons.get(reason, 0) + 1
-            self.board.record(
-                item.arrival.tenant_id, finish, item.op,
-                finish - item.first_start, ok=False,
-            )
+            return
+        reason = reply.status.value
+        self.failure_reasons[reason] = self.failure_reasons.get(reason, 0) + 1
+        self.board.record(
+            arrival.tenant_id, finish, op, finish - first_start, ok=False
+        )
 
     def _open_reply(
         self, session: ClientSession, response: Union[SealedEnvelope, Reply]
@@ -492,11 +479,11 @@ class _ServeArm:
 
     def run(self) -> ServeArmReport:
         # the service stays a local: its data path is a bound method of
-        # this arm, so an attribute would tie the two into a cycle
+        # this arm, so an attribute would tie the two into a cycle (the
+        # engine's queued attempts hold it only until the run drains)
         service = OffloadService(
             sessions=self.genuine,
             library=IceClaveLibrary(_make_runtime(self.config), degradation=self.ladder),
-            clock=self.clock,
             channels=self.config.channels,
             admission=(
                 AdmissionController(AdmissionConfig(rate_per_s=150_000.0, burst=128.0))

@@ -9,8 +9,11 @@ Two arrival processes, both pure functions of the seed:
 
 - ``poisson`` — exponential interarrivals at ``rate_per_s``;
 - ``bursty``  — the same Poisson base, but alternating on/off phases: a
-  burst phase at ``burst_factor`` × the base rate, then a quiet phase at a
-  compensating lower rate, so the long-run average rate stays equal.
+  burst phase at ``burst_factor`` × the base rate, then a quiet phase at
+  ``2 - burst_factor`` × the base rate, floored at 0.25×. The quiet phase
+  keeps the long-run mean at the base rate only while ``burst_factor <=
+  1.75``; at the default of 4 the floor binds and the mean is
+  (4 + 0.25) / 2 = 2.125× the base rate.
 
 Tenants get Zipf-ish weights (rank-skewed popularity), a per-tenant write
 fraction, and a deterministic tampered subset: those tenants' handshakes
@@ -117,7 +120,8 @@ def _phase_rate(config: ArrivalConfig, now: float) -> float:
     phase = int(now / config.burst_phase_s)
     if phase % 2 == 0:
         return config.rate_per_s * config.burst_factor
-    # compensate so the long-run average matches the base rate
+    # compensates for the burst only while burst_factor <= 1.75; above
+    # that the 0.25x floor binds and the long-run mean exceeds the base
     quiet = 2.0 - config.burst_factor
     return config.rate_per_s * max(quiet, 0.25)
 

@@ -2,10 +2,13 @@
 
 :class:`OffloadService` is the request/response front-end the serving PRs
 build on. :meth:`OffloadService.handle` is its one entry point: it takes
-one sealed envelope and returns the response synchronously, so callers
-impose the total order on request handling simply by calling in order.
-Time comes from an injectable :class:`TickClock` (never the wall clock),
-which keeps two same-seed campaigns byte-identical.
+one sealed envelope plus the caller's sim-time and returns the response
+synchronously, so callers impose the total order on request handling
+simply by calling in order. The service keeps no clock of its own and
+never reads the wall clock: admission, breakers and the ladder all see
+the ``now`` the caller passes (the serve lab passes its
+:class:`~repro.sim.engine.Engine` time), which keeps two same-seed
+campaigns byte-identical.
 
 Request path, in gate order:
 
@@ -46,28 +49,6 @@ from repro.serve.wire import (
     status_for_mode,
     status_for_nvme,
 )
-
-
-class TickClock:
-    """Deterministic sim-time clock for the service.
-
-    The caller (test, lab, campaign) advances this clock explicitly, which
-    is what keeps two same-seed campaigns byte-identical.
-    """
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = start
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def advance_to(self, when: float) -> None:
-        if when < self._now:
-            raise ValueError(
-                f"clock cannot run backwards ({when!r} < {self._now!r})"
-            )
-        self._now = when
 
 
 class DataPathFault(Exception):
@@ -123,7 +104,6 @@ class OffloadService:
         self,
         sessions: ServerSessionManager,
         library: IceClaveLibrary,
-        clock: Optional[TickClock] = None,
         channels: int = 4,
         admission: Optional[AdmissionController] = None,
         breakers: Optional[BreakerBoard] = None,
@@ -136,7 +116,6 @@ class OffloadService:
             raise ValueError("the service needs at least one channel")
         self.sessions = sessions
         self.library = library
-        self.clock = clock or TickClock()
         self.channels = channels
         self.admission = admission
         self.breakers = breakers
@@ -174,8 +153,7 @@ class OffloadService:
             return self.router.candidates(op, lpa)
         return (self._primary(lpa), self._replica(lpa))
 
-    def _pick_channel(self, op: str, lpa: int) -> Optional[int]:
-        now = self.clock.now
+    def _pick_channel(self, op: str, lpa: int, now: float) -> Optional[int]:
         for index in self._candidates(op, lpa):
             if self.breakers is None:
                 return index
@@ -183,10 +161,9 @@ class OffloadService:
                 return index
         return None
 
-    def _feed_breaker(self, channel: int, ok: bool) -> None:
+    def _feed_breaker(self, channel: int, ok: bool, now: float) -> None:
         if self.breakers is None:
             return
-        now = self.clock.now
         breaker = self.breakers.breaker(f"ch{channel}")
         if ok:
             breaker.record_success(now)
@@ -197,9 +174,8 @@ class OffloadService:
 
     # -- request handling ------------------------------------------------------
 
-    def handle(self, envelope: SealedEnvelope) -> Served:
-        """Authenticate, admit, gate, dispatch — synchronously, at clock.now."""
-        now = self.clock.now
+    def handle(self, envelope: SealedEnvelope, now: float) -> Served:
+        """Authenticate, admit, gate, dispatch — synchronously, at ``now``."""
         try:
             request = self.sessions.open_request(envelope)
         except SessionError as err:
@@ -234,14 +210,14 @@ class OffloadService:
                 self._count("reads_refused_failsafe")
                 return self._refusal(WireStatus.FAILSAFE), 0.0
         lpa = request.lpas[0]
-        channel = self._pick_channel(request.op, lpa)
+        channel = self._pick_channel(request.op, lpa, now)
         if channel is None:
             self._count("no_channel_available")
             return self._refusal(WireStatus.THROTTLED), 0.0
         try:
             latency = self.data_path(request.op, lpa, channel, now)
         except DataPathFault as fault:
-            self._feed_breaker(channel, ok=False)
+            self._feed_breaker(channel, ok=False, now=now)
             status = status_for_nvme(fault.status)
             self._count(f"data_path.{fault.status.name}")
             return (
@@ -252,7 +228,7 @@ class OffloadService:
                 ),
                 fault.latency_s,
             )
-        self._feed_breaker(channel, ok=True)
+        self._feed_breaker(channel, ok=True, now=now)
         return Reply(status=WireStatus.OK, mode=self._mode()), latency
 
     def _dispatch_offload(self, request: Request) -> Tuple[Reply, float]:
@@ -292,5 +268,4 @@ __all__ = [
     "DataPathFault",
     "OffloadService",
     "Served",
-    "TickClock",
 ]

@@ -43,10 +43,6 @@ FLOW_FIXTURES = {
     ("flow_cross_tcb.py", "flow_cross_leak.py"): [
         ("flow-secret-escape", "flow_cross_leak.py")
     ],
-    ("flow_race_await.py",): [
-        ("race-await-atomicity", "flow_race_await.py")
-    ],
-    ("flow_race_await_ok.py",): [],
     ("flow_exception_containment.py",): [
         ("flow-exception-containment", "flow_exception_containment.py")
     ],
@@ -100,12 +96,6 @@ class TestFlowFixtures:
         # the broad except itself is waived, not silently ignored
         statuses = {f.rule: f.status for f in result.findings}
         assert statuses.get("sec-broad-except") is FindingStatus.SUPPRESSED
-
-    def test_race_positive_pinpoints_write_after_await(self):
-        result = scan("flow_race_await.py")
-        (finding,) = flow_findings(result)
-        assert "flushing" in finding.message
-        assert "await" in finding.message
 
 
 class TestEntropyRules:

@@ -380,7 +380,7 @@ class TestServeIntegration:
         topo = FleetTopology(7, range(4), replication=2)
         service, _ = make_service(channels=4, router=TopologyChannelRouter(topo))
         for lpa in range(16):
-            assert service._pick_channel("read", lpa) == topo.primary_for(lpa)
+            assert service._pick_channel("read", lpa, 0.0) == topo.primary_for(lpa)
 
     def test_service_roundtrip_with_fleet_router(self):
         from repro.serve import Request
@@ -397,7 +397,7 @@ class TestServeIntegration:
 
         service, _ = make_service(channels=4)
         for lpa in range(16):
-            assert service._pick_channel("read", lpa) == lpa % 4
+            assert service._pick_channel("read", lpa, 0.0) == lpa % 4
 
 
 # -- the lab -------------------------------------------------------------------

@@ -2,6 +2,7 @@
 service, the open-loop load generator, and the serve lab."""
 
 import gc
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -35,7 +36,6 @@ from repro.serve import (
     SealedEnvelope,
     ServerSessionManager,
     SessionError,
-    TickClock,
     WireStatus,
     generate_arrivals,
     make_tenants,
@@ -300,9 +300,9 @@ def make_service(**kwargs):
     return service, session
 
 
-def roundtrip(service, session, request):
-    """Hand one sealed request to the service and open its response."""
-    served = service.handle(session.seal_request(request))
+def roundtrip(service, session, request, now=0.0):
+    """Hand one sealed request to the service at ``now`` and open its response."""
+    served = service.handle(session.seal_request(request), now)
     if isinstance(served.response, SealedEnvelope):
         return session.open_reply(served.response)
     return served.response
@@ -321,7 +321,7 @@ class TestOffloadService:
             session_id=envelope.session_id + 5, channel=envelope.channel,
             seq=envelope.seq, ciphertext=envelope.ciphertext, tag=envelope.tag,
         )
-        served = service.handle(bogus)
+        served = service.handle(bogus, 0.0)
         # no session key to seal under: the refusal is a plaintext Reply
         assert isinstance(served.response, Reply)
         assert served.response.status is WireStatus.UNKNOWN_SESSION
@@ -337,6 +337,17 @@ class TestOffloadService:
         assert reply.status is WireStatus.THROTTLED
         assert reply.retry_after_s > 0.0
         assert service.counters["shed_admission"] == 1
+
+    def test_handle_runs_at_the_callers_time(self):
+        # the service keeps no clock: the bucket refills only as the
+        # caller's sim-time advances
+        service, session = make_service(
+            admission=AdmissionController(AdmissionConfig(rate_per_s=1.0, burst=1.0)),
+        )
+        read = Request(op="read", lpas=(1,))
+        assert roundtrip(service, session, read, now=0.0).ok
+        assert roundtrip(service, session, read, now=0.0).status is WireStatus.THROTTLED
+        assert roundtrip(service, session, read, now=1.0).ok
 
     def test_degraded_readonly_serving(self):
         # satellite: DEGRADED_READONLY keeps serving reads while writes
@@ -419,7 +430,7 @@ class TestOffloadService:
     def test_fifo_total_order(self):
         service, session = make_service()
         served = [
-            service.handle(session.seal_request(Request(op="read", lpas=(i,))))
+            service.handle(session.seal_request(Request(op="read", lpas=(i,))), 0.0)
             for i in range(5)
         ]
         # replies come back sealed in call order: s2c seq 0..4
@@ -484,6 +495,19 @@ class TestLoadgen:
 
 
 class TestServeLab:
+    # sha256 of run_serve_lab(seed=7, tenants=50, requests=400).fingerprint():
+    # pins the lab's output across code versions, not just across two runs
+    PINNED_FINGERPRINTS = {
+        "poisson": "5a2dd62766f4bac819e48f14ffdb52c051ae1d3c48e5b347276374e6099c6536",
+        "bursty": "78647c7e461480336e78c44462859e208d0b2974d51ce61bc1ea3a79bdb72ab7",
+    }
+
+    @pytest.mark.parametrize("process", sorted(PINNED_FINGERPRINTS))
+    def test_fingerprint_pinned(self, process):
+        report = run_serve_lab(seed=7, tenants=50, requests=400, process=process)
+        digest = hashlib.sha256(report.fingerprint().encode()).hexdigest()
+        assert digest == self.PINNED_FINGERPRINTS[process]
+
     def test_small_campaign_deterministic_and_policies_win(self):
         first = run_serve_lab(seed=3, tenants=40, requests=160)
         second = run_serve_lab(seed=3, tenants=40, requests=160)
