@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
-from repro.analysis.cli import add_lint_arguments, run_lint
-from repro.platform import PlatformConfig, make_platform
-from repro.platform.schemes import SCHEMES, flash_read_throughput
-from repro.workloads import ALL_WORKLOADS, workload_by_name
+# Each subcommand imports the packages it runs inside its cmd_* function:
+# importing this module must not load the simulator, or numpy.
+if TYPE_CHECKING:
+    from repro.platform import PlatformConfig
 
 GIB = 1 << 30
 DEFAULT_CHAOS_SEED = 42
@@ -37,6 +37,8 @@ DEFAULT_SEARCH_SEED = 7
 
 def _make_profile(args: argparse.Namespace):
     """Instantiate and run the workload, honouring an explicit --seed."""
+    from repro.workloads import workload_by_name
+
     kwargs = {}
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
@@ -44,6 +46,8 @@ def _make_profile(args: argparse.Namespace):
 
 
 def _build_config(args: argparse.Namespace) -> PlatformConfig:
+    from repro.platform import PlatformConfig
+
     config = PlatformConfig()
     if getattr(args, "channels", None) is not None:
         config = config.with_channels(args.channels)
@@ -57,6 +61,9 @@ def _build_config(args: argparse.Namespace) -> PlatformConfig:
 
 
 def cmd_list(_: argparse.Namespace) -> int:
+    from repro.platform.schemes import SCHEMES
+    from repro.workloads import ALL_WORKLOADS
+
     print("workloads (Table 4):")
     for name, cls in sorted(ALL_WORKLOADS.items()):
         print(f"  {name:>12s}  {cls.description}")
@@ -67,6 +74,8 @@ def cmd_list(_: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
+    from repro.platform.schemes import flash_read_throughput
+
     config = _build_config(args)
     geometry = config.geometry()
     print("platform configuration (Table 3 defaults):")
@@ -85,6 +94,8 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def _check_workload(name: str) -> Optional[str]:
+    from repro.workloads import ALL_WORKLOADS
+
     if name not in ALL_WORKLOADS:
         known = ", ".join(sorted(ALL_WORKLOADS))
         print(f"error: unknown workload '{name}' (known: {known})", file=sys.stderr)
@@ -95,6 +106,8 @@ def _check_workload(name: str) -> Optional[str]:
 def cmd_run(args: argparse.Namespace) -> int:
     if _check_workload(args.workload) is None:
         return 2
+    from repro.platform import make_platform
+
     config = _build_config(args)
     profile = _make_profile(args)
     result = make_platform(args.scheme, config).run(profile)
@@ -110,11 +123,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     if _check_workload(args.workload) is None:
         return 2
+    from repro.perf import map_points, platform_point
+    from repro.platform.schemes import SCHEMES
+
     config = _build_config(args)
     jobs = getattr(args, "jobs", 1) or 1
     schemes = sorted(SCHEMES)
-    from repro.perf import map_points, platform_point
-
     seed = getattr(args, "seed", None)
     specs = [platform_point(args.workload, s, config, seed=seed) for s in schemes]
     results = dict(zip(schemes, map_points(specs, jobs=jobs)))
@@ -179,6 +193,25 @@ def cmd_profile(args: argparse.Namespace) -> int:
     )
     print(report.format())
     return 0
+
+
+def _export_dirs_ready(*paths: Optional[str]) -> bool:
+    """Create each export's parent directory, as ``search --out`` does.
+
+    Called before a campaign starts, so an export path that cannot be
+    written fails at once (exit 2) rather than after the whole run.
+    """
+    from pathlib import Path
+
+    for path in paths:
+        if path:
+            try:
+                Path(path).parent.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                reason = f"{exc.strerror}: {exc.filename}"
+                print(f"error: cannot write {path}: {reason}", file=sys.stderr)
+                return False
+    return True
 
 
 def _same_twice(first: str, second: str) -> bool:
@@ -263,6 +296,8 @@ def cmd_soak(args: argparse.Namespace) -> int:
         return 2
     if args.checkpoint_every < 1:
         print("error: --checkpoint-every must be >= 1", file=sys.stderr)
+        return 2
+    if not _export_dirs_ready(args.csv):
         return 2
     from repro.recovery import (
         InvariantViolation,
@@ -357,6 +392,8 @@ def _run_lab(
     """
     import json
 
+    if not _export_dirs_ready(args.csv, getattr(args, "json", None)):
+        return 2
     report = run()
     print(report.format())
     arm = on_arm(report)
@@ -561,6 +598,9 @@ def cmd_fleet_oracle(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.analysis.cli import add_lint_arguments, run_lint
+    from repro.platform.schemes import SCHEMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="IceClave (MICRO 2021) reproduction: run paper experiments",

@@ -21,7 +21,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.platform.config import PlatformConfig
 from repro.platform.metrics import RunResult
 from repro.platform.schemes import make_platform
-from repro.workloads import workload_by_name
 
 Spec = Tuple[str, Tuple[Any, ...]]
 
@@ -65,6 +64,8 @@ def _profile_for(workload: str, seed: Optional[int]) -> Any:
     key = (workload, seed)
     profile = _PROFILE_CACHE.get(key)
     if profile is None:
+        from repro.workloads import workload_by_name
+
         kwargs = {} if seed is None else {"seed": seed}
         profile = _PROFILE_CACHE[key] = workload_by_name(workload, **kwargs).run()
     return profile

@@ -18,13 +18,15 @@ application independently"); interference comes from the shared substrate:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.ftl.mapping_cache import MappingCache
 from repro.platform.config import PlatformConfig
 from repro.platform.metrics import RunResult
 from repro.platform.schemes import IceClavePlatform
-from repro.workloads.base import WorkloadProfile
+
+if TYPE_CHECKING:
+    from repro.workloads.base import WorkloadProfile
 
 MEMORY_INTERFERENCE_PER_TENANT = 0.09  # stall inflation per collocated tenant
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict, namedtuple
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.core.config import MIB
 from repro.core.mee import MemoryEncryptionEngine
@@ -43,7 +43,9 @@ from repro.platform.metrics import RunResult
 from repro.sim.engine import Engine
 from repro.sim.stats import register_memo
 from repro.query.trace import subsample_events
-from repro.workloads.base import WorkloadProfile
+
+if TYPE_CHECKING:
+    from repro.workloads.base import WorkloadProfile
 
 # Fraction of the dataset each workload actively re-references (hash
 # tables, hot tuples); drives the Figure 16 DRAM-capacity sensitivity.

@@ -4,25 +4,8 @@ Executes the paper's workloads (Table 4) for real over generated data while
 counting the work performed: rows touched, bytes moved, instruction
 estimates, and a sampled DRAM-level access trace that drives the MEE and
 cache simulations.
+
+The package exports no names: import from ``repro.query.table``,
+``.trace`` or ``.operators``. The platform schemes use ``.trace`` alone,
+and it must not pay for numpy, which ``.table`` loads.
 """
-
-from repro.query.table import Table
-from repro.query.trace import AccessTrace, TraceRecorder
-from repro.query.operators import (
-    OpStats,
-    aggregate,
-    filter_rows,
-    hash_join,
-    scan,
-)
-
-__all__ = [
-    "Table",
-    "AccessTrace",
-    "TraceRecorder",
-    "OpStats",
-    "aggregate",
-    "filter_rows",
-    "hash_join",
-    "scan",
-]

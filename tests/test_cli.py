@@ -97,3 +97,23 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {argv[-2]}: must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["resilience", "--seed", "7", "--quick"], "--csv"),
+            (["serve-lab", "--seed", "7", "--quick"], "--json"),
+            (["fleet-lab", "--seed", "42", "--quick"], "--csv"),
+            (["soak", "tpch-q1", "--ops", "50"], "--csv"),
+        ],
+        ids=["resilience", "serve-lab", "fleet-lab", "soak"],
+    )
+    def test_unwritable_export_fails_before_the_run(
+        self, capsys, monkeypatch, tmp_path, argv, flag
+    ):
+        monkeypatch.chdir(tmp_path)  # soak's default --state-dir lands here
+        open("blocker", "w").close()  # a file where the export's directory should be
+        assert main(argv + [flag, "blocker/out"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write blocker/out: ")

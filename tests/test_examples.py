@@ -5,6 +5,7 @@ the library evolves. They run the example mains in-process (faster than
 subprocesses, and coverage-visible).
 """
 
+import importlib
 import importlib.util
 import pathlib
 import sys
@@ -77,3 +78,21 @@ class TestExamples:
             if not any(t.startswith(script) for t in test_names)
         }
         assert not missing, f"examples without smoke tests: {missing}"
+
+
+def test_top_level_api_resolves_lazily():
+    import repro
+
+    # where each name is defined; a dict and a str do not record it
+    homes = {"ALL_WORKLOADS": "repro.workloads.base", "__version__": "repro"}
+    for name in repro.__all__:
+        value = getattr(repro, name)
+        home = homes[name] if name in homes else value.__module__
+        assert getattr(importlib.import_module(home), name) is value, name
+        assert vars(repro)[name] is value  # resolved once, then a plain global
+    namespace = {}
+    exec("from repro import *", namespace)
+    assert set(repro.__all__) <= set(namespace)
+    assert set(repro.__all__) <= set(dir(repro))
+    with pytest.raises(AttributeError):
+        repro.no_such_name

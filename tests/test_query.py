@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.query import OpStats, Table, TraceRecorder, aggregate, filter_rows, hash_join, scan
-from repro.query.operators import positional_join
+from repro.query.operators import (
+    OpStats,
+    aggregate,
+    filter_rows,
+    hash_join,
+    positional_join,
+    scan,
+)
+from repro.query.table import Table
+from repro.query.trace import TraceRecorder
 
 
 def make_table(n=100, seed=3):

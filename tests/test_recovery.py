@@ -485,7 +485,7 @@ class TestRecoveryCli:
         base = ["soak", "tpch-q1", "--ops", "200", "--checkpoint-every", "80",
                 "--state-dir", state_dir]
         assert main(base + ["--kill-at", "100"]) == SOAK_KILLED_EXIT
-        csv_path = str(tmp_path / "soak.csv")
+        csv_path = str(tmp_path / "new" / "soak.csv")  # soak creates the directory
         code = main(base + ["--verify", "--csv", csv_path])
         out = capsys.readouterr().out
         assert code == 0

@@ -524,7 +524,7 @@ class TestResilienceLab:
 
 class TestResilienceCli:
     def test_quick_run_exits_clean(self, capsys, tmp_path):
-        csv_path = tmp_path / "slo.csv"
+        csv_path = tmp_path / "new" / "slo.csv"  # the lab creates the directory
         assert repro_main([
             "resilience", "--quick", "--seed", "7", "--csv", str(csv_path),
         ]) == 0

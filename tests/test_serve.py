@@ -1,6 +1,7 @@
 """Tests for repro.serve: wire protocol, secure sessions, the offload
 service, the open-loop load generator, and the serve lab."""
 
+import fnmatch
 import gc
 import hashlib
 import os
@@ -612,12 +613,26 @@ class TestServeLab:
             gc.enable()
 
 
-def test_serve_and_fleet_do_not_import_asyncio():
+@pytest.mark.parametrize(
+    "code, forbidden",
+    [
+        ("import repro.serve, repro.fleet", "asyncio"),
+        # perfbench's setup_s probe: the start-up every `python -m repro` pays
+        ("import repro.cli\nfrom repro.platform import PlatformConfig\nPlatformConfig()",
+         "numpy"),
+        ("import repro.serve, repro.fleet, repro.resilience, repro.faults", "numpy"),
+        # subcommands import their packages inside cmd_*
+        ("import repro.cli", "repro.*"),
+    ],
+    ids=["serve-fleet-asyncio", "setup-probe-numpy", "labs-numpy", "cli-repro"],
+)
+def test_import_does_not_load(code, forbidden):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, repro.serve, repro.fleet; print('asyncio' in sys.modules)"],
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout == "False\n"
+    # the two modules `import repro.cli` loads by design
+    loaded = set(out.stdout.split()) - {"repro", "repro.cli"}
+    assert fnmatch.filter(loaded, forbidden) == []
