@@ -9,8 +9,7 @@ evaluates, as a behavioral simulation:
   with Bonsai Merkle trees, and the Trivium stream-cipher engine.
 - ``repro.flash`` / ``repro.ftl`` — the SSD substrate: discrete-event
   flash device and a page-level FTL with GC and wear leveling.
-- ``repro.cpu`` — processor timing models. ``repro.dram`` is a DDR3
-  bank-timing model exercised by its own tests only; platform runs charge
+- ``repro.cpu`` — processor timing models; memory stalls are charged at
   the core model's constant DRAM latency.
 - ``repro.workloads`` / ``repro.query`` — the Table 4 workloads, really
   executed by a miniature columnar query engine.

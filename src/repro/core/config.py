@@ -60,11 +60,6 @@ class IceClaveConfig:
             raise ValueError("DRAM must be larger than the reserved regions")
 
     @property
-    def normal_region_bytes(self) -> int:
-        """DRAM left for in-storage programs after the reserved regions."""
-        return self.dram_bytes - self.protected_region_bytes - self.secure_region_bytes
-
-    @property
     def minor_counter_limit(self) -> int:
         """Writes to one line before a minor counter overflows (2^bits)."""
         return 1 << self.minor_counter_bits

@@ -535,11 +535,6 @@ class MemoryEncryptionEngine:
             self.stats.verification_ops += 1
         self.stats.critical_latency_total += critical
 
-    @staticmethod
-    def _check_line(line: int) -> None:
-        if not 0 <= line < LINES_PER_PAGE:
-            raise ValueError(f"line {line} out of range [0, {LINES_PER_PAGE})")
-
     # -- aggregates -----------------------------------------------------------------
 
     def mean_access_overhead(self) -> float:
@@ -553,13 +548,6 @@ class MemoryEncryptionEngine:
         if not ops:
             return 0.0
         return self.stats.critical_latency_total / ops
-
-    def metadata_storage_bytes(self) -> int:
-        """Current counter storage footprint."""
-        line = self.config.cache_line_bytes
-        split = len(self._split) * line
-        major = math.ceil(len(self._major) / MAJOR_COUNTERS_PER_BLOCK) * line
-        return split + major
 
     # -- checkpoint/restore --------------------------------------------------------
 

@@ -159,11 +159,6 @@ class IceClaveRuntime:
                 self.config.context_switch_time
                 + self.ftl.geometry.page_bytes / 600e6  # transfer
             )
-            if self.ftl.translation_store is not None:
-                # DFTL mode: really fetch the translation page from flash
-                self.ftl.translation_store.fetch(
-                    self.ftl.translation_store.translation_page_of(lpa)
-                )
         try:
             return self.ftl.translate(lpa, tee_id=tee.eid)
         # repro: allow[sec-broad-except] -- §4.5 ThrowOutTEE: every translation failure aborts the TEE
@@ -172,9 +167,6 @@ class IceClaveRuntime:
             raise TeeAbort(tee.eid, str(exc)) from exc
 
     # -- introspection --------------------------------------------------------
-
-    def live_tees(self) -> List[Tee]:
-        return [tee for tee in self.tees.values() if tee.is_live()]
 
     def translation_miss_rate(self) -> float:
         """Global mapping-cache miss rate (paper: 0.17%)."""

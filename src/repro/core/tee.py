@@ -56,10 +56,6 @@ class Tee:
             raise ValueError("a TEE needs program code")
         self.measurement = hashlib.blake2b(self.code, digest_size=16).digest()
 
-    @property
-    def code_size(self) -> int:
-        return len(self.code)
-
     def is_live(self) -> bool:
         return self.state in (TeeState.CREATED, TeeState.READY, TeeState.RUNNING)
 
@@ -84,6 +80,3 @@ class Tee:
         offset = self._heap_used
         self._heap_used += nbytes
         return offset
-
-    def heap_used(self) -> int:
-        return self._heap_used

@@ -56,7 +56,3 @@ class CoreModel:
         per_miss = self.dram_latency_s + extra_memory_latency_s
         stall_seconds = misses * per_miss / self.mlp
         return issue_cycles / self.frequency_hz + stall_seconds
-
-    def mips(self) -> float:
-        """Peak instruction throughput in millions/second."""
-        return self.frequency_hz * self.base_ipc / 1e6

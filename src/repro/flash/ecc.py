@@ -82,9 +82,6 @@ class EccModel:
             raise ValueError("need errors >= 0 and reads >= 1")
         self._forced.extend([errors] * reads)
 
-    def pending_injections(self) -> int:
-        return len(self._forced)
-
     def check_read(self, wear: int) -> int:
         """Run a page read through ECC; returns corrected bit count.
 

@@ -55,7 +55,6 @@ class FlashGeometry:
         planes = dies * self.planes_per_die
         blocks = planes * self.blocks_per_plane
         pages = blocks * self.pages_per_block
-        object.__setattr__(self, "_total_chips", chips)
         object.__setattr__(self, "_total_dies", dies)
         object.__setattr__(self, "_total_planes", planes)
         object.__setattr__(self, "_total_blocks", blocks)
@@ -64,10 +63,6 @@ class FlashGeometry:
     # -- aggregate sizes (instance attrs precomputed in __post_init__;
     # deliberately not annotated so the dataclass does not treat them as
     # fields) --------------------------------------------------------------
-
-    @property
-    def total_chips(self) -> int:
-        return self._total_chips
 
     @property
     def total_dies(self) -> int:
@@ -88,10 +83,6 @@ class FlashGeometry:
     @property
     def capacity_bytes(self) -> int:
         return self._total_pages * self.page_bytes
-
-    @property
-    def block_bytes(self) -> int:
-        return self.pages_per_block * self.page_bytes
 
     # -- address arithmetic -------------------------------------------------
     #

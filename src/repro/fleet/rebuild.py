@@ -22,7 +22,7 @@ State machine per key (tracked implicitly by ``holders`` and the queue):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List
 
 from repro.fleet.device import FleetDevice
 from repro.fleet.topology import FleetTopology
@@ -243,18 +243,6 @@ class RebuildManager:
         self.counters = {key: value for key, value in state["counters"]}
         self.under_replicated_key_seconds = state["under_replicated_key_seconds"]
         self.max_under_replicated = state["max_under_replicated"]
-
-    def summary_rows(self) -> List[Tuple[str, str]]:
-        """Deterministic (name, value) rows for reports and CSV export."""
-        rows: List[Tuple[str, str]] = [
-            ("under_replicated_now", str(self._under)),
-            ("max_under_replicated", str(self.max_under_replicated)),
-            ("under_replicated_key_seconds", repr(self.under_replicated_key_seconds)),
-            ("keys_lost", str(self.keys_lost)),
-            ("rebuild_pending", str(self.pending)),
-        ]
-        rows.extend((name, str(self.counters[name])) for name in sorted(self.counters))
-        return rows
 
 
 __all__ = ["RebuildManager"]

@@ -80,9 +80,6 @@ class FleetTopology:
 
     # -- membership ------------------------------------------------------------
 
-    def is_alive(self, device_id: int) -> bool:
-        return self._alive[device_id]
-
     def alive_devices(self) -> List[int]:
         return [d for d in self.device_ids if self._alive[d]]
 

@@ -9,7 +9,7 @@ discrete-event device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.flash.chip import FlashChip
@@ -73,7 +73,6 @@ class RecoveryReport:
     pages_scanned: int = 0
     mappings_recovered: int = 0
     stale_copies_discarded: int = 0
-    translation_pages_scanned: int = 0
     scan_latency: float = 0.0
 
 
@@ -99,7 +98,6 @@ class FtlStats:
     gc_erases: int = 0
     wl_migrations: int = 0
     disturb_refreshes: int = 0
-    background_collections: int = 0
 
     def snapshot_state(self) -> Dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -139,10 +137,6 @@ class Ftl:
         )
         self.read_disturb_threshold = read_disturb_threshold
         self._block_read_counts: dict = {}
-        # optional DFTL translation-page store (see attach_translation_store)
-        self.translation_store = None
-        self._dirty_translation_pages: set = set()
-        self.translation_writeback_batch = 64
         self.stats = FtlStats()
         # optional reliability machinery (see attach_reliability)
         self.ecc: Optional[EccModel] = None
@@ -304,8 +298,7 @@ class Ftl:
         - **OOB agreement** — the on-flash journal (LPA + owner in each
           page's OOB) matches the DRAM mapping it would be rebuilt from;
         - **valid-page accounting** — every VALID data page is reachable
-          from the mapping (no leaked/orphaned valid pages), translation
-          blocks excluded.
+          from the mapping (no leaked/orphaned valid pages).
 
         Pure read-only check; callers decide whether problems are fatal
         (power-loss rebuild raises :class:`MappingIntegrityError`, the
@@ -347,9 +340,8 @@ class Ftl:
                         f"OOB owner {oob.owner} != mapping owner {entry.owner} "
                         f"for LPA {lpa} (PPA {ppa})"
                     )
-        reserved = set(self.translation_store.blocks) if self.translation_store else set()
         for block in range(self.geometry.total_blocks):
-            if block in reserved or self.chip.block_on_failed_die(block):
+            if self.chip.block_on_failed_die(block):
                 continue
             if self.chip.write_cursor(block) == 0:
                 continue
@@ -372,26 +364,22 @@ class Ftl:
     def recover_from_power_loss(self) -> RecoveryReport:
         """Rebuild every DRAM-resident structure after a power cut.
 
-        The mapping table, read-disturb counts, dirty-translation set and
-        allocator cursors all live in (lost) SSD DRAM. Flash state survives,
-        and every data page's OOB area names its LPA, owner and a monotonic
-        write sequence number — so the mapping is rebuilt by journal replay:
-        scan all surviving pages, keep the newest copy of each LPA, and
-        invalidate stale duplicates a power cut mid-GC may have left behind.
-        With a DFTL store attached its GTD is recovered the same way
-        (:meth:`~repro.ftl.translation_store.TranslationStore.recover`).
+        The mapping table, read-disturb counts and allocator cursors all
+        live in (lost) SSD DRAM. Flash state survives, and every data page's
+        OOB area names its LPA, owner and a monotonic write sequence number
+        — so the mapping is rebuilt by journal replay: scan all surviving
+        pages, keep the newest copy of each LPA, and invalidate stale
+        duplicates a power cut mid-GC may have left behind.
         """
         report = RecoveryReport()
         self._block_read_counts.clear()
-        self._dirty_translation_pages.clear()
         self.mapping.clear()
         from repro.flash.chip import PageState
 
         best: Dict[int, Tuple[int, int, int]] = {}  # lpa -> (seq, ppa, owner)
         stale: List[int] = []
-        reserved = set(self.translation_store.blocks) if self.translation_store else set()
         for block in range(self.geometry.total_blocks):
-            if block in reserved or self.chip.block_on_failed_die(block):
+            if self.chip.block_on_failed_die(block):
                 continue
             if self.chip.write_cursor(block) == 0:
                 continue  # pristine block: nothing to scan
@@ -415,9 +403,7 @@ class Ftl:
             self.mapping.update(lpa, ppa, owner=owner)
         report.mappings_recovered = len(best)
         report.stale_copies_discarded = len(stale)
-        self.allocator.rebuild_from_chip(exclude_blocks=reserved)
-        if self.translation_store is not None:
-            report.translation_pages_scanned = self.translation_store.recover()
+        self.allocator.rebuild_from_chip()
         report.scan_latency = report.pages_scanned * self.recovery_scan_latency_per_page
         # the rebuilt map must satisfy the bijectivity/accounting invariants;
         # a recovery that produced a corrupt map fails loudly (structured
@@ -500,7 +486,6 @@ class Ftl:
             self.chip.invalidate(old_ppa)
         cost.ppa = new_ppa
         self.stats.host_writes += 1
-        self._note_translation_dirty(lpa, cost)
 
         gc_total = GcResult()
         plane = self.geometry.plane_index(new_ppa)
@@ -527,61 +512,11 @@ class Ftl:
                 monitor.after_ftl_step(self, "wear_level")
         return cost
 
-    def attach_translation_store(self, store) -> None:
-        """Enable DFTL mode: translation pages live on flash (see
-        :class:`~repro.ftl.translation_store.TranslationStore`)."""
-        self.translation_store = store
-
-    def _note_translation_dirty(self, lpa: int, cost: FtlOpCost) -> None:
-        """Mapping updates dirty their translation page; dirty pages are
-        written back in batches, and that flash traffic rides on the
-        triggering host write's cost."""
-        if self.translation_store is None:
-            return
-        self._dirty_translation_pages.add(self.translation_store.translation_page_of(lpa))
-        if len(self._dirty_translation_pages) >= self.translation_writeback_batch:
-            for tpage in sorted(self._dirty_translation_pages):
-                self.translation_store.writeback(tpage)
-                cost.page_programs += 1
-            self._dirty_translation_pages.clear()
-
-    def background_collect(self, soft_watermark: int = 4, max_blocks: int = 1) -> GcResult:
-        """Idle-time GC: reclaim ahead of demand to avoid foreground stalls.
-
-        Collects the emptiest victims in planes whose free-block count has
-        fallen to ``soft_watermark`` (a level above the hard watermark that
-        foreground writes trigger on). Bounded by ``max_blocks`` erases per
-        call so idle work stays preemptible.
-        """
-        if soft_watermark <= self.gc.free_block_watermark:
-            raise ValueError("soft watermark must exceed the foreground watermark")
-        result = GcResult()
-        for plane in range(self.geometry.total_planes):
-            if result.blocks_erased >= max_blocks:
-                break
-            if self.allocator.free_blocks_in_plane(plane) > soft_watermark:
-                continue
-            victim = self.gc.pick_victim(plane)
-            if victim is None:
-                continue
-            self.gc._reclaim(victim, plane, result)
-        if result.blocks_erased:
-            self.stats.background_collections += 1
-            self.stats.gc_relocations += result.pages_relocated
-            self.stats.gc_erases += result.blocks_erased
-        return result
-
     def trim(self, lpa: int) -> None:
         """Discard a logical page's mapping and invalidate its flash page."""
         ppa = self.mapping.unmap(lpa)
         if ppa is not None:
             self.chip.invalidate(ppa)
-
-    # -- bulk helpers -------------------------------------------------------
-
-    def write_sequential(self, start_lpa: int, count: int, owner: Optional[int] = None) -> List[FtlOpCost]:
-        """Write ``count`` consecutive logical pages (dataset population)."""
-        return [self.write(start_lpa + i, owner=owner) for i in range(count)]
 
     def utilization(self) -> float:
         """Fraction of logical space currently mapped."""
@@ -590,18 +525,7 @@ class Ftl:
     # -- checkpoint/restore -------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """Whole-FTL state: media, map, allocator, collectors and counters.
-
-        DFTL mode is excluded by design: translation pages already live on
-        flash and are rebuilt by ``translation_store.recover()``, so a
-        checkpoint of that configuration would duplicate (and could
-        contradict) the on-media journal.
-        """
-        if self.translation_store is not None:
-            raise RuntimeError(
-                "cannot snapshot an FTL with an attached translation store; "
-                "DFTL state is rebuilt from flash by its own recover() path"
-            )
+        """Whole-FTL state: media, map, allocator, collectors and counters."""
         return {
             "chip": self.chip.snapshot_state(),
             "mapping": self.mapping.snapshot_state(),
@@ -610,8 +534,6 @@ class Ftl:
             "wear_leveler": self.wear_leveler.snapshot_state(),
             "stats": self.stats.snapshot_state(),
             "block_read_counts": sorted(self._block_read_counts.items()),
-            "dirty_translation_pages": sorted(self._dirty_translation_pages),
-            "translation_writeback_batch": self.translation_writeback_batch,
             "recovery_scan_latency_per_page": self.recovery_scan_latency_per_page,
             "ecc": self.ecc.snapshot_state() if self.ecc is not None else None,
             "reliability": (
@@ -627,8 +549,6 @@ class Ftl:
         self.wear_leveler.restore_state(state["wear_leveler"])
         self.stats.restore_state(state["stats"])
         self._block_read_counts = {block: count for block, count in state["block_read_counts"]}
-        self._dirty_translation_pages = set(state["dirty_translation_pages"])
-        self.translation_writeback_batch = state["translation_writeback_batch"]
         self.recovery_scan_latency_per_page = state["recovery_scan_latency_per_page"]
         if state["ecc"] is not None:
             if self.ecc is None:

@@ -68,12 +68,6 @@ class PageAllocator:
         plane = block // self.geometry.blocks_per_plane
         return self._active_block[plane] == block
 
-    def take_block(self, plane: int) -> Optional[int]:
-        """Remove and return a free block from a plane (for wear leveling)."""
-        if not self._free_blocks[plane]:
-            return None
-        return self._free_blocks[plane].popleft()
-
     def least_worn_free_block(self, plane: int) -> Optional[int]:
         """Pop the least-worn free block of a plane (wear-aware allocation)."""
         pool = self._free_blocks[plane]
@@ -101,19 +95,15 @@ class PageAllocator:
                 lost += 1
         return lost
 
-    def quarantined_planes(self) -> Set[int]:
-        return set(self._quarantined)
-
-    def rebuild_from_chip(self, exclude_blocks: Optional[Set[int]] = None) -> None:
+    def rebuild_from_chip(self) -> None:
         """Reconstruct allocator state by scanning the chip (power-loss path).
 
         Blocks whose write cursor is 0 return to the free pool; the
         partially-programmed block with the most free tail pages becomes the
         plane's active block (real FTLs pad the others closed — their free
-        tail is unreachable until GC erases them). Quarantined planes and
-        ``exclude_blocks`` (e.g. translation-store reservations) are skipped.
+        tail is unreachable until GC erases them). Quarantined planes are
+        skipped.
         """
-        exclude = exclude_blocks or set()
         bpp = self.geometry.blocks_per_plane
         ppb = self.geometry.pages_per_block
         for plane in range(self.geometry.total_planes):
@@ -125,8 +115,6 @@ class PageAllocator:
             best_partial = None
             best_free_tail = 0
             for block in range(plane * bpp, (plane + 1) * bpp):
-                if block in exclude:
-                    continue
                 cursor = self.chip.write_cursor(block)
                 if cursor == 0:
                     self._free_blocks[plane].append(block)

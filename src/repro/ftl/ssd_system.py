@@ -30,12 +30,8 @@ class IoStats:
     reads_issued: int = 0
     writes_issued: int = 0
     writes_refused_degraded: int = 0
-    read_latency: Histogram = field(
-        default_factory=lambda: Histogram("read", keep_samples=True)
-    )
-    write_latency: Histogram = field(
-        default_factory=lambda: Histogram("write", keep_samples=True)
-    )
+    read_latency: Histogram = field(default_factory=lambda: Histogram("read"))
+    write_latency: Histogram = field(default_factory=lambda: Histogram("write"))
     gc_stalled_writes: int = 0
 
 
@@ -60,10 +56,6 @@ class SsdSystem:
         self.stats = IoStats()
         self.degradation = degradation
         self.slo = slo
-
-    def attach_slo(self, tracker) -> None:
-        """Record every completed read/write into an SLO tracker."""
-        self.slo = tracker
 
     # -- logical requests -----------------------------------------------------
 
@@ -162,13 +154,6 @@ class SsdSystem:
     def p99_style_max_write(self) -> float:
         """Worst observed write latency (GC pauses surface here)."""
         return self.stats.write_latency.max or 0.0
-
-    def read_latency_percentile(self, pct: float) -> float:
-        """Exact read-latency percentile over the finished run."""
-        return self.stats.read_latency.percentile(pct)
-
-    def write_latency_percentile(self, pct: float) -> float:
-        return self.stats.write_latency.percentile(pct)
 
     def write_amplification(self) -> float:
         """Physical writes per host write since the system was created."""

@@ -10,7 +10,7 @@ so the cold block (young, rarely erased) re-enters circulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.flash.chip import FlashChip, PageState
 from repro.flash.geometry import FlashGeometry
@@ -122,13 +122,3 @@ class WearLeveler:
 
     def restore_state(self, state: dict) -> None:
         self.total_migrations = state["total_migrations"]
-
-    def wear_histogram(self, bins: int = 10) -> List[int]:
-        """Histogram of per-block wear; handy for uniformity assertions."""
-        _, max_wear, _ = self.wear_stats()
-        counts = [0] * bins
-        width = max(1, (max_wear + 1 + bins - 1) // bins)
-        for block in range(self.geometry.total_blocks):
-            wear = self.chip.wear_of(block)
-            counts[min(bins - 1, wear // width)] += 1
-        return counts

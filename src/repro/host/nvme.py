@@ -345,11 +345,8 @@ class NvmeQueuePair:
         self.error_completions = state["error_completions"]
         self.timeouts = state["timeouts"]
         self.admission_rejections = state["admission_rejections"]
-        # older snapshots predate the drain-aware aggregates: derive them
-        self.completed_count = state.get("completed_count", len(self.completed))
-        self.completed_bytes = state.get(
-            "completed_bytes", sum(c.nbytes for c in self.completed)
-        )
+        self.completed_count = state["completed_count"]
+        self.completed_bytes = state["completed_bytes"]
 
     def throughput_bytes_per_s(self) -> float:
         """Sustained data throughput over the finished run.

@@ -38,12 +38,6 @@ class RunResult:
     # went through repro.recovery); filled from sim.stats.RecoveryStats
     recovery: Dict[str, float] = field(default_factory=dict)
 
-    def record_reliability(self, reliability_stats) -> None:
-        """Attach a :class:`~repro.sim.stats.ReliabilityStats` snapshot."""
-        self.reliability = {
-            k: float(v) for k, v in reliability_stats.as_dict().items()
-        }
-
     def record_recovery(self, recovery_stats) -> None:
         """Attach a :class:`~repro.sim.stats.RecoveryStats` snapshot."""
         self.recovery = {k: float(v) for k, v in recovery_stats.as_dict().items()}

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -29,10 +29,6 @@ class Table:
         except KeyError:
             known = ", ".join(sorted(self.columns))
             raise KeyError(f"table {self.name} has no column '{name}' (has: {known})") from None
-
-    @property
-    def column_names(self) -> List[str]:
-        return list(self.columns)
 
     def row_bytes(self) -> int:
         """Bytes per row across all columns."""

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Tuple
 
 #: Bump on any change to a participating ``snapshot_state()`` payload shape.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _FORMAT_MARKER = "repro-snapshot"
 

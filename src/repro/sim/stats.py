@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 
 @dataclass
@@ -116,10 +115,6 @@ class SimBudget:
         self.spent_ops = 0
 
     @property
-    def remaining_ops(self) -> int:
-        return max(0, self.total_ops - self.spent_ops)
-
-    @property
     def exhausted(self) -> bool:
         return self.spent_ops >= self.total_ops
 
@@ -143,7 +138,7 @@ def register_memo(name: str, cached_func: Any) -> Any:
     """Register an ``lru_cache``-wrapped function for hit-rate reporting.
 
     Returns the function unchanged so it can be used as a decorator tail:
-    ``helper = register_memo("dram.timing", lru_cache(...)(helper))``.
+    ``helper = register_memo("area.cacti.engine_mm2", lru_cache(...)(helper))``.
     """
     _MEMO_FUNCS[name] = cached_func.cache_info
     return cached_func
@@ -233,10 +228,6 @@ class Histogram:
         if self._samples is not None:
             self._samples.append(value)
 
-    def record_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.record(value)
-
     @property
     def mean(self) -> float:
         return self._mean if self.count else 0.0
@@ -244,10 +235,6 @@ class Histogram:
     @property
     def variance(self) -> float:
         return self._m2 / self.count if self.count else 0.0
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
 
     @property
     def total(self) -> float:

@@ -31,10 +31,6 @@ class WorkloadProfile:
         return self.trace.cpu_reads
 
     @property
-    def mem_writes(self) -> int:
-        return self.trace.cpu_writes
-
-    @property
     def dram_accesses(self) -> int:
         return self.trace.dram_accesses
 
@@ -42,10 +38,6 @@ class WorkloadProfile:
     def write_ratio(self) -> float:
         """Table 1: fraction of memory accesses that are writes."""
         return self.trace.write_ratio
-
-    @property
-    def instructions_per_byte(self) -> float:
-        return self.instructions / self.input_bytes if self.input_bytes else 0.0
 
     def scaled(self, target_input_bytes: int) -> "WorkloadProfile":
         """Extrapolate counts to a larger dataset (same trace sample).

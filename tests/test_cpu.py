@@ -1,82 +1,9 @@
-"""Tests for cache hierarchy and analytic core models."""
+"""Tests for the analytic core models."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cpu import (
-    Cache,
-    CacheHierarchy,
-    CORTEX_A53,
-    CORTEX_A72,
-    INTEL_I7_7700K,
-    core_by_name,
-)
-
-
-class TestCache:
-    def test_hit_after_fill(self):
-        cache = Cache("L1", 1024, assoc=2)
-        assert cache.access(0) is False
-        assert cache.access(0) is True
-
-    def test_line_granularity(self):
-        cache = Cache("L1", 1024, assoc=2, line_bytes=64)
-        cache.access(0)
-        assert cache.access(63) is True  # same line
-        assert cache.access(64) is False  # next line
-
-    def test_lru_within_set(self):
-        # 2-way, force 3 tags into one set
-        cache = Cache("L1", 2 * 64, assoc=2, line_bytes=64)  # a single set
-        cache.access(0)
-        cache.access(64)
-        cache.access(0)  # refresh tag 0; tag 1 is LRU
-        cache.access(128)  # evicts tag 1
-        assert cache.access(0) is True
-        assert cache.access(64) is False
-
-    def test_capacity_eviction(self):
-        cache = Cache("L1", 1024, assoc=2)
-        lines = 1024 // 64
-        for i in range(lines * 3):
-            cache.access(i * 64)
-        assert cache.access(0) is False  # long since evicted
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            Cache("x", 0, 1)
-        with pytest.raises(ValueError):
-            Cache("x", 100, 3, line_bytes=64)
-
-    def test_hit_rate(self):
-        cache = Cache("L1", 4096, assoc=4)
-        for _ in range(4):
-            for i in range(8):
-                cache.access(i * 64)
-        assert cache.hit_rate == pytest.approx(24 / 32)
-
-
-class TestHierarchy:
-    def test_l2_catches_l1_evictions(self):
-        h = CacheHierarchy([Cache("L1", 512, 2), Cache("L2", 64 * 1024, 8)])
-        footprint = 128  # lines; way over L1 (8 lines), well within L2
-        for _ in range(2):
-            for i in range(footprint):
-                h.access(i * 64)
-        # second pass should hit mostly in L2
-        rates = {c.name: c.hit_rate for c in h.levels}
-        assert rates["L2"] > 0.4
-
-    def test_run_trace_reports_memory_rate(self):
-        h = CacheHierarchy([Cache("L1", 512, 2)])
-        rates = h.run_trace([i * 64 for i in range(100)])
-        assert rates["memory"] == pytest.approx(1.0)  # pure streaming misses
-
-    def test_small_working_set_stays_in_l1(self):
-        h = CacheHierarchy()
-        trace = [(i % 8) * 64 for i in range(1000)]
-        rates = h.run_trace(trace)
-        assert rates["memory"] < 0.01
+from repro.cpu import CORTEX_A53, CORTEX_A72, INTEL_I7_7700K, core_by_name
 
 
 class TestCoreModel:
@@ -124,42 +51,3 @@ class TestCoreModel:
         t2 = CORTEX_A72.with_frequency(freq * 2).compute_time(1e8, 1e6)
         assert t2 < t
 
-
-class TestPrefetcher:
-    def test_streaming_hit_rate_improves(self):
-        from repro.cpu import NextLinePrefetcher
-        plain = CacheHierarchy([Cache("L1", 4096, 4)])
-        pf = CacheHierarchy([Cache("L1", 4096, 4)],
-                            prefetcher=NextLinePrefetcher(degree=1))
-        trace = [i * 64 for i in range(2000)]
-        plain_rates = plain.run_trace(trace)
-        pf_rates = pf.run_trace(trace)
-        assert pf_rates["memory"] < plain_rates["memory"] * 0.75
-
-    def test_random_trace_not_helped(self):
-        from repro.cpu import NextLinePrefetcher
-        from repro.crypto.prng import XorShift64
-        rng = XorShift64(5)
-        trace = [rng.next_below(1 << 24) * 64 for _ in range(2000)]
-        plain = CacheHierarchy([Cache("L1", 4096, 4)])
-        pf = CacheHierarchy([Cache("L1", 4096, 4)],
-                            prefetcher=NextLinePrefetcher(degree=1))
-        p_rates = plain.run_trace(list(trace))
-        f_rates = pf.run_trace(list(trace))
-        assert abs(f_rates["memory"] - p_rates["memory"]) < 0.05
-
-    def test_degree_counts_prefetches(self):
-        from repro.cpu import NextLinePrefetcher
-        pf = NextLinePrefetcher(degree=2)
-        addrs = pf.on_miss(0)
-        assert addrs == [64, 128]
-        assert pf.prefetches_issued == 2
-
-    def test_degree_zero_is_noop(self):
-        from repro.cpu import NextLinePrefetcher
-        assert NextLinePrefetcher(degree=0).on_miss(0) == []
-
-    def test_negative_degree_rejected(self):
-        from repro.cpu import NextLinePrefetcher
-        with pytest.raises(ValueError):
-            NextLinePrefetcher(degree=-1)

@@ -1,4 +1,4 @@
-"""Tests for FTL maintenance machinery: read-disturb refresh, background GC."""
+"""Tests for FTL maintenance machinery: read-disturb refresh."""
 
 import pytest
 
@@ -72,53 +72,3 @@ class TestReadDisturb:
         with pytest.raises(ValueError):
             Ftl(geo, chip=FlashChip(geo), read_disturb_threshold=0)
 
-
-class TestBackgroundGc:
-    def make_churned_ftl(self):
-        geo = tiny_geometry()
-        ftl = Ftl(geo, chip=FlashChip(geo), gc_watermark=1)
-        # burn through most free blocks with a hot working set
-        for i in range(geo.total_pages - 24):
-            ftl.write(i % 4)
-        return ftl
-
-    def test_background_gc_reclaims(self):
-        ftl = self.make_churned_ftl()
-        free_before = ftl.allocator.total_free_blocks()
-        result = ftl.background_collect(soft_watermark=6, max_blocks=2)
-        assert result.blocks_erased >= 1
-        assert ftl.allocator.total_free_blocks() >= free_before
-        assert ftl.stats.background_collections == 1
-
-    def test_bounded_per_call(self):
-        ftl = self.make_churned_ftl()
-        result = ftl.background_collect(soft_watermark=6, max_blocks=1)
-        assert result.blocks_erased <= 1
-
-    def test_background_gc_reduces_foreground_stalls(self):
-        """Proactive reclamation means later writes rarely trigger GC."""
-        def churn(background):
-            geo = tiny_geometry()
-            ftl = Ftl(geo, chip=FlashChip(geo), gc_watermark=1)
-            foreground = 0
-            for i in range(geo.total_pages * 3):
-                cost = ftl.write(i % 4)
-                if cost.gc is not None:
-                    foreground += 1
-                if background and i % 4 == 0:
-                    ftl.background_collect(soft_watermark=5, max_blocks=1)
-            return foreground
-
-        assert churn(background=True) < churn(background=False)
-
-    def test_idle_system_noop(self):
-        geo = tiny_geometry()
-        ftl = Ftl(geo, chip=FlashChip(geo))
-        result = ftl.background_collect(soft_watermark=4)
-        assert result.blocks_erased == 0
-        assert ftl.stats.background_collections == 0
-
-    def test_soft_watermark_must_exceed_hard(self):
-        ftl = self.make_churned_ftl()
-        with pytest.raises(ValueError):
-            ftl.background_collect(soft_watermark=1)

@@ -203,29 +203,16 @@ class TestMemoRegistry:
     def test_registered_memos_present(self):
         # importing the modules registers their caches
         import repro.area.cacti  # noqa: F401
-        import repro.dram.timing  # noqa: F401
         import repro.platform.schemes  # noqa: F401
 
         stats = memo_cache_stats()
         for name in (
             "area.cacti.engine_mm2",
             "area.cacti.page_energy",
-            "dram.timing.bank_cycles",
             "platform.mee_overhead",
         ):
             assert name in stats, name
             assert set(stats[name]) == {"hits", "misses", "size"}
-
-    def test_bank_cycles_cache_hits(self):
-        from repro.dram.timing import DramTiming, bank_cycles
-
-        timing = DramTiming()
-        before = bank_cycles.cache_info()
-        first = bank_cycles(timing)
-        second = bank_cycles(timing)
-        after = bank_cycles.cache_info()
-        assert first == second
-        assert after.hits >= before.hits + 1
 
     def test_mee_overhead_memo_hits_on_repeat_run(self):
         from repro.platform.schemes import _mee_overhead_memo, make_platform

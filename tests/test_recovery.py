@@ -113,13 +113,13 @@ class TestSnapshotFile:
     # Pinned format regression: this digest only moves when the canonical
     # encoding or the fingerprinted envelope changes — both of which
     # require a SNAPSHOT_VERSION bump (docs/RECOVERY.md).
-    PINNED = "9ade8ee90bcce22308ecdc4c1d98c131c6802bd9b1252c6476c2ef58e6f28511"
+    PINNED = "87c89d72dbc898bf4e5640e36251df82939e2e548c1856d30bce64bc397f554f"
 
     def _snap(self):
         return Snapshot(kind="format-regression", meta={"seed": 7}, state=self.STATE)
 
     def test_format_fingerprint_is_pinned(self):
-        assert SNAPSHOT_VERSION == 1
+        assert SNAPSHOT_VERSION == 2
         assert self._snap().fingerprint() == self.PINNED
 
     def test_round_trip(self, tmp_path):

@@ -521,6 +521,22 @@ class TestResilienceLab:
         other = run_resilience(seed=8, ops=600)
         assert other.fingerprint() != self.first.fingerprint()
 
+    def test_settle_compares_no_requests(self, monkeypatch):
+        """Settling a request is a lookup by rid, not a field-wise scan of
+        every live request (which made the lab quadratic in --ops)."""
+        from repro.resilience import lab
+
+        calls = []
+        original = lab._Request.__eq__
+
+        def counting_eq(self, other):
+            calls.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(lab._Request, "__eq__", counting_eq)
+        run_resilience(seed=7, ops=600)
+        assert len(calls) == 0
+
 
 class TestResilienceCli:
     def test_quick_run_exits_clean(self, capsys, tmp_path):
