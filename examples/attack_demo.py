@@ -18,7 +18,7 @@ from repro.core import (
     World,
 )
 from repro.core.config import MIB
-from repro.core.mee import FunctionalMee
+from repro.core.functional_mee import FunctionalMee
 from repro.flash import FlashChip
 from repro.flash.geometry import small_geometry
 from repro.ftl import Ftl

@@ -10,7 +10,11 @@ lists) so CI can diff two runs byte-for-byte and archive the artifact:
   counts, the documented ``LAYER_ALLOWED`` DAG, and the two drift sets —
   ``undocumented`` (observed but not granted: `sec-layering` findings) and
   ``unused_grants`` (granted but never observed: `flow-layer-drift`
-  findings).
+  findings);
+- ``key_tcb``: the scanned modules the key TCB admits (those
+  `sec-key-containment` lets hold keys and cipher primitives) and their
+  total line count — the size of the trusted code, tracked so it can
+  only grow on purpose.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ import json
 from typing import Any, Dict, List, Set
 
 from repro.analysis.flow.symbols import ProjectIndex
-from repro.analysis.rules.security import LAYER_ALLOWED
+from repro.analysis.rules.security import LAYER_ALLOWED, _in_key_tcb
 
-GRAPH_VERSION = 1
+GRAPH_VERSION = 2
 
 
 def build_graph(index: ProjectIndex) -> Dict[str, Any]:
@@ -55,6 +59,11 @@ def build_graph(index: ProjectIndex) -> Dict[str, Any]:
         for dep in deps
         if dep in present and (pkg, dep) not in index.package_edges
     )
+    key_tcb = [
+        (key, len(info.ctx.lines))
+        for key, info in sorted(index.modules.items())
+        if _in_key_tcb(info.ctx)
+    ]
     return {
         "version": GRAPH_VERSION,
         "modules": {key: list(imports) for key, imports in sorted(index.module_imports.items())},
@@ -64,6 +73,10 @@ def build_graph(index: ProjectIndex) -> Dict[str, Any]:
             "documented": documented,
             "undocumented": undocumented,
             "unused_grants": unused_grants,
+        },
+        "key_tcb": {
+            "modules": [key for key, _ in key_tcb],
+            "lines": sum(lines for _, lines in key_tcb),
         },
     }
 

@@ -59,7 +59,6 @@ SECRET_SOURCE_QNAMES: FrozenSet[str] = frozenset(
 SECRET_CLASS_QNAMES: FrozenSet[str] = frozenset(
     {
         "repro.crypto.aes.AES128",
-        "repro.crypto.trivium.Trivium",
         "repro.crypto.trivium_fast.TriviumFast",
     }
 )

@@ -10,7 +10,8 @@ objects and answers three questions the interprocedural rules need:
 - what does a given ``ast.Call`` inside a given function resolve to
   (import aliases, ``self.method``, module-level names, and — as a
   deliberately over-approximate fallback — any method of the same name
-  anywhere in the project);
+  anywhere in the project, unless the receiver is a builtin container the
+  function or its class's ``__init__`` declared or built);
 - which module/package imports which (the observed layer graph that
   ``flow-layer-drift`` diffs against the documented DAG).
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.context import ModuleContext, dotted_source
 
@@ -33,6 +34,17 @@ FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 # `meth`; past this many candidates the name is too generic to be a useful
 # edge and we drop it rather than spray taint across the project.
 _MAX_NAME_CANDIDATES = 6
+
+# A receiver annotated as, or built as, one of these builtin containers
+# never takes the same-name fallback: `state.get(k)` on a `state: dict` is
+# dict.get, not some project class's `get`.
+_CONTAINER_TYPES = frozenset(
+    {"dict", "list", "set", "frozenset", "tuple", "Dict", "List", "Set", "FrozenSet", "Tuple"}
+)
+_CONTAINER_CALLS = frozenset({"dict", "list", "set", "frozenset", "tuple", "sorted"})
+_CONTAINER_DISPLAYS = (
+    ast.Dict, ast.List, ast.Set, ast.Tuple, ast.DictComp, ast.ListComp, ast.SetComp
+)
 
 
 @dataclass
@@ -46,6 +58,9 @@ class FunctionInfo:
     node: FunctionNode
     ctx: ModuleContext
     params: Tuple[str, ...] = ()  # positional params, `self`/`cls` included
+    # names and `self.X` attributes every binding in the function makes a
+    # builtin container
+    containers: FrozenSet[str] = frozenset()
 
     @property
     def is_method(self) -> bool:
@@ -95,6 +110,56 @@ def _params_of(node: FunctionNode) -> Tuple[str, ...]:
         names.append(args.vararg.arg)
     names.extend(a.arg for a in args.kwonlyargs)
     return tuple(names)
+
+
+def _is_container_annotation(node: ast.expr) -> bool:
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return dotted_source(node).split(".")[-1] in _CONTAINER_TYPES
+
+
+def _builds_container(node: ast.expr) -> bool:
+    if isinstance(node, _CONTAINER_DISPLAYS):
+        return True
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _CONTAINER_CALLS
+    )
+
+
+def _container_bindings(node: FunctionNode) -> FrozenSet[str]:
+    """Targets (``x``, ``self.x``) every binding in ``node`` makes a container.
+
+    A parameter or ``AnnAssign`` counts through its annotation, a plain
+    assignment through its value (a display, comprehension or container
+    call). Any other binding of the target (an unannotated parameter, a
+    loop target, tuple unpacking, ...) disqualifies it.
+    """
+    containers: Set[str] = set()
+    others: Set[str] = set()
+    # ids of assignment targets already counted (ast.walk yields an
+    # assignment before its targets)
+    classified: Set[int] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.arg):
+            annotation = sub.annotation
+            is_container = annotation is not None and _is_container_annotation(annotation)
+            (containers if is_container else others).add(sub.arg)
+            continue
+        if isinstance(sub, ast.AnnAssign):
+            targets, is_container = [sub.target], _is_container_annotation(sub.annotation)
+        elif isinstance(sub, ast.Assign):
+            targets, is_container = sub.targets, _builds_container(sub.value)
+        else:
+            if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Store):
+                if id(sub) not in classified:
+                    others.add(dotted_source(sub))
+            continue
+        for target in targets:
+            classified.add(id(target))
+            (containers if is_container else others).add(dotted_source(target))
+    return frozenset(containers - others)
 
 
 def _resolve_relative(module: str, level: int, target: Optional[str]) -> str:
@@ -217,6 +282,7 @@ class ProjectIndex:
             node=node,
             ctx=ctx,
             params=_params_of(node),
+            containers=_container_bindings(node),
         )
         if class_qname is not None and not node.name.startswith("__"):
             self.methods_by_name.setdefault(node.name, []).append(qname)
@@ -268,12 +334,18 @@ class ProjectIndex:
                 if cls is not None and parts[1] in cls.methods:
                     return (cls.methods[parts[1]],)
                 return self._by_method_name(parts[1])
-            # self.attr.meth(...): unknown receiver type
+            # self.attr.meth(...): unknown receiver type, unless __init__
+            # made the attribute a builtin container
+            init = self.functions.get(f"{fn.class_qname}.__init__")
+            if len(parts) == 3 and init and f"{init.self_name}.{parts[1]}" in init.containers:
+                return ()
             return self._by_method_name(parts[-1])
         info = self.module_of(fn)
         resolved = self._resolve_dotted(info, parts)
         if resolved:
             return resolved
+        if len(parts) == 2 and parts[0] in fn.containers:
+            return ()  # a method of a builtin container the function built
         if len(parts) >= 2:
             return self._by_method_name(parts[-1])
         return ()

@@ -144,9 +144,11 @@ class LayeringRule(Rule):
 # repro.core.secure_boot (the §3 firmware root of trust) run only in their
 # tests: they demonstrate paper claims and are kept on purpose, as are the
 # key-free repro.core.riscv_pmp (§4.7) and repro.core.scheduler (§4.6).
+# The timing MEE (repro.core.mee) is outside: only the functional engine
+# holds keys. `repro lint --graph` reports the set's modules and lines.
 KEY_TCB_MODULES: FrozenSet[str] = frozenset(
     {
-        "repro.core.mee",
+        "repro.core.functional_mee",
         "repro.core.cipher_engine",
         "repro.core.fde",
         "repro.core.key_management",
@@ -161,10 +163,9 @@ KEY_TCB_MODULES: FrozenSet[str] = frozenset(
 _PRIMITIVE_MODULES = (
     "repro.crypto.aes",
     "repro.crypto.mac",
-    "repro.crypto.trivium",
     "repro.crypto.trivium_fast",
 )
-_PRIMITIVE_NAMES = frozenset({"AES128", "Mac", "Trivium", "TriviumFast"})
+_PRIMITIVE_NAMES = frozenset({"AES128", "Mac", "TriviumFast"})
 KEY_NAMES: FrozenSet[str] = frozenset(
     {
         "aes_key",
@@ -183,7 +184,9 @@ def _in_key_tcb(ctx: ModuleContext) -> bool:
     return (
         ctx.module in KEY_TCB_MODULES
         or ctx.module.startswith("repro.crypto")
-        or ctx.package == ""  # unknown module: other rules still apply
+        # unknown module: other rules still apply (the top-level `repro`
+        # package is known, and holds no keys)
+        or (ctx.package == "" and ctx.module != "repro")
     )
 
 
@@ -227,8 +230,8 @@ class KeyContainmentRule(Rule):
                         self.id,
                         node,
                         f"key material `{label}` stored outside the key TCB "
-                        "(repro.core.mee / cipher_engine / key_management); "
-                        "hold a handle, not the key",
+                        "(repro.core.functional_mee / cipher_engine / "
+                        "key_management); hold a handle, not the key",
                     )
 
     @staticmethod
@@ -251,7 +254,7 @@ class KeyContainmentRule(Rule):
                     self.id,
                     node,
                     f"import of raw cipher primitive module `{module}` "
-                    "outside the key TCB; use repro.core.mee or "
+                    "outside the key TCB; use repro.core.functional_mee or "
                     "repro.core.cipher_engine",
                 )
 

@@ -16,8 +16,7 @@ from typing import Dict, Tuple
 
 from repro.core.config import IceClaveConfig
 from repro.crypto.prng import XorShift64
-from repro.crypto.trivium import IV_BYTES, KEY_BYTES
-from repro.crypto.trivium_fast import TriviumFast
+from repro.crypto.trivium_fast import IV_BYTES, KEY_BYTES, TriviumFast
 
 
 @dataclass

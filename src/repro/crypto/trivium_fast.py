@@ -1,12 +1,16 @@
-"""Word-parallel Trivium: 64 keystream bits per step.
+"""Word-parallel Trivium stream cipher (De Canniere & Preneel, eSTREAM).
+
+IceClave's stream-cipher engine (§5, Figure 10) uses Trivium to cipher data
+moving between flash chips and SSD DRAM, with an 80-bit key, an 80-bit IV
+and the spec's 4 x 288 warm-up clocks (see
+:class:`repro.core.cipher_engine.StreamCipherEngine`).
 
 Trivium's minimum distance between any feedback input and the nearest tap
 that consumes it is 65/66/69 bits, so up to 64 clocks can be evaluated at
 once with word operations — exactly the property the paper's hardware
-engine exploits to emit 64 keystream bits per cycle (Figure 10). This
-implementation mirrors that datapath and is ~64x faster than the bitwise
-:class:`~repro.crypto.trivium.Trivium`, which the test suite cross-checks
-it against bit-for-bit.
+engine exploits to emit 64 keystream bits per cycle (Figure 10). This is
+the only Trivium in the package; the test suite checks it bit for bit
+against a literal, bit-list transcription of the specification.
 
 Representation: each shift register is an int with the *oldest* state bit
 at position 0 (register A: bit p holds s_{93-p}), so one clock is a right
@@ -16,7 +20,8 @@ is a plain ``(reg >> tap) & MASK64`` — no bit reversal anywhere.
 
 from __future__ import annotations
 
-from repro.crypto.trivium import IV_BYTES, KEY_BYTES
+KEY_BYTES = 10  # 80-bit key
+IV_BYTES = 10  # 80-bit IV
 
 MASK64 = (1 << 64) - 1
 _A_BITS, _B_BITS, _C_BITS = 93, 84, 111
@@ -33,10 +38,10 @@ def _reversed_bits(value: int, width: int) -> int:
 
 
 class TriviumFast:
-    """Drop-in keystream generator equivalent to :class:`Trivium`.
+    """Trivium keystream generator, 64 clocks per step.
 
     Generates keystream in 8-byte blocks; arbitrary byte counts are served
-    from an internal buffer so outputs match the bitwise implementation for
+    from an internal buffer so outputs match a bit-at-a-time generator for
     any request pattern.
     """
 

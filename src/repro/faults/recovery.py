@@ -6,7 +6,9 @@ them; this module adds the piece that is IceClave-specific: *blast-radius
 containment* for memory-integrity violations. A MAC mismatch or Merkle
 failure in one tenant's protected DRAM aborts that tenant's enclave via
 ThrowOutTEE semantics (§4.5) — the SSD itself, and every other tenant, keep
-running.
+running. The guard never holds a tenant's keys: each enclave's
+:class:`~repro.core.functional_mee.FunctionalMee` keeps them, and a restart
+asks it for a fresh engine.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.exceptions import IntegrityError
-from repro.core.mee import FunctionalMee
+from repro.core.functional_mee import FunctionalMee
 from repro.core.tee import TeeMessage
 from repro.sim.stats import ReliabilityStats
 
@@ -26,9 +28,6 @@ class TenantEnclave:
 
     tee_id: int
     mee: FunctionalMee
-    aes_key: bytes
-    mac_key: bytes
-    pages: int
     generation: int = 0  # bumped every abort/restart
     aborted: bool = False
     abort_message: Optional[TeeMessage] = None
@@ -62,13 +61,7 @@ class EnclaveIntegrityGuard:
     ) -> TenantEnclave:
         if tee_id in self.tenants:
             raise ValueError(f"tenant {tee_id} already registered")
-        tenant = TenantEnclave(
-            tee_id=tee_id,
-            mee=FunctionalMee(pages, aes_key, mac_key),
-            aes_key=aes_key,
-            mac_key=mac_key,
-            pages=pages,
-        )
+        tenant = TenantEnclave(tee_id=tee_id, mee=FunctionalMee(pages, aes_key, mac_key))
         self.tenants[tee_id] = tenant
         return tenant
 
@@ -121,7 +114,7 @@ class EnclaveIntegrityGuard:
         tenant = self.tenants[tee_id]
         if not tenant.aborted:
             raise ValueError(f"tenant {tee_id} is not aborted")
-        tenant.mee = FunctionalMee(tenant.pages, tenant.aes_key, tenant.mac_key)
+        tenant.mee = tenant.mee.fresh()
         tenant.generation += 1
         tenant.aborted = False
         tenant.abort_message = None
@@ -149,10 +142,11 @@ class EnclaveIntegrityGuard:
     def snapshot_state(self) -> dict:
         """Per-tenant enclave state plus the abort log.
 
-        Keys are *not* serialized (they are registration inputs); restoring
-        into a guard whose tenants were registered with different keys makes
-        every MEE verify fail, by design. The shared ``stats`` object is
-        owned — and snapshotted — by whoever constructed the guard.
+        Keys are *not* serialized (each tenant's MEE holds its registration
+        keys); restoring into a guard whose tenants were registered with
+        different keys makes every MEE verify fail, by design. The shared
+        ``stats`` object is owned — and snapshotted — by whoever constructed
+        the guard.
         """
         return {
             "tenants": [

@@ -18,6 +18,11 @@ Order-sensitive mappings (LRU ``OrderedDict``s, journals replayed in
 insertion order) are snapshotted as item *lists* via :func:`dict_items` so
 the fingerprint captures their iteration order, not just their contents.
 
+A snapshot file is that fingerprint as 64 hex characters and a newline,
+then the canonical encoding it hashes. Loading checks the digest before it
+looks at the body, and decodes the body with a parser that builds only the
+primitive types above: nothing in a file is ever executed.
+
 Format compatibility policy: ``SNAPSHOT_VERSION`` bumps whenever any
 participating ``snapshot_state()`` changes shape. Loaders reject other
 versions outright (:class:`SnapshotVersionError`) — snapshots are
@@ -30,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pathlib
-import pickle
+import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Tuple
 
@@ -38,6 +43,14 @@ from typing import Any, Dict, Iterable, List, Tuple
 SNAPSHOT_VERSION = 2
 
 _FORMAT_MARKER = "repro-snapshot"
+# containers nested deeper than this do not decode (a chaos snapshot nests 12)
+_MAX_DEPTH = 100
+_HEX_DIGEST = re.compile(rb"[0-9a-f]{64}")
+_INT = re.compile(rb"-?[0-9]+")
+_LENGTH = re.compile(rb"[0-9]+")
+_ATOMS = {b"N;": None, b"T;": True, b"F;": False}
+_OPENERS = {b"L": b"[", b"U": b"[", b"M": b"{"}
+_CLOSERS = {b"L": b"]", b"U": b"]", b"M": b"}"}
 
 
 class SnapshotError(Exception):
@@ -106,11 +119,82 @@ def _encode(value: Any, out: List[bytes]) -> None:
         )
 
 
-def canonical_fingerprint(value: Any) -> str:
-    """sha256 hex digest of the canonical encoding of ``value``."""
+def encode_canonical(value: Any) -> bytes:
+    """The canonical encoding of ``value`` (``TypeError`` on non-primitives)."""
     parts: List[bytes] = []
     _encode(value, parts)
-    return hashlib.sha256(b"".join(parts)).hexdigest()
+    return b"".join(parts)
+
+
+def canonical_fingerprint(value: Any) -> str:
+    """sha256 hex digest of the canonical encoding of ``value``."""
+    return hashlib.sha256(encode_canonical(value)).hexdigest()
+
+
+def decode_canonical(data: bytes) -> Any:
+    """Rebuild the value whose :func:`encode_canonical` output is ``data``.
+
+    Builds only the types the encoder emits and runs nothing from the
+    input. Raises ``ValueError`` on any malformed input: an unknown tag, a
+    length or count past the end, nesting deeper than ``_MAX_DEPTH``, an
+    unhashable mapping key, or bytes after the value.
+    """
+    value, pos = _decode(data, 0, 0)
+    if pos != len(data):
+        raise ValueError(f"trailing bytes at offset {pos}")
+    return value
+
+
+def _field(data: bytes, pos: int, end: bytes, pattern: re.Pattern) -> Tuple[bytes, int]:
+    """The token from ``pos`` up to the ``end`` byte, and the offset after it."""
+    stop = data.find(end, pos)
+    if stop < 0 or not pattern.fullmatch(data, pos, stop):
+        raise ValueError(f"malformed token at offset {pos}")
+    return data[pos:stop], stop + 1
+
+
+def _decode(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    """The value encoded at ``pos`` (``depth`` containers deep), and the offset after it."""
+    atom = data[pos : pos + 2]
+    if atom in _ATOMS:
+        return _ATOMS[atom], pos + 2
+    tag = data[pos : pos + 1]
+    pos += 1
+    if tag == b"I":
+        text, pos = _field(data, pos, b";", _INT)
+        return int(text), pos
+    if tag == b"D":
+        stop = data.find(b";", pos)
+        if stop < 0:
+            raise ValueError(f"unterminated float at offset {pos}")
+        return float(data[pos:stop]), stop + 1
+    if tag in (b"S", b"B"):
+        text, pos = _field(data, pos, b":", _LENGTH)
+        end = pos + int(text)
+        if end > len(data):
+            raise ValueError(f"length {int(text)} at offset {pos} runs past the end")
+        chunk = data[pos:end]
+        return (str(chunk, "utf-8") if tag == b"S" else chunk), end
+    if tag in _OPENERS:
+        if depth >= _MAX_DEPTH:
+            raise ValueError(f"nesting deeper than {_MAX_DEPTH} at offset {pos}")
+        text, pos = _field(data, pos, _OPENERS[tag], _LENGTH)
+        items: List[Any] = []
+        for _ in range(int(text) * (2 if tag == b"M" else 1)):
+            item, pos = _decode(data, pos, depth + 1)
+            items.append(item)
+        if data[pos : pos + 1] != _CLOSERS[tag]:
+            raise ValueError(f"unclosed container at offset {pos}")
+        pos += 1
+        if tag == b"L":
+            return items, pos
+        if tag == b"U":
+            return tuple(items), pos
+        try:
+            return dict(zip(items[::2], items[1::2])), pos
+        except TypeError as exc:  # an unhashable (list or dict) key
+            raise ValueError(f"bad mapping key before offset {pos}: {exc}") from exc
+    raise ValueError(f"unknown tag {tag!r} at offset {pos - 1}")
 
 
 def dict_items(mapping: Dict[Any, Any]) -> List[Tuple[Any, Any]]:
@@ -145,31 +229,25 @@ class Snapshot:
 
     def fingerprint(self) -> str:
         """Content fingerprint over format marker, version, kind, meta, state."""
-        return canonical_fingerprint(
-            [_FORMAT_MARKER, self.version, self.kind, self.meta, self.state]
-        )
+        return canonical_fingerprint(self._envelope())
+
+    def _envelope(self) -> List[Any]:
+        return [_FORMAT_MARKER, self.version, self.kind, self.meta, self.state]
 
 
 def save_snapshot(snapshot: Snapshot, path: pathlib.Path) -> str:
     """Atomically write ``snapshot`` (tmp + rename); returns the fingerprint.
 
-    The fingerprint is computed over the *state being written* and stored in
-    the file, so :func:`load_snapshot` can detect any post-write corruption.
+    The file is the fingerprint (64 hex characters), a newline, and the
+    canonical encoding it hashes, so :func:`load_snapshot` can detect any
+    post-write corruption before it decodes a byte.
     """
     path = pathlib.Path(path)
-    fingerprint = snapshot.fingerprint()  # also validates primitives-only
-    payload = {
-        "format": _FORMAT_MARKER,
-        "version": snapshot.version,
-        "kind": snapshot.kind,
-        "meta": snapshot.meta,
-        "state": snapshot.state,
-        "fingerprint": fingerprint,
-    }
+    body = encode_canonical(snapshot._envelope())  # also validates primitives-only
+    fingerprint = hashlib.sha256(body).hexdigest()
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+    tmp.write_bytes(bytes(fingerprint, "ascii") + b"\n" + body)
     os.replace(tmp, path)
     return fingerprint
 
@@ -177,43 +255,47 @@ def save_snapshot(snapshot: Snapshot, path: pathlib.Path) -> str:
 def load_snapshot(path: pathlib.Path, expect_kind: str = "") -> Snapshot:
     """Load and verify a snapshot file.
 
-    Raises :class:`SnapshotCorruptError` when the bytes do not decode or the
-    recomputed content fingerprint disagrees with the stored one, and
-    :class:`SnapshotVersionError` for any other format version.
+    Raises :class:`SnapshotCorruptError` when the file has no digest line,
+    the body's sha256 disagrees with it, or the body does not decode to a
+    canonical snapshot envelope; :class:`SnapshotVersionError` for any
+    other format version.
     """
     path = pathlib.Path(path)
     raw = path.read_bytes()
-    try:
-        payload = pickle.loads(raw)
-    except Exception as exc:  # repro: allow[sec-broad-except] -- corrupt pickle bytes raise arbitrary decode errors; mapped to the structured SnapshotCorruptError
-        raise SnapshotCorruptError(f"{path}: undecodable snapshot: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != _FORMAT_MARKER:
+    digest, newline, body = raw[:64], raw[64:65], raw[65:]
+    if newline != b"\n" or not _HEX_DIGEST.fullmatch(digest):
         raise SnapshotCorruptError(f"{path}: not a repro snapshot file")
-    version = payload.get("version")
+    stored = str(digest, "ascii")
+    recomputed = hashlib.sha256(body).hexdigest()
+    if recomputed != stored:
+        raise SnapshotCorruptError(
+            f"{path}: content fingerprint mismatch "
+            f"(stored {stored[:12]}…, recomputed {recomputed[:12]}…)"
+        )
+    try:
+        envelope = decode_canonical(body)
+    except ValueError as exc:
+        raise SnapshotCorruptError(f"{path}: undecodable snapshot: {exc}") from exc
+    if not (
+        isinstance(envelope, list)
+        and len(envelope) == 5
+        and envelope[0] == _FORMAT_MARKER
+    ):
+        raise SnapshotCorruptError(f"{path}: not a repro snapshot file")
+    _marker, version, kind, meta, state = envelope
     if version != SNAPSHOT_VERSION:
         raise SnapshotVersionError(
             f"{path}: snapshot version {version!r} != {SNAPSHOT_VERSION}"
         )
-    snapshot = Snapshot(
-        kind=payload.get("kind", ""),
-        meta=payload.get("meta", {}),
-        state=payload.get("state", {}),
-        version=version,
-    )
+    if not (isinstance(kind, str) and isinstance(meta, dict) and isinstance(state, dict)):
+        raise SnapshotCorruptError(f"{path}: malformed snapshot envelope")
+    snapshot = Snapshot(kind=kind, meta=meta, state=state, version=version)
     if expect_kind and snapshot.kind != expect_kind:
         raise SnapshotCorruptError(
             f"{path}: snapshot kind {snapshot.kind!r}, expected {expect_kind!r}"
         )
-    try:
-        recomputed = snapshot.fingerprint()
-    except TypeError as exc:
-        raise SnapshotCorruptError(f"{path}: non-primitive state: {exc}") from exc
-    stored = payload.get("fingerprint")
-    if recomputed != stored:
-        raise SnapshotCorruptError(
-            f"{path}: content fingerprint mismatch "
-            f"(stored {str(stored)[:12]}…, recomputed {recomputed[:12]}…)"
-        )
+    if snapshot.fingerprint() != stored:  # a body no save could have written
+        raise SnapshotCorruptError(f"{path}: non-canonical snapshot encoding")
     return snapshot
 
 
@@ -224,7 +306,9 @@ __all__ = [
     "SnapshotError",
     "SnapshotVersionError",
     "canonical_fingerprint",
+    "decode_canonical",
     "dict_items",
+    "encode_canonical",
     "items_dict",
     "load_snapshot",
     "save_snapshot",

@@ -196,32 +196,29 @@ class TestCli:
 
 
 class TestSelfScan:
-    """The gate CI enforces: the real tree is clean modulo the baseline."""
+    """The gate CI enforces: the real tree is clean modulo the baseline.
 
-    def test_src_is_clean_modulo_committed_baseline(self):
-        baseline = Baseline.load(REPO_ROOT / "analysis-baseline.json")
-        result = analyze_paths(
-            [REPO_ROOT / "src"], root=REPO_ROOT, baseline=baseline
-        )
+    ``src_scan`` (tests/conftest.py) is one whole-``src`` scan with the
+    committed baseline, shared with ``test_analysis_flow.py``.
+    """
+
+    def test_src_is_clean_modulo_committed_baseline(self, src_scan):
+        result = src_scan.result
         offenders = [
             f"{f.path}:{f.line}: {f.rule}: {f.message}" for f in result.new_findings
         ]
         assert offenders == [], "\n".join(offenders)
 
-    def test_committed_baseline_is_not_stale(self):
+    def test_committed_baseline_is_not_stale(self, src_scan):
         """Every baseline entry still matches a real finding (no dead weight)."""
-        baseline = Baseline.load(REPO_ROOT / "analysis-baseline.json")
-        result = analyze_paths(
-            [REPO_ROOT / "src"], root=REPO_ROOT, baseline=baseline
-        )
         baselined = sum(
-            1 for f in result.findings if f.status is FindingStatus.BASELINED
+            1 for f in src_scan.result.findings if f.status is FindingStatus.BASELINED
         )
-        assert baselined == baseline.total()
+        assert baselined == src_scan.baseline.total()
 
-    def test_intentional_waivers_are_justified(self):
+    def test_intentional_waivers_are_justified(self, src_scan):
         """The §4.5 broad-except waivers all carry a reason."""
-        result = analyze_paths([REPO_ROOT / "src"], root=REPO_ROOT)
+        result = src_scan.result
         suppressed = [
             f for f in result.findings if f.status is FindingStatus.SUPPRESSED
         ]

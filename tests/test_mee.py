@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import CounterCache, EncryptionScheme, IceClaveConfig, IntegrityError
+from repro.core.functional_mee import FunctionalMee
 from repro.core.mee import (
-    FunctionalMee,
     LINES_PER_PAGE,
     MAJOR_COUNTERS_PER_BLOCK,
     MemoryEncryptionEngine,

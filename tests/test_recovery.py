@@ -7,14 +7,16 @@ faults and snapshot/restore against a reference model.
 """
 
 import copy
+import hashlib
+import pickle
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.cli import main
-from repro.core.mee import FunctionalMee
+from repro.core.functional_mee import FunctionalMee
 from repro.crypto.prng import XorShift64
 from repro.faults.chaos import ChaosRunner, run_chaos
 from repro.flash import FlashChip
@@ -41,7 +43,12 @@ from repro.recovery import (
     save_snapshot,
     snapshot_chaos_runner,
 )
-from repro.recovery.snapshot import dict_items, items_dict
+from repro.recovery.snapshot import (
+    decode_canonical,
+    dict_items,
+    encode_canonical,
+    items_dict,
+)
 from repro.recovery.soak import SOAK_KILLED_EXIT, load_results, recovery_csv_rows
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.degrade import DegradationLadder, ServiceMode
@@ -69,6 +76,57 @@ def make_ftl(seed=3, **geometry_kw):
 
 def make_mee():
     return FunctionalMee(pages=8, aes_key=b"0123456789abcdef", mac_key=b"mac-key")
+
+
+class PlantMarker:
+    """Unpickling this runs ``open(path, "w")``: the file exists iff a
+    loader executed code from the pickle."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+# every primitive the canonical encoding distinguishes, nested in containers
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.sampled_from([0.0, -0.0, float("inf"), float("-inf")])
+    | st.text(max_size=8)
+    | st.binary(max_size=8)
+)
+_KEYS = st.none() | st.booleans() | st.integers() | st.text(max_size=4) | st.binary(max_size=4)
+PRIMITIVE_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_KEYS, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+def _in_canonical_order(value):
+    """``value`` with each mapping rebuilt in encoded-key order: the order
+    the decoder yields (a snapshot does not keep mapping order)."""
+    if isinstance(value, dict):
+        return {
+            key: _in_canonical_order(item)
+            for key, item in sorted(value.items(), key=lambda kv: encode_canonical(kv[0]))
+        }
+    if isinstance(value, (list, tuple)):
+        return type(value)(_in_canonical_order(item) for item in value)
+    return value
+
+
+def _write_body(path, body):
+    """A snapshot file around ``body`` whose digest line matches it."""
+    path.write_bytes(hashlib.sha256(body).hexdigest().encode("ascii") + b"\n" + body)
 
 
 class TestCanonicalFingerprint:
@@ -162,6 +220,66 @@ class TestSnapshotFile:
     def test_non_primitive_state_fails_at_save(self, tmp_path):
         with pytest.raises(TypeError):
             save_snapshot(Snapshot(kind="x", state={"o": object()}), tmp_path / "t.snap")
+
+    def test_file_is_digest_line_then_canonical_body(self, tmp_path):
+        path = tmp_path / "t.snap"
+        save_snapshot(self._snap(), path)
+        digest, body = path.read_bytes().split(b"\n", 1)
+        assert digest.decode("ascii") == self.PINNED
+        assert hashlib.sha256(body).hexdigest() == self.PINNED
+
+    def test_planted_pickle_is_refused_without_running(self, tmp_path):
+        """A file is checked, then parsed; nothing in it ever executes."""
+        marker = tmp_path / "marker"
+        path = tmp_path / "t.snap"
+        path.write_bytes(pickle.dumps(PlantMarker(str(marker))))
+        with pytest.raises(SnapshotCorruptError):
+            load_snapshot(path)
+        assert not marker.exists()
+
+    @given(PRIMITIVE_TREES)
+    @settings(max_examples=60, deadline=None)
+    def test_codec_round_trip(self, value):
+        """tuple vs list, bool vs int, -0.0, str vs bytes all survive."""
+        decoded = decode_canonical(encode_canonical(value))
+        assert repr(decoded) == repr(_in_canonical_order(value))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"",
+            b"X;",  # unknown tag
+            b"I12",  # unterminated int
+            b"I1_2;",  # not a canonical int
+            b"D;",  # empty float
+            b"S9:abc",  # length past the end
+            b"B-1:",  # negative length
+            b"S2:\xff\xfe",  # not utf-8
+            b"L2[I1;]",  # fewer items than counted
+            b"L1[I1;I2;]",  # more items than counted
+            b"U1[N;",  # unclosed
+            b"M1{L0[]I1;}",  # unhashable key
+            b"N;N;",  # trailing bytes
+            b"L1[" * 101 + b"N;" + b"]" * 101,  # nested too deep
+        ],
+    )
+    def test_malformed_body_is_refused(self, tmp_path, body):
+        with pytest.raises(ValueError):
+            decode_canonical(body)
+        path = tmp_path / "t.snap"
+        _write_body(path, body)
+        with pytest.raises(SnapshotCorruptError):
+            load_snapshot(path)
+
+    def test_non_canonical_body_is_refused(self, tmp_path):
+        """A well-formed body no save could write (unsorted mapping keys)."""
+        envelope = encode_canonical(["repro-snapshot", SNAPSHOT_VERSION, "k", {}, {}])
+        body = envelope.replace(b"M0{}", b"M2{S1:bI1;S1:aI2;}", 1)
+        assert decode_canonical(body)[3] == {"b": 1, "a": 2}
+        path = tmp_path / "t.snap"
+        _write_body(path, body)
+        with pytest.raises(SnapshotCorruptError, match="non-canonical"):
+            load_snapshot(path)
 
 
 class TestComponentRoundTrips:
@@ -419,6 +537,25 @@ class TestSoak:
         assert result.verified is True
         assert result.resumed_from_op == 100  # last checkpoint before the kill
         assert stats.restores == 1
+
+    def test_planted_pickle_in_state_dir_never_runs(self, tmp_path):
+        """A hostile newest snapshot is skipped, and nothing in it runs."""
+        state_dir = tmp_path / "soak"
+        marker = tmp_path / "marker"
+        args = dict(
+            workload="tpch-q1", write_ratio=0.5, seed=21, ops=300,
+            state_dir=str(state_dir), checkpoint_every=100,
+        )
+        code, _ = run_soak(kill_at=150, **args)
+        assert code == SOAK_KILLED_EXIT
+        planted = state_dir / "tpch-q1-seed21-op000250.snap"
+        planted.write_bytes(pickle.dumps(PlantMarker(str(marker))))
+        log = []
+        code, result = run_soak(verify=True, log=log.append, **args)
+        assert not marker.exists()
+        assert any(line.startswith(f"skipping unusable snapshot {planted}") for line in log)
+        assert code == 0 and result.verified is True
+        assert result.resumed_from_op == 100
 
     def test_campaigns_skip_completed_seeds(self, tmp_path):
         state_dir = str(tmp_path / "soak")
