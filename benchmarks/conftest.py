@@ -1,9 +1,10 @@
 """Shared fixtures for the per-table/per-figure benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper's evaluation
-(§6) and prints paper-vs-measured rows. Absolute times differ from the
-authors' testbed (this is a behavioral simulator); the asserted properties
-are the *shapes*: who wins, rough factors, and where crossovers fall.
+(§6), through its ``repro.platform.figures`` builder where it has one, and
+prints paper-vs-measured rows. Absolute times differ from the authors'
+testbed (this is a behavioral simulator); the asserted properties are the
+*shapes*: who wins, rough factors, and where crossovers fall.
 """
 
 from __future__ import annotations
@@ -11,21 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.platform import PlatformConfig
-from repro.workloads import ALL_WORKLOADS, workload_by_name
-
-WORKLOAD_ORDER = [
-    "arithmetic",
-    "aggregate",
-    "filter",
-    "tpch-q1",
-    "tpch-q3",
-    "tpch-q12",
-    "tpch-q14",
-    "tpch-q19",
-    "tpcb",
-    "tpcc",
-    "wordcount",
-]
+from repro.platform.figures import WORKLOAD_ORDER
+from repro.workloads import workload_by_name
 
 
 @pytest.fixture(scope="session")

@@ -19,11 +19,7 @@ SIZES = (16 * KIB, 32 * KIB, 64 * KIB, 128 * KIB, 256 * KIB, 512 * KIB)
 def replay(profile, cache_bytes, sample=40000):
     config = dataclasses.replace(IceClaveConfig(), counter_cache_bytes=cache_bytes)
     mee = MemoryEncryptionEngine(config=config, scheme=EncryptionScheme.HYBRID)
-    for page, line, is_write, readonly in profile.trace.events[:sample]:
-        if is_write:
-            mee.write(page, line, readonly=readonly)
-        else:
-            mee.read(page, line, readonly=readonly)
+    mee.replay(profile.trace.events[:sample])
     return mee
 
 

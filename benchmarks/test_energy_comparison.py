@@ -9,24 +9,18 @@ import statistics
 
 from conftest import WORKLOAD_ORDER, print_header, run_once
 
-from repro.platform import make_platform
 from repro.platform.energy import EnergyModel
-
-SCHEMES = ("host", "host+sgx", "isc", "iceclave")
+from repro.platform.figures import SCHEMES, fig11_schemes
 
 
 def test_energy_comparison(benchmark, profiles, config):
     def experiment():
         model = EnergyModel(config)
-        platforms = {s: make_platform(s, config) for s in SCHEMES}
         out = {}
-        for name in WORKLOAD_ORDER:
-            out[name] = {
-                s: model.total(profiles[name], platforms[s].run(profiles[name]))
-                for s in SCHEMES
-            }
+        for name, runs in fig11_schemes(profiles, config).items():
+            out[name] = {s: model.total(profiles[name], runs[s]) for s in SCHEMES}
             out[name]["cipher_fraction"] = model.cipher_overhead_fraction(
-                profiles[name], platforms["iceclave"].run(profiles[name])
+                profiles[name], runs["iceclave"]
             )
         return out
 

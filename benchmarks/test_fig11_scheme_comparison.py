@@ -9,20 +9,11 @@ import statistics
 
 from conftest import WORKLOAD_ORDER, print_header, run_once
 
-from repro.platform import make_platform
-
-SCHEMES = ("host", "host+sgx", "isc", "iceclave")
+from repro.platform import figures
 
 
 def test_fig11_scheme_comparison(benchmark, profiles, config):
-    def experiment():
-        platforms = {s: make_platform(s, config) for s in SCHEMES}
-        return {
-            name: {s: platforms[s].run(profiles[name]) for s in SCHEMES}
-            for name in WORKLOAD_ORDER
-        }
-
-    results = run_once(benchmark, experiment)
+    results = run_once(benchmark, lambda: figures.fig11_schemes(profiles, config))
 
     print_header(
         "Figure 11: normalized performance of the four schemes",
@@ -30,21 +21,19 @@ def test_fig11_scheme_comparison(benchmark, profiles, config):
     )
     print(f"{'workload':>12s} {'host':>8s} {'h+sgx':>8s} {'isc':>8s} {'iceclave':>9s} "
           f"{'ice/host':>9s} {'vs isc':>8s}")
-    speedups, sgx_speedups, overheads, sgx_inflations = [], [], [], []
+    sgx_inflations = []
     for name in WORKLOAD_ORDER:
         r = results[name]
         speedup = r["iceclave"].speedup_over(r["host"])
         overhead = r["iceclave"].overhead_over(r["isc"])
-        speedups.append(speedup)
-        sgx_speedups.append(r["iceclave"].speedup_over(r["host+sgx"]))
-        overheads.append(overhead)
         sgx_inflations.append(r["host+sgx"].stats["sgx_compute_inflation"])
         print(f"{name:>12s} {r['host'].total_time:7.1f}s {r['host+sgx'].total_time:7.1f}s "
               f"{r['isc'].total_time:7.1f}s {r['iceclave'].total_time:8.1f}s "
               f"{speedup:8.2f}x {overhead*100:+7.1f}%")
-    avg_speedup = statistics.mean(speedups)
-    avg_sgx = statistics.mean(sgx_speedups)
-    avg_overhead = statistics.mean(overheads)
+    summary = figures.fig11_summary(results)
+    avg_speedup = summary["speedup_vs_host"]
+    avg_sgx = summary["speedup_vs_host_sgx"]
+    avg_overhead = summary["overhead_vs_isc"]
     print(f"\n  average ice/host  = {avg_speedup:.2f}x (paper 2.31x)")
     print(f"  average ice/h+sgx = {avg_sgx:.2f}x (paper 2.38x)")
     print(f"  average vs isc    = +{avg_overhead*100:.1f}% (paper +7.6%)")

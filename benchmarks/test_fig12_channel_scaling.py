@@ -10,25 +10,19 @@ import statistics
 
 from conftest import WORKLOAD_ORDER, print_header, run_once
 
-from repro.platform import make_platform
+from repro.platform import figures
 
 CHANNELS = (4, 8, 16, 32)
 
 
 def test_fig12_channel_scaling(benchmark, profiles, config):
-    def experiment():
-        out = {}
-        for ch in CHANNELS:
-            cfg = config.with_channels(ch)
-            ice = make_platform("iceclave", cfg)
-            host = make_platform("host", cfg)
-            out[ch] = {
-                name: ice.run(profiles[name]).speedup_over(host.run(profiles[name]))
-                for name in WORKLOAD_ORDER
-            }
-        return out
-
-    speedups = run_once(benchmark, experiment)
+    sweep = run_once(
+        benchmark, lambda: figures.fig12_13_channel_sweep(profiles, config, channels=CHANNELS)
+    )
+    speedups = {
+        ch: {name: speedup for name, (speedup, _) in point.items()}
+        for ch, point in sweep.items()
+    }
 
     print_header(
         "Figure 12: speedup over Host vs channel count",

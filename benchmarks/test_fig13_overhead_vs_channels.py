@@ -9,25 +9,19 @@ import statistics
 
 from conftest import WORKLOAD_ORDER, print_header, run_once
 
-from repro.platform import make_platform
+from repro.platform import figures
 
 CHANNELS = (4, 8, 16, 32)
 
 
 def test_fig13_overhead_vs_channels(benchmark, profiles, config):
-    def experiment():
-        out = {}
-        for ch in CHANNELS:
-            cfg = config.with_channels(ch)
-            ice = make_platform("iceclave", cfg)
-            isc = make_platform("isc", cfg)
-            out[ch] = {
-                name: ice.run(profiles[name]).overhead_over(isc.run(profiles[name]))
-                for name in WORKLOAD_ORDER
-            }
-        return out
-
-    overheads = run_once(benchmark, experiment)
+    sweep = run_once(
+        benchmark, lambda: figures.fig12_13_channel_sweep(profiles, config, channels=CHANNELS)
+    )
+    overheads = {
+        ch: {name: overhead for name, (_, overhead) in point.items()}
+        for ch, point in sweep.items()
+    }
 
     print_header(
         "Figure 13: overhead vs ISC across channel counts",

@@ -9,25 +9,15 @@ import statistics
 
 from conftest import WORKLOAD_ORDER, print_header, run_once
 
-from repro.platform import make_platform
+from repro.platform import figures
 
 LATENCIES_US = (10, 30, 50, 70, 90, 110)
 
 
 def test_fig14_flash_latency(benchmark, profiles, config):
-    def experiment():
-        out = {}
-        for lat in LATENCIES_US:
-            cfg = config.with_flash_read_latency(lat * 1e-6)
-            ice = make_platform("iceclave", cfg)
-            host = make_platform("host", cfg)
-            out[lat] = {
-                name: ice.run(profiles[name]).speedup_over(host.run(profiles[name]))
-                for name in WORKLOAD_ORDER
-            }
-        return out
-
-    speedups = run_once(benchmark, experiment)
+    speedups = run_once(
+        benchmark, lambda: figures.fig14_latency_sweep(profiles, config, latencies_us=LATENCIES_US)
+    )
 
     print_header(
         "Figure 14: speedup over Host vs flash read latency",

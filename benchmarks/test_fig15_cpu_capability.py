@@ -5,35 +5,13 @@ from 1.6 GHz, and the out-of-order A72 beats the in-order A53 at equal
 frequency.
 """
 
-import statistics
+from conftest import print_header, run_once
 
-from conftest import WORKLOAD_ORDER, print_header, run_once
-
-from repro.cpu.models import CORTEX_A53, CORTEX_A72
-from repro.platform import make_platform
-
-SWEEP = [
-    (CORTEX_A72, 1.6e9),
-    (CORTEX_A72, 1.2e9),
-    (CORTEX_A72, 0.8e9),
-    (CORTEX_A53, 1.6e9),
-    (CORTEX_A53, 1.2e9),
-    (CORTEX_A53, 0.8e9),
-]
+from repro.platform import figures
 
 
 def test_fig15_cpu_capability(benchmark, profiles, config):
-    def experiment():
-        out = {}
-        for core, freq in SWEEP:
-            cfg = config.with_isc_core(core.with_frequency(freq))
-            platform = make_platform("iceclave", cfg)
-            out[(core.name, freq)] = statistics.mean(
-                platform.run(profiles[name]).total_time for name in WORKLOAD_ORDER
-            )
-        return out
-
-    times = run_once(benchmark, experiment)
+    times = run_once(benchmark, lambda: figures.fig15_capability_sweep(profiles, config))
 
     baseline = times[("cortex-a72", 1.6e9)]
     print_header(

@@ -7,26 +7,13 @@ keeping its overhead over ISC minimal.
 
 from conftest import WORKLOAD_ORDER, print_header, run_once
 
-from repro.platform import make_platform
-
-GIB = 1 << 30
+from repro.platform import figures
 
 
 def test_fig16_dram_capacity(benchmark, profiles, config):
-    def experiment():
-        out = {}
-        for dram in (4 * GIB, 2 * GIB):
-            cfg = config.with_dram(dram)
-            isc = make_platform("isc", cfg)
-            ice = make_platform("iceclave", cfg)
-            out[dram] = {
-                name: (isc.run(profiles[name]).total_time,
-                       ice.run(profiles[name]).total_time)
-                for name in WORKLOAD_ORDER
-            }
-        return out
-
-    times = run_once(benchmark, experiment)
+    times = run_once(
+        benchmark, lambda: figures.fig16_dram_sweep(profiles, config, capacities_gib=(4, 2))
+    )
 
     print_header(
         "Figure 16: SSD DRAM capacity sweep",
@@ -35,8 +22,8 @@ def test_fig16_dram_capacity(benchmark, profiles, config):
     print(f"{'workload':>12s} {'isc drop':>9s} {'ice drop':>9s} {'ice-vs-isc@2GB':>15s}")
     drops = []
     for name in WORKLOAD_ORDER:
-        isc4, ice4 = times[4 * GIB][name]
-        isc2, ice2 = times[2 * GIB][name]
+        isc4, ice4 = times[4][name]
+        isc2, ice2 = times[2][name]
         isc_drop = isc2 / isc4 - 1
         ice_drop = ice2 / ice4 - 1
         drops.append(isc_drop)
@@ -49,5 +36,5 @@ def test_fig16_dram_capacity(benchmark, profiles, config):
     assert max(drops) >= 0.30  # the transactional workloads hurt badly
     # IceClave stays close to ISC at both capacities
     for name in WORKLOAD_ORDER:
-        isc2, ice2 = times[2 * GIB][name]
+        isc2, ice2 = times[2][name]
         assert ice2 / isc2 - 1 < 0.30

@@ -9,21 +9,16 @@ import statistics
 
 from conftest import print_header, run_once
 
-from repro.platform import MultiTenantIceClave
+from repro.platform import figures
 
 PARTNERS = ("arithmetic", "aggregate", "filter", "tpch-q1", "tpch-q3",
             "tpch-q12", "tpch-q14", "tpch-q19", "tpcb", "wordcount")
 
 
 def test_fig17_two_tenants(benchmark, profiles, config):
-    def experiment():
-        mt = MultiTenantIceClave(config)
-        out = {}
-        for partner in PARTNERS:
-            out[partner] = mt.run([profiles["tpcc"], profiles[partner]])
-        return out
-
-    results = run_once(benchmark, experiment)
+    results = run_once(
+        benchmark, lambda: figures.fig17_pairs(profiles, config, anchor="tpcc", partners=PARTNERS)
+    )
 
     print_header(
         "Figure 17: TPC-C collocated with each workload (two tenants)",

@@ -9,7 +9,7 @@ import statistics
 
 from conftest import print_header, run_once
 
-from repro.platform import MultiTenantIceClave
+from repro.platform import figures
 
 QUADS = [
     ("tpcc", "tpch-q1", "filter", "wordcount"),
@@ -19,13 +19,10 @@ QUADS = [
 
 
 def test_fig18_four_tenants(benchmark, profiles, config):
-    def experiment():
-        mt = MultiTenantIceClave(config)
-        return {
-            quad: mt.run([profiles[name] for name in quad]) for quad in QUADS
-        }
-
-    results = run_once(benchmark, experiment)
+    results = run_once(
+        benchmark,
+        lambda: {quad: figures.fig18_quad(profiles, config, quad) for quad in QUADS},
+    )
 
     print_header(
         "Figure 18: four collocated instances",
@@ -43,7 +40,6 @@ def test_fig18_four_tenants(benchmark, profiles, config):
     assert 0.10 <= avg <= 0.35
     assert all(s >= 0 for s in all_slowdowns)
     # collocating four costs more than collocating two
-    mt = MultiTenantIceClave(config)
-    two = mt.run([profiles["tpcc"], profiles["tpch-q1"]])
+    two = figures.fig17_pairs(profiles, config, anchor="tpcc", partners=["tpch-q1"])["tpch-q1"]
     two_avg = statistics.mean(r.stats["slowdown"] - 1 for r in two)
     assert avg > two_avg

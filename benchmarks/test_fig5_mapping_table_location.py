@@ -9,22 +9,11 @@ import statistics
 
 from conftest import WORKLOAD_ORDER, print_header, run_once
 
-from repro.platform import make_platform
-from repro.platform.config import MAPPING_IN_SECURE
+from repro.platform import figures
 
 
 def test_fig5_mapping_table_location(benchmark, profiles, config):
-    def experiment():
-        protected = make_platform("iceclave", config)
-        secure = make_platform(
-            "iceclave", config.with_mapping_location(MAPPING_IN_SECURE)
-        )
-        return {
-            name: (protected.run(profiles[name]), secure.run(profiles[name]))
-            for name in WORKLOAD_ORDER
-        }
-
-    results = run_once(benchmark, experiment)
+    results = run_once(benchmark, lambda: figures.fig5_mapping_location(profiles, config))
 
     print_header(
         "Figure 5: mapping table location (normalized to IceClave)",
@@ -34,13 +23,13 @@ def test_fig5_mapping_table_location(benchmark, profiles, config):
     improvements = []
     for name in WORKLOAD_ORDER:
         prot, sec = results[name]
-        rel = sec.total_time / prot.total_time
+        rel = sec / prot
         improvements.append(rel - 1.0)
-        print(f"{name:>12s} {prot.total_time:9.1f}s {sec.total_time:9.1f}s {rel:8.2f}x")
+        print(f"{name:>12s} {prot:9.1f}s {sec:9.1f}s {rel:8.2f}x")
     avg = statistics.mean(improvements)
     print(f"\n  average slowdown with secure-world table: +{avg*100:.1f}% (paper ~+21.6%)")
 
     assert 0.10 <= avg <= 0.45
     for name in WORKLOAD_ORDER:
         prot, sec = results[name]
-        assert sec.total_time > prot.total_time  # protected region always wins
+        assert sec > prot  # protected region always wins

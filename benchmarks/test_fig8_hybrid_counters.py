@@ -8,30 +8,15 @@ triggers MAC/tree verification synchronously, so the comparison runs with
 full latency enforcement (``mee_latency_exposure = 1``).
 """
 
-import dataclasses
 import statistics
 
 from conftest import WORKLOAD_ORDER, print_header, run_once
 
-from repro.core.mee import EncryptionScheme
-from repro.platform import make_platform
+from repro.platform import figures
 
 
 def test_fig8_hybrid_counters(benchmark, profiles, config):
-    enforced = dataclasses.replace(config, mee_latency_exposure=1.0)
-
-    def experiment():
-        out = {}
-        for scheme in (EncryptionScheme.NONE, EncryptionScheme.SPLIT_COUNTER,
-                       EncryptionScheme.HYBRID):
-            platform = make_platform("iceclave", enforced.with_mee_scheme(scheme))
-            out[scheme] = {
-                name: platform.run(profiles[name]).total_time
-                for name in WORKLOAD_ORDER
-            }
-        return out
-
-    times = run_once(benchmark, experiment)
+    times = run_once(benchmark, lambda: figures.fig8_mee_schemes(profiles, config))
 
     print_header(
         "Figure 8: memory encryption schemes (normalized to non-encryption)",
@@ -40,9 +25,9 @@ def test_fig8_hybrid_counters(benchmark, profiles, config):
     print(f"{'workload':>12s} {'sc64':>7s} {'hybrid':>7s} {'gain':>7s}")
     gains = []
     for name in WORKLOAD_ORDER:
-        none = times[EncryptionScheme.NONE][name]
-        sc = times[EncryptionScheme.SPLIT_COUNTER][name] / none
-        hy = times[EncryptionScheme.HYBRID][name] / none
+        none = times[name]["none"]
+        sc = times[name]["sc64"] / none
+        hy = times[name]["hybrid"] / none
         gain = sc / hy - 1.0
         gains.append(gain)
         print(f"{name:>12s} {sc:6.2f}x {hy:6.2f}x {gain*100:+6.0f}%")
@@ -51,9 +36,9 @@ def test_fig8_hybrid_counters(benchmark, profiles, config):
 
     assert 0.20 <= avg <= 0.60
     for name in WORKLOAD_ORDER:
-        none = times[EncryptionScheme.NONE][name]
-        assert times[EncryptionScheme.HYBRID][name] <= times[EncryptionScheme.SPLIT_COUNTER][name]
-        assert none <= times[EncryptionScheme.HYBRID][name]
+        none = times[name]["none"]
+        assert times[name]["hybrid"] <= times[name]["sc64"]
+        assert none <= times[name]["hybrid"]
     # read-intensive workloads gain the most (they ride the major-counter path)
     read_gain = statistics.mean(gains[:8])
     write_gain = statistics.mean(gains[8:])

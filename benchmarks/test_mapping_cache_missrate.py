@@ -5,15 +5,14 @@ import statistics
 
 from conftest import WORKLOAD_ORDER, print_header, run_once
 
-from repro.platform import make_platform
+from repro.platform import figures, make_platform
 
 
 def test_mapping_cache_missrate(benchmark, profiles, config):
     def experiment():
-        platform = make_platform("iceclave", config)
         return {
-            name: platform.run(profiles[name]).stats["translation_miss_rate"]
-            for name in WORKLOAD_ORDER
+            name: runs["iceclave"].stats["translation_miss_rate"]
+            for name, runs in figures.fig11_schemes(profiles, config).items()
         }
 
     rates = run_once(benchmark, experiment)

@@ -6,6 +6,8 @@ access counts, then extrapolated to the paper's 32 GB dataset.
 
 from conftest import WORKLOAD_ORDER, print_header, run_once
 
+from repro.platform import figures
+
 PAPER = {
     "arithmetic": 2.02e-4,
     "aggregate": 2.08e-4,
@@ -24,13 +26,7 @@ DATASET = 32 << 30
 
 
 def test_table1_write_ratios(benchmark, profiles):
-    def experiment():
-        return {
-            name: profiles[name].scaled(DATASET).write_ratio
-            for name in WORKLOAD_ORDER
-        }
-
-    measured = run_once(benchmark, experiment)
+    measured = run_once(benchmark, lambda: figures.table1_write_ratios(profiles, DATASET))
 
     print_header(
         "Table 1: in-storage workload write ratios",

@@ -9,8 +9,7 @@ micro-simulation and compared against the paper's averages.
 import pytest
 from conftest import print_header, run_once
 
-from repro.core import IceClaveConfig
-from repro.core.mee import EncryptionScheme, MemoryEncryptionEngine
+from repro.platform import figures
 
 PAPER = {
     "tee_create": 95e-6,
@@ -21,29 +20,8 @@ PAPER = {
 }
 
 
-def test_table5_overhead_sources(benchmark, profiles):
-    config = IceClaveConfig()
-
-    def experiment():
-        mee = MemoryEncryptionEngine(config=config, scheme=EncryptionScheme.HYBRID)
-        # a representative mixed stream: streaming reads + working-set writes
-        for name in ("tpch-q1", "tpcc", "wordcount"):
-            for page, line, is_write, readonly in profiles[name].trace.events[:20000]:
-                if is_write:
-                    mee.write(page, line, readonly=readonly)
-                else:
-                    mee.read(page, line, readonly=readonly)
-        return mee
-
-    mee = run_once(benchmark, experiment)
-
-    measured = {
-        "tee_create": config.tee_create_time,
-        "tee_delete": config.tee_delete_time,
-        "context_switch": config.context_switch_time,
-        "memory_encryption": mee.stats.mean_encryption_latency(),
-        "memory_verification": mee.stats.mean_verification_latency(),
-    }
+def test_table5_overhead_sources(benchmark, profiles, config):
+    measured = run_once(benchmark, lambda: figures.table5_overhead_sources(profiles, config))
 
     print_header(
         "Table 5: overhead sources",

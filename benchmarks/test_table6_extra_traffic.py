@@ -9,8 +9,7 @@ import statistics
 
 from conftest import WORKLOAD_ORDER, print_header, run_once
 
-from repro.core import IceClaveConfig
-from repro.core.mee import EncryptionScheme, MemoryEncryptionEngine
+from repro.platform import figures
 
 PAPER = {
     "arithmetic": (0.0305, 0.0227),
@@ -27,24 +26,8 @@ PAPER = {
 }
 
 
-def replay(profile, sample=60000):
-    mee = MemoryEncryptionEngine(config=IceClaveConfig(), scheme=EncryptionScheme.HYBRID)
-    for page, line, is_write, readonly in profile.trace.events[:sample]:
-        if is_write:
-            mee.write(page, line, readonly=readonly)
-        else:
-            mee.read(page, line, readonly=readonly)
-    return (
-        mee.stats.encryption_extra_traffic(),
-        mee.stats.verification_extra_traffic(),
-    )
-
-
-def test_table6_extra_traffic(benchmark, profiles):
-    def experiment():
-        return {name: replay(profiles[name]) for name in WORKLOAD_ORDER}
-
-    measured = run_once(benchmark, experiment)
+def test_table6_extra_traffic(benchmark, profiles, config):
+    measured = run_once(benchmark, lambda: figures.table6_extra_traffic(profiles, config))
 
     print_header(
         "Table 6: extra memory traffic (encryption / verification)",

@@ -13,7 +13,7 @@ line of serialization. This rule finds the missing line statically.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.context import ModuleContext
 from repro.analysis.finding import Finding
@@ -92,18 +92,23 @@ def _mentioned_names(func: ast.FunctionDef) -> Set[str]:
     return names
 
 
-def _self_assignments(init: ast.FunctionDef) -> Iterator[Tuple[str, ast.Assign]]:
-    """(attribute name, assignment) for each ``self.X = ...`` in __init__."""
+def _self_assignments(init: ast.FunctionDef) -> Iterator[Tuple[str, ast.stmt, ast.expr]]:
+    """(attribute, statement, value) for each ``self.X [: T] = value`` in __init__."""
     for stmt in ast.walk(init):
-        if not isinstance(stmt, ast.Assign):
+        targets: List[ast.expr]
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets, value = [stmt.target], stmt.value
+        else:
             continue
-        for target in stmt.targets:
+        for target in targets:
             if (
                 isinstance(target, ast.Attribute)
                 and isinstance(target.value, ast.Name)
                 and target.value.id == "self"
             ):
-                yield target.attr, stmt
+                yield target.attr, stmt, value
 
 
 @register
@@ -133,13 +138,13 @@ class UnserializedStateRule(Rule):
             return
         mentioned = _mentioned_names(snapshot) | _mentioned_names(restore)
         seen: Set[str] = set()
-        for attr, assign in _self_assignments(init):
+        for attr, assign, value in _self_assignments(init):
             if attr in seen:
                 continue
             seen.add(attr)
             if attr in mentioned:
                 continue
-            if not _is_mutable_initializer(assign.value):
+            if not _is_mutable_initializer(value):
                 continue
             yield ctx.finding(
                 self.id,

@@ -47,7 +47,7 @@ class BonsaiMerkleTree:
         # not bind level or index), so memo lookups are *exactly* the MAC —
         # including under tampering: a corrupted child changes the key,
         # misses, and recomputes. Derived state: never snapshotted.
-        self._memo: Dict[Tuple[bytes, ...], bytes] = {}
+        self._memo: Dict[Tuple[bytes, ...], bytes] = {}  # repro: allow[recovery-unserialized-state] -- derived memo of pure node MACs, never snapshotted
         self.memo_hits = 0  # repro: allow[recovery-unserialized-state] -- derived perf counter, resets with the memo
         self.memo_misses = 0  # repro: allow[recovery-unserialized-state] -- derived perf counter, resets with the memo
 

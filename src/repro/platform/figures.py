@@ -1,8 +1,10 @@
 """Programmatic builders for every table/figure data series.
 
-One function per experiment, returning plain dict/list structures that the
-benchmark harness, the EXPERIMENTS.md generator, and the CSV exporter all
-share — so the three never disagree about what an experiment means.
+One function per paper experiment (Tables 1, 5 and 6, Figs. 5, 8 and
+11–18), returning plain dict/list structures. The benchmark harness and
+the EXPERIMENTS.md generator call every builder, and the CSV exporter all
+but Table 5's; none of the three computes a series itself, so they never
+disagree about what an experiment means.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import dataclasses
 import statistics
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.mee import EncryptionScheme
+from repro.core.mee import EncryptionScheme, MemoryEncryptionEngine
 from repro.cpu.models import CORTEX_A53, CORTEX_A72
 from repro.platform.config import MAPPING_IN_SECURE, PlatformConfig
 from repro.platform.metrics import RunResult
@@ -25,6 +27,9 @@ WORKLOAD_ORDER = [
     "tpcb", "tpcc", "wordcount",
 ]
 SCHEMES = ("host", "host+sgx", "isc", "iceclave")
+# Table 5's MEE stream: streaming reads plus working-set writes
+TABLE5_WORKLOADS = ("tpch-q1", "tpcc", "wordcount")
+TABLE5_PREFIX = 20_000
 
 Profiles = Dict[str, WorkloadProfile]
 
@@ -175,6 +180,25 @@ def fig18_quad(
     """Figure 18: four collocated instances."""
     mt = MultiTenantIceClave(config)
     return mt.run([profiles[n] for n in quad])
+
+
+def table5_overhead_sources(profiles: Profiles, config: PlatformConfig) -> Dict[str, float]:
+    """Table 5: TEE lifecycle costs (configuration) and mean MEE latencies.
+
+    One HYBRID engine replays the first ``TABLE5_PREFIX`` events of each
+    ``TABLE5_WORKLOADS`` trace in turn.
+    """
+    tee = config.iceclave
+    mee = MemoryEncryptionEngine(config=tee, scheme=EncryptionScheme.HYBRID)
+    for n in TABLE5_WORKLOADS:
+        mee.replay(profiles[n].trace.events[:TABLE5_PREFIX])
+    return {
+        "tee_create": tee.tee_create_time,
+        "tee_delete": tee.tee_delete_time,
+        "context_switch": tee.context_switch_time,
+        "memory_encryption": mee.stats.mean_encryption_latency(),
+        "memory_verification": mee.stats.mean_verification_latency(),
+    }
 
 
 def table6_extra_traffic(

@@ -66,7 +66,7 @@ class Engine:
     """A minimal deterministic discrete-event simulation engine."""
 
     def __init__(self) -> None:
-        self._queue: List[_Entry] = []  # repro: allow[recovery-unserialized-state] -- callbacks are closures; snapshots only happen at quiescent (empty-queue) points, enforced in snapshot_state
+        self._queue: List[_Entry] = []  # callbacks are closures; snapshots only happen at quiescent (empty-queue) points, enforced in snapshot_state
         self._now: float = 0.0
         self._seq: int = 0
         self._events_fired: int = 0

@@ -62,6 +62,11 @@ class TestRuleFixtures:
         assert result.findings[0].status is FindingStatus.NEW
         assert result.exit_code == 1
 
+    def test_recovery_rule_checks_annotated_attributes(self):
+        result = scan(FIXTURES / "recovery_unserialized_annotated.py")
+        fired = [(f.rule, f.line_text) for f in result.findings]
+        assert fired == [("recovery-unserialized-state", "self.pending: List[int] = []")]
+
     def test_every_registered_rule_has_a_fixture(self):
         # project-level (interprocedural) rules have their own fixture map
         # in tests/test_analysis_flow.py

@@ -9,6 +9,8 @@ from repro.core.mee import EncryptionScheme, MemoryEncryptionEngine
 from repro.platform import PlatformConfig
 from repro.platform.figures import (
     SCHEMES,
+    TABLE5_PREFIX,
+    TABLE5_WORKLOADS,
     fig5_mapping_location,
     fig8_mee_schemes,
     fig11_schemes,
@@ -19,6 +21,7 @@ from repro.platform.figures import (
     fig17_pairs,
     fig18_quad,
     table1_write_ratios,
+    table5_overhead_sources,
     table6_extra_traffic,
 )
 from repro.platform.schemes import _mee_overhead_memo, make_platform
@@ -36,6 +39,14 @@ def profiles():
 @pytest.fixture(scope="module")
 def config():
     return PlatformConfig()
+
+
+def per_access(mee, events):
+    """Drive ``mee`` one event at a time through ``read()``/``write()``: the
+    per-access path ``replay`` is checked against."""
+    for page, line, is_write, readonly in events:
+        (mee.write if is_write else mee.read)(page, line, readonly=readonly)
+    return mee.stats
 
 
 class TestSeriesBuilders:
@@ -155,3 +166,24 @@ class TestReplayReuse:
                 mee.stats.verification_extra_traffic(),
             )
             assert repr(traffic[name]) == repr(expected)
+            # every default trace fits the sample limit, so the per-access
+            # path over its first ``mee_sample_limit`` events agrees too
+            stats = per_access(
+                MemoryEncryptionEngine(config.iceclave, EncryptionScheme.HYBRID),
+                profile.trace.events[:config.mee_sample_limit],
+            )
+            per_event = (stats.encryption_extra_traffic(), stats.verification_extra_traffic())
+            assert repr(traffic[name]) == repr(per_event)
+
+    def test_table5_equals_the_per_access_path(self, config):
+        """Table 5's replayed latencies equal a HYBRID engine driven per access."""
+        table5_profiles = {n: workload_by_name(n).run() for n in TABLE5_WORKLOADS}
+        measured = table5_overhead_sources(table5_profiles, config)
+        mee = MemoryEncryptionEngine(config=config.iceclave, scheme=EncryptionScheme.HYBRID)
+        for name in TABLE5_WORKLOADS:
+            per_access(mee, table5_profiles[name].trace.events[:TABLE5_PREFIX])
+        assert repr(measured["memory_encryption"]) == repr(mee.stats.mean_encryption_latency())
+        assert repr(measured["memory_verification"]) == repr(mee.stats.mean_verification_latency())
+        assert measured["tee_create"] == config.iceclave.tee_create_time
+        assert measured["tee_delete"] == config.iceclave.tee_delete_time
+        assert measured["context_switch"] == config.iceclave.context_switch_time

@@ -2,12 +2,13 @@
 
 These checks run no entry point: they read the catalogue's entry list and
 the committed ``tools/unreached.txt``, so deleting a function without
-pruning the list, or adding a subcommand the catalogue never runs, fails
-here rather than only in the slow CI job.
+pruning the list, or adding a subcommand or benchmark workload the
+catalogue never runs, fails here rather than only in the slow CI job.
 """
 
 import argparse
 import importlib.util
+import json
 import pathlib
 
 from repro.cli import build_parser
@@ -40,3 +41,12 @@ def test_listing_is_sorted_unique_and_names_existing_functions():
     assert listed == sorted(set(listed))
     defined = set(reach.functions().values())
     assert [key for key in listed if key not in defined] == []
+
+
+def test_every_benchmark_workload_has_a_worker_entry():
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    covered = {
+        argv[argv.index("--workload") + 1]
+        for argv in reach.ENTRIES if argv[0] == "perfbench/worker.py"
+    }
+    assert sorted({w["name"] for w in declared} - covered) == []

@@ -1,30 +1,21 @@
 #!/usr/bin/env python3
 """Regenerate EXPERIMENTS.md: paper-vs-measured for every table and figure.
 
-Run from the repository root::
+Every measured number comes from a ``repro.platform.figures`` builder;
+this script only renders them next to the paper's values. Run from the
+repository root::
 
     python tools/generate_experiments_md.py > EXPERIMENTS.md
 """
 
 from __future__ import annotations
 
-import dataclasses
 import statistics
 import sys
 
 from repro.area import CipherEngineArea
-from repro.core import IceClaveConfig
-from repro.core.mee import EncryptionScheme, MemoryEncryptionEngine
-from repro.cpu.models import CORTEX_A53, CORTEX_A72
-from repro.platform import MultiTenantIceClave, PlatformConfig, make_platform
-from repro.platform.config import MAPPING_IN_SECURE
+from repro.platform import PlatformConfig, figures
 from repro.workloads import workload_by_name
-
-WORKLOADS = [
-    "arithmetic", "aggregate", "filter",
-    "tpch-q1", "tpch-q3", "tpch-q12", "tpch-q14", "tpch-q19",
-    "tpcb", "tpcc", "wordcount",
-]
 
 TABLE1_PAPER = {
     "arithmetic": 2.02e-4, "aggregate": 2.08e-4, "filter": 1.71e-4,
@@ -45,13 +36,9 @@ def emit(line: str = "") -> None:
 
 
 def main() -> None:
-    profiles = {name: workload_by_name(name).run() for name in WORKLOADS}
+    profiles = {name: workload_by_name(name).run() for name in figures.WORKLOAD_ORDER}
     config = PlatformConfig()
-    platforms = {s: make_platform(s, config) for s in ("host", "host+sgx", "isc", "iceclave")}
-    results = {
-        name: {s: platforms[s].run(profiles[name]) for s in platforms}
-        for name in WORKLOADS
-    }
+    results = figures.fig11_schemes(profiles, config)
 
     emit("# EXPERIMENTS — paper vs. measured")
     emit()
@@ -66,8 +53,7 @@ def main() -> None:
     emit()
     emit("| workload | paper | measured (32 GB scale) |")
     emit("|---|---|---|")
-    for name in WORKLOADS:
-        measured = profiles[name].scaled(32 << 30).write_ratio
+    for name, measured in figures.table1_write_ratios(profiles).items():
         emit(f"| {name} | {TABLE1_PAPER[name]:.2e} | {measured:.2e} |")
     emit()
     emit("Shape preserved: wordcount > tpcc > tpcb >> every analytics query;")
@@ -77,10 +63,9 @@ def main() -> None:
     emit()
 
     # ---- Figure 5 ----------------------------------------------------------
-    secure = make_platform("iceclave", config.with_mapping_location(MAPPING_IN_SECURE))
     slows = [
-        secure.run(profiles[n]).total_time / results[n]["iceclave"].total_time
-        for n in WORKLOADS
+        secure / protected
+        for protected, secure in figures.fig5_mapping_location(profiles, config).values()
     ]
     emit("## Figure 5 — mapping table in protected region vs secure world")
     emit()
@@ -90,24 +75,15 @@ def main() -> None:
     emit()
 
     # ---- Figure 8 ----------------------------------------------------------
-    enforced = dataclasses.replace(config, mee_latency_exposure=1.0)
-    fig8 = {}
-    for scheme in EncryptionScheme:
-        plat = make_platform("iceclave", enforced.with_mee_scheme(scheme))
-        fig8[scheme] = {n: plat.run(profiles[n]).total_time for n in WORKLOADS}
-    gains = [
-        fig8[EncryptionScheme.SPLIT_COUNTER][n] / fig8[EncryptionScheme.HYBRID][n] - 1
-        for n in WORKLOADS
-    ]
+    fig8 = figures.fig8_mee_schemes(profiles, config)
+    gains = [t["sc64"] / t["hybrid"] - 1 for t in fig8.values()]
     emit("## Figure 8 — hybrid counters vs SC-64 (memory-path study)")
     emit()
     emit("| workload | SC-64 (vs none) | hybrid (vs none) | hybrid gain |")
     emit("|---|---|---|---|")
-    for n in WORKLOADS:
-        none = fig8[EncryptionScheme.NONE][n]
-        emit(f"| {n} | {fig8[EncryptionScheme.SPLIT_COUNTER][n]/none:.2f}x "
-             f"| {fig8[EncryptionScheme.HYBRID][n]/none:.2f}x "
-             f"| +{(fig8[EncryptionScheme.SPLIT_COUNTER][n]/fig8[EncryptionScheme.HYBRID][n]-1)*100:.0f}% |")
+    for n, t in fig8.items():
+        emit(f"| {n} | {t['sc64']/t['none']:.2f}x | {t['hybrid']/t['none']:.2f}x "
+             f"| +{(t['sc64']/t['hybrid']-1)*100:.0f}% |")
     emit()
     emit(f"- paper: hybrid improves **43%** on average over split counters")
     emit(f"- measured: **+{statistics.mean(gains)*100:.0f}%** average, read-intensive "
@@ -119,40 +95,35 @@ def main() -> None:
     emit()
     emit("| workload | host | host+sgx | isc | iceclave | ice/host | ice vs isc |")
     emit("|---|---|---|---|---|---|---|")
-    sus, sgx_sus, ovs = [], [], []
-    for n in WORKLOADS:
-        r = results[n]
-        su = r["iceclave"].speedup_over(r["host"])
-        ov = r["iceclave"].overhead_over(r["isc"])
-        sus.append(su)
-        sgx_sus.append(r["iceclave"].speedup_over(r["host+sgx"]))
-        ovs.append(ov)
+    for n, r in results.items():
         emit(f"| {n} | {r['host'].total_time:.1f}s | {r['host+sgx'].total_time:.1f}s "
              f"| {r['isc'].total_time:.1f}s | {r['iceclave'].total_time:.1f}s "
-             f"| {su:.2f}x | +{ov*100:.1f}% |")
+             f"| {r['iceclave'].speedup_over(r['host']):.2f}x "
+             f"| +{r['iceclave'].overhead_over(r['isc'])*100:.1f}% |")
+    summary = figures.fig11_summary(results)
+    inflation = statistics.mean(
+        r["host+sgx"].stats["sgx_compute_inflation"] for r in results.values()
+    )
     emit()
     emit(f"- paper: 2.31x over Host, 2.38x over Host+SGX, +7.6% over ISC, "
          f"Host+SGX pays ~103% extra compute")
-    emit(f"- measured: **{statistics.mean(sus):.2f}x** over Host, "
-         f"**{statistics.mean(sgx_sus):.2f}x** over Host+SGX, "
-         f"**+{statistics.mean(ovs)*100:.1f}%** over ISC, "
-         f"SGX compute inflation ~{statistics.mean(results[n]['host+sgx'].stats['sgx_compute_inflation'] for n in WORKLOADS):.2f}x")
+    emit(f"- measured: **{summary['speedup_vs_host']:.2f}x** over Host, "
+         f"**{summary['speedup_vs_host_sgx']:.2f}x** over Host+SGX, "
+         f"**+{summary['overhead_vs_isc']*100:.1f}%** over ISC, "
+         f"SGX compute inflation ~{inflation:.2f}x")
     emit()
 
     # ---- Table 5 -----------------------------------------------------------
-    mee = MemoryEncryptionEngine(config=IceClaveConfig(), scheme=EncryptionScheme.HYBRID)
-    for n in ("tpch-q1", "tpcc", "wordcount"):
-        for page, line, is_write, readonly in profiles[n].trace.events[:20000]:
-            (mee.write if is_write else mee.read)(page, line, readonly=readonly)
+    t5 = figures.table5_overhead_sources(profiles, config)
     emit("## Table 5 — overhead sources")
     emit()
     emit("| source | paper | this repo |")
     emit("|---|---|---|")
-    emit("| TEE creation | 95 µs | 95 µs (config constant, FPGA-measured in paper) |")
-    emit("| TEE deletion | 58 µs | 58 µs (config constant) |")
-    emit("| context switch | 3.8 µs | 3.8 µs (config constant) |")
-    emit(f"| memory encryption | 102.6 ns | {mee.stats.mean_encryption_latency()*1e9:.1f} ns (measured from MEE micro-sim) |")
-    emit(f"| memory verification | 151.2 ns | {mee.stats.mean_verification_latency()*1e9:.1f} ns (measured) |")
+    emit(f"| TEE creation | 95 µs | {t5['tee_create']*1e6:g} µs (config constant, FPGA-measured in paper) |")
+    emit(f"| TEE deletion | 58 µs | {t5['tee_delete']*1e6:g} µs (config constant) |")
+    emit(f"| context switch | 3.8 µs | {t5['context_switch']*1e6:g} µs (config constant) |")
+    emit(f"| memory encryption | 102.6 ns | {t5['memory_encryption']*1e9:.1f} ns (measured from MEE micro-sim) |")
+    emit(f"| memory verification | 151.2 ns | {t5['memory_verification']*1e9:.1f} ns (measured) |")
     emit()
 
     # ---- Table 6 -----------------------------------------------------------
@@ -161,12 +132,8 @@ def main() -> None:
     emit("| workload | paper enc | measured enc | paper verify | measured verify |")
     emit("|---|---|---|---|---|")
     encs, vers = [], []
-    for n in WORKLOADS:
-        m = MemoryEncryptionEngine(config=IceClaveConfig(), scheme=EncryptionScheme.HYBRID)
-        for page, line, is_write, readonly in profiles[n].trace.events[:60000]:
-            (m.write if is_write else m.read)(page, line, readonly=readonly)
-        enc = m.stats.encryption_extra_traffic() * 100
-        ver = m.stats.verification_extra_traffic() * 100
+    for n, (enc, ver) in figures.table6_extra_traffic(profiles, config).items():
+        enc, ver = enc * 100, ver * 100
         encs.append(enc)
         vers.append(ver)
         pe, pv = TABLE6_PAPER[n]
@@ -182,11 +149,9 @@ def main() -> None:
     emit()
     emit("| channels | ice/host avg (min–max) | overhead vs ISC avg (max) |")
     emit("|---|---|---|")
-    for ch in (4, 8, 16, 32):
-        cfg = config.with_channels(ch)
-        ice, host, isc = (make_platform(s, cfg) for s in ("iceclave", "host", "isc"))
-        sp = [ice.run(profiles[n]).speedup_over(host.run(profiles[n])) for n in WORKLOADS]
-        ov = [ice.run(profiles[n]).overhead_over(isc.run(profiles[n])) for n in WORKLOADS]
+    for ch, point in figures.fig12_13_channel_sweep(profiles, config).items():
+        sp = [s for s, _ in point.values()]
+        ov = [o for _, o in point.values()]
         emit(f"| {ch} | {statistics.mean(sp):.2f}x ({min(sp):.2f}–{max(sp):.2f}) "
              f"| +{statistics.mean(ov)*100:.1f}% (+{max(ov)*100:.1f}%) |")
     emit()
@@ -198,10 +163,8 @@ def main() -> None:
     emit()
     emit("| t_RD | ice/host avg (min–max) |")
     emit("|---|---|")
-    for lat in (10, 30, 50, 70, 90, 110):
-        cfg = config.with_flash_read_latency(lat * 1e-6)
-        ice, host = make_platform("iceclave", cfg), make_platform("host", cfg)
-        sp = [ice.run(profiles[n]).speedup_over(host.run(profiles[n])) for n in WORKLOADS]
+    for lat, speedups in figures.fig14_latency_sweep(profiles, config).items():
+        sp = list(speedups.values())
         emit(f"| {lat} µs | {statistics.mean(sp):.2f}x ({min(sp):.2f}–{max(sp):.2f}) |")
     emit()
     emit("- paper: 1.8–3.2x across devices; advantage narrows as flash slows")
@@ -212,15 +175,10 @@ def main() -> None:
     emit()
     emit("| core | avg time | relative perf |")
     emit("|---|---|---|")
-    baseline = None
-    for core, freq in ((CORTEX_A72, 1.6e9), (CORTEX_A72, 1.2e9), (CORTEX_A72, 0.8e9),
-                       (CORTEX_A53, 1.6e9), (CORTEX_A53, 1.2e9), (CORTEX_A53, 0.8e9)):
-        cfg = config.with_isc_core(core.with_frequency(freq))
-        avg = statistics.mean(
-            make_platform("iceclave", cfg).run(profiles[n]).total_time for n in WORKLOADS
-        )
-        baseline = baseline or avg
-        emit(f"| {core.name} @ {freq/1e9:.1f} GHz | {avg:.1f}s | {baseline/avg:.3f} |")
+    fig15 = figures.fig15_capability_sweep(profiles, config)
+    baseline = next(iter(fig15.values()))
+    for (core, freq), avg in fig15.items():
+        emit(f"| {core} @ {freq/1e9:.1f} GHz | {avg:.1f}s | {baseline/avg:.3f} |")
     emit()
     emit("- paper: performance drops 13.7–33.4% across the sweep; OoO A72 > A53")
     emit()
@@ -230,30 +188,28 @@ def main() -> None:
     emit()
     emit("| workload | ISC drop | IceClave drop |")
     emit("|---|---|---|")
-    for n in WORKLOADS:
-        isc4 = make_platform("isc", config.with_dram(4 << 30)).run(profiles[n]).total_time
-        isc2 = make_platform("isc", config.with_dram(2 << 30)).run(profiles[n]).total_time
-        ice4 = make_platform("iceclave", config.with_dram(4 << 30)).run(profiles[n]).total_time
-        ice2 = make_platform("iceclave", config.with_dram(2 << 30)).run(profiles[n]).total_time
+    fig16 = figures.fig16_dram_sweep(profiles, config)
+    for n, (isc4, ice4) in fig16[4].items():
+        isc2, ice2 = fig16[2][n]
         emit(f"| {n} | +{(isc2/isc4-1)*100:.0f}% | +{(ice2/ice4-1)*100:.0f}% |")
     emit()
     emit("- paper: ISC drops 12–44%; IceClave follows the same trend")
     emit()
 
     # ---- Figures 17/18 -----------------------------------------------------
-    mt = MultiTenantIceClave(config)
     emit("## Figures 17 & 18 — multi-tenant IceClave")
     emit()
     emit("Two tenants (TPC-C + partner):")
     emit()
     emit("| partner | tpcc slowdown | partner slowdown |")
     emit("|---|---|---|")
-    for partner in ("tpch-q1", "filter", "tpch-q3", "tpcb", "wordcount"):
-        rs = mt.run([profiles["tpcc"], profiles[partner]])
+    pairs = figures.fig17_pairs(
+        profiles, config, partners=["tpch-q1", "filter", "tpch-q3", "tpcb", "wordcount"]
+    )
+    for partner, rs in pairs.items():
         emit(f"| {partner} | +{(rs[0].stats['slowdown']-1)*100:.1f}% "
              f"| +{(rs[1].stats['slowdown']-1)*100:.1f}% |")
-    quad = [profiles[n] for n in ("tpcc", "tpch-q1", "filter", "wordcount")]
-    rs = mt.run(quad)
+    rs = figures.fig18_quad(profiles, config)
     avg = statistics.mean(r.stats["slowdown"] - 1 for r in rs)
     emit()
     emit(f"Four tenants: average slowdown **+{avg*100:.1f}%** (paper: 21.4%); shared")

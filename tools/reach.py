@@ -2,12 +2,12 @@
 """Reachability catalogue: the functions in ``src/repro`` no user path runs.
 
 Runs every user entry point in ``ENTRIES`` (each ``repro`` subcommand with
-the flags that reach extra code, the examples and
-``tools/export_figure_data.py``) in a fresh interpreter under a call
-tracer, then prints each function of ``src/repro`` that no entry called,
-one ``path:qualname`` a line, sorted.  Keys carry no line numbers, so an
-unrelated edit does not churn the list.  Every output the entries write
-goes to a temporary directory.
+the flags that reach extra code, the examples, the two ``tools/`` figure
+scripts and one pass of each perfbench workload) in a fresh interpreter
+under a call tracer, then prints each function of ``src/repro`` that no
+entry called, one ``path:qualname`` a line, sorted.  Keys carry no line
+numbers, so an unrelated edit does not churn the list.  Every output the
+entries write goes to a temporary directory.
 
 Usage::
 
@@ -42,7 +42,8 @@ LISTING = REPO_ROOT / "tools" / "unreached.txt"
 # script path under the repository root, run as ``__main__``.  "{tmp}" is
 # the scratch directory (also the working directory) and "{root}" the
 # repository root.  Entries run in order, so a later one may read what an
-# earlier one wrote.
+# earlier one wrote.  A script runs with its own directory first on
+# ``sys.path``, as ``python script.py`` does.
 ENTRIES = [
     ["repro", "list"],
     ["repro", "info"],
@@ -85,12 +86,16 @@ ENTRIES = [
     ["examples/attack_demo.py"],
     ["examples/ssd_substrate.py"],
     ["tools/export_figure_data.py", "{tmp}/figure_data"],
+    ["tools/generate_experiments_md.py"],
+    *(["perfbench/worker.py", "--workload", workload, "--seed", "7",
+       "--budget", "0", "--max-passes", "1"]
+      for workload in ("paper-figures", "ssd-chaos", "serve-lab", "fleet-lab")),
 ]
 
 # Runs in the child: record the code object of every call, return None so
 # no line events follow, and dump the ``src/repro`` ones as (file, line).
 _TRACER = r"""
-import json, runpy, sys, threading
+import json, os, runpy, sys, threading
 out, root, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
 codes = {}
 
@@ -107,6 +112,7 @@ try:
         status = main(argv[1:])
     else:
         sys.argv = argv
+        sys.path[0] = os.path.dirname(argv[0])
         runpy.run_path(argv[0], run_name="__main__")
 except SystemExit as exc:
     status = exc.code
