@@ -166,11 +166,18 @@ class MemoryEncryptionEngine:
         self.stats = MeeStats()
         # runtime invariant monitor (repro.recovery); None = disabled
         self.invariant_monitor = None  # repro: allow[recovery-unserialized-state] -- monitors are re-armed by their owner after restore, never serialized
-        # tree depths are sized for the whole protected DRAM
+        self.split_tree_depth, self.major_tree_depth = self.tree_depths(config)
+
+    @classmethod
+    def tree_depths(cls, config: IceClaveConfig) -> Tuple[int, int]:
+        """(split, major) Bonsai tree depths, sized for the whole protected DRAM.
+
+        The only way ``dram_bytes`` and ``page_bytes`` reach this engine.
+        """
         dram_pages = config.dram_bytes // config.page_bytes
-        self.split_tree_depth = self._depth(dram_pages)
-        self.major_tree_depth = self._depth(
-            math.ceil(dram_pages / MAJOR_COUNTERS_PER_BLOCK)
+        return (
+            cls._depth(dram_pages),
+            cls._depth(math.ceil(dram_pages / MAJOR_COUNTERS_PER_BLOCK)),
         )
 
     @staticmethod

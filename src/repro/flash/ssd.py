@@ -4,11 +4,14 @@ This is where the paper's bandwidth story lives. A page read occupies its
 die for ``t_RD`` then its channel for the transfer time; with C channels the
 aggregate internal bandwidth scales with C (Figure 12) while per-page latency
 and die counts bound the achievable parallelism (Figure 14).
+:func:`read_storm_time` computes the clock of a windowed read storm
+without the engine, exactly; :meth:`FlashDevice.read_storm` is its oracle.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from heapq import heappop, heappush, heapreplace
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
@@ -185,3 +188,59 @@ class FlashDevice:
             / self.timing.read_latency
         )
         return min(self.internal_bandwidth(), die_bound)
+
+
+def read_storm_time(
+    geometry: FlashGeometry, timing: FlashTiming, ppas: Iterable[int], window: int
+) -> float:
+    """Clock at the end of :meth:`FlashDevice.read_storm`, without the engine.
+
+    Runs the same closed loop as a recurrence: every die and every channel
+    is a FIFO server with one constant service time (``t_RD``, the page
+    transfer), so a job starts at ``max(arrival, free)`` and finishes at
+    ``start + service``, the same float addition ``Engine.schedule_after``
+    makes. One heap orders the pending finishes: a die finish queues its
+    page on the page's channel, and a channel finish issues the next page.
+    The returned clock equals ``engine.now`` after ``read_storm`` bit for
+    bit (``tests/test_flash.py`` pins this on random geometries).
+
+    Ties in time cannot change a value. A FIFO server with one constant
+    service time departs at times fixed by its sorted arrival times alone,
+    whichever of two simultaneous arrivals it serves first; a die's pages
+    all go on to the same channel; and each channel finish issues the next
+    page in page order, so page ``window + k`` is issued at the ``k``-th
+    earliest finish, whichever of two simultaneous finishes fires first.
+    """
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    sense = timing.read_latency
+    transfer = timing.transfer_time(geometry.page_bytes)
+    route = list(map(geometry.channel_and_die, ppas))
+    pages = len(route)
+    die_free = [0.0] * geometry.total_dies
+    channel_free = [0.0] * geometry.channels
+    # (time, channel) of a die finish; channel -1 marks a channel finish
+    pending: List[Tuple[float, int]] = []
+    issued = min(window, pages)
+    for channel, die in route[:issued]:
+        die_free[die] += sense  # all issued at time 0: each waits for the last
+        heappush(pending, (die_free[die], channel))
+    now = 0.0
+    while pending:
+        # the earliest finish makes way for the finish it causes, if any
+        now, channel = pending[0]
+        if channel >= 0:
+            free = channel_free[channel]
+            done = (now if now > free else free) + transfer
+            channel_free[channel] = done
+            heapreplace(pending, (done, -1))
+        elif issued < pages:
+            channel, die = route[issued]
+            issued += 1
+            free = die_free[die]
+            done = (now if now > free else free) + sense
+            die_free[die] = done
+            heapreplace(pending, (done, channel))
+        else:
+            heappop(pending)
+    return now

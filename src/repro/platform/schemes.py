@@ -10,9 +10,10 @@ compute``. Host+SGX additionally pays the SGX cost model.
 *ISC / IceClave* stream flash pages through the in-storage pipeline:
 channel-parallel flash reads overlap with compute on the controller cores,
 so ``total = max(load, compute) + pipeline_exposure * min(load, compute)``.
-Flash load throughput is *measured* by running a page batch through the
-discrete-event flash device (cached per configuration). IceClave adds the
-security machinery on top:
+Flash load throughput is *measured* as the clock at the end of a windowed
+read storm over a page batch, computed by the exact die/channel FIFO
+recurrence ``repro.flash.ssd.read_storm_time`` (cached per configuration).
+IceClave adds the security machinery on top:
 
 - address translation against the cached mapping table (protected region)
   — misses pay a world switch plus the translation-page fetch; the
@@ -31,16 +32,15 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict, namedtuple
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.core.config import MIB
-from repro.core.mee import MemoryEncryptionEngine
+from repro.core.config import MIB, IceClaveConfig
+from repro.core.mee import EncryptionScheme, MemoryEncryptionEngine
 from repro.flash.geometry import small_geometry
-from repro.flash.ssd import FlashDevice
+from repro.flash.ssd import read_storm_time
 from repro.ftl.mapping_cache import MappingCache
 from repro.platform.config import MAPPING_IN_SECURE, PlatformConfig
 from repro.platform.metrics import RunResult
-from repro.sim.engine import Engine
 from repro.sim.stats import register_memo
 from repro.query.trace import subsample_events
 
@@ -108,15 +108,21 @@ class _BoundedMemo:
 # MEE replay is the single most expensive piece of an IceClave run, and a
 # figure sweep replays the same trace under the same config many times.
 _mee_overhead_memo = _BoundedMemo("platform.mee_overhead")
+# The IceClaveConfig fields the replay reads, besides the tree depths
+# (``MemoryEncryptionEngine.tree_depths``): counter-cache geometry, AES
+# latency and the minor-counter width. The memo key names each of them.
+MEE_REPLAY_FIELDS = ("counter_cache_bytes", "cache_line_bytes", "aes_delay", "minor_counter_bits")
 
 
 def flash_read_throughput(config: PlatformConfig) -> float:
-    """Sustained internal read bandwidth, measured on the event simulator.
+    """Sustained internal read bandwidth of a windowed read storm.
 
     Reads are issued with a bounded in-flight window (``queue_depth``), the
     way a real controller pipeline does: at low flash latency the channel
     bandwidth bounds throughput, at high latency the window does — which is
-    the crossover Figure 14 sweeps across.
+    the crossover Figure 14 sweeps across. The storm's clock comes from
+    :func:`read_storm_time`, which equals ``FlashDevice.read_storm`` on the
+    event engine bit for bit.
     """
     timing = config.flash_timing
     key = (
@@ -126,7 +132,6 @@ def flash_read_throughput(config: PlatformConfig) -> float:
         config.queue_depth_per_channel,
     )
     if key not in _throughput_cache:
-        engine = Engine()
         geometry = small_geometry(
             channels=config.channels,
             chips_per_channel=4,
@@ -135,10 +140,10 @@ def flash_read_throughput(config: PlatformConfig) -> float:
             blocks_per_plane=4,
             pages_per_block=64,
         )
-        device = FlashDevice(engine, geometry, timing)
         pages = min(FLASH_PROBE_PAGES, geometry.total_pages)
-        device.read_storm(range(pages), config.queue_depth_per_channel * config.channels)
-        _throughput_cache[key] = pages * geometry.page_bytes / engine.now
+        window = config.queue_depth_per_channel * config.channels
+        clock = read_storm_time(geometry, timing, range(pages), window)
+        _throughput_cache[key] = pages * geometry.page_bytes / clock
     return _throughput_cache[key]
 
 
@@ -345,43 +350,32 @@ class IceClavePlatform(IscPlatform):
     def _mee_overhead(self, profile: WorkloadProfile) -> Tuple[float, Dict[str, float]]:
         """Replay the sampled trace; return per-access extra latency + stats.
 
-        The replay is pure in its inputs (the trace events and the MEE-relevant
-        config), so what it measures is memoized: scaled profiles share the
-        same events list, and every hashable config knob that feeds the replay
-        is in the key. ``mee_latency_exposure`` only weighs the measured
-        hit-path latency afterwards, so runs that differ in it share a replay.
+        The replay is pure in its inputs, so what it measures is memoized on
+        exactly what it reads: the trace (scaled profiles share the same
+        events list), the sample limit, the scheme, the DRAM latency, the
+        ``MEE_REPLAY_FIELDS`` of ``IceClaveConfig`` and the two Merkle tree
+        depths. ``dram_bytes`` and ``page_bytes`` reach the replay only
+        through those depths, so Figure 16's 2 GiB point (depths 7 and 6,
+        as at 4 GiB) shares the 4 GiB replay. ``mee_latency_exposure``
+        only weighs the measured hit-path latency afterwards, so runs that
+        differ in it share a replay too.
         """
         raw_events = profile.trace.events
+        iceclave = self.config.iceclave
         dram_latency = self.config.isc_core.dram_latency_s
         key = (
             id(raw_events),
             len(raw_events),
             self.config.mee_sample_limit,
             self.config.mee_scheme,
-            self.config.iceclave,
+            tuple(getattr(iceclave, name) for name in MEE_REPLAY_FIELDS),
+            MemoryEncryptionEngine.tree_depths(iceclave),
             dram_latency,
         )
         measured = _mee_overhead_memo.get(key)
         if measured is None:
             events = subsample_events(raw_events, self.config.mee_sample_limit)
-            mee = MemoryEncryptionEngine(
-                config=self.config.iceclave,
-                scheme=self.config.mee_scheme,
-                dram_latency=dram_latency,
-            )
-            mee.replay(events)
-            stats = {
-                "mee_encryption_traffic": mee.stats.encryption_extra_traffic(),
-                "mee_verification_traffic": mee.stats.verification_extra_traffic(),
-                "mee_mean_encryption_latency": mee.stats.mean_encryption_latency(),
-                "mee_mean_verification_latency": mee.stats.mean_verification_latency(),
-                "mee_counter_hit_rate": mee.cache.hit_rate,
-            }
-            hit_path = (
-                stats["mee_mean_encryption_latency"] + stats["mee_mean_verification_latency"]
-            )
-            extra_traffic = stats["mee_encryption_traffic"] + stats["mee_verification_traffic"]
-            measured = (mee.mean_access_overhead(), hit_path, extra_traffic, stats)
+            measured = _replay_mee(events, iceclave, self.config.mee_scheme, dram_latency)
             _mee_overhead_memo.put(key, raw_events, measured)
         access_overhead, hit_path, extra_traffic, stats = measured
         # serialized miss paths, the escaped fraction of hit-path latency,
@@ -392,6 +386,28 @@ class IceClavePlatform(IscPlatform):
             + extra_traffic * dram_latency
         )
         return extra_latency, dict(stats)
+
+
+def _replay_mee(
+    events: "List[Tuple[int, int, bool, bool]]",
+    iceclave: IceClaveConfig,
+    scheme: EncryptionScheme,
+    dram_latency: float,
+) -> Tuple[float, float, float, Dict[str, float]]:
+    """What one MEE replay of ``events`` measures: mean critical-path
+    overhead, hit-path latency, extra traffic and the stats dict."""
+    mee = MemoryEncryptionEngine(config=iceclave, scheme=scheme, dram_latency=dram_latency)
+    mee.replay(events)
+    stats = {
+        "mee_encryption_traffic": mee.stats.encryption_extra_traffic(),
+        "mee_verification_traffic": mee.stats.verification_extra_traffic(),
+        "mee_mean_encryption_latency": mee.stats.mean_encryption_latency(),
+        "mee_mean_verification_latency": mee.stats.mean_verification_latency(),
+        "mee_counter_hit_rate": mee.cache.hit_rate,
+    }
+    hit_path = stats["mee_mean_encryption_latency"] + stats["mee_mean_verification_latency"]
+    extra_traffic = stats["mee_encryption_traffic"] + stats["mee_verification_traffic"]
+    return mee.mean_access_overhead(), hit_path, extra_traffic, stats
 
 
 SCHEMES = {

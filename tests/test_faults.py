@@ -1,5 +1,10 @@
 """Tests for the fault-injection subsystem: plans, recovery, chaos runs."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -348,6 +353,35 @@ class TestChaosCli:
         assert "faults injected" in out
         assert "faults recovered" in out
         assert "faults fatal" in out
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+    )
+    def test_peak_rss_flat_in_run_length(self):
+        """A 10x longer chaos run peaks within 10% of the shorter one's RSS.
+
+        Each run is its own child process that reads its own ``VmHWM``: a
+        child's ``ru_maxrss`` would carry over from this process on Linux.
+        """
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        child = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as f:\n"
+            "    print(next(line for line in f if line.startswith('VmHWM:')), end='')\n"
+            "sys.exit(code)\n"
+        )
+        peaks = {}
+        for ops in (1500, 15000):
+            out = subprocess.run(
+                [sys.executable, "-c", child,
+                 "chaos", "tpch-q1", "--seed", "42", "--ops", str(ops)],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True, text=True, check=True,
+            )
+            peaks[ops] = int(out.stdout.splitlines()[-1].split()[1])  # kB
+        assert peaks[15000] <= 1.10 * peaks[1500], peaks
 
     def test_seed_flag_accepted_by_run(self, capsys):
         assert main(["run", "filter", "--dataset-gb", "1", "--seed", "5"]) == 0

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.config import IceClaveConfig
 from repro.core.mee import EncryptionScheme, MemoryEncryptionEngine
 from repro.platform import PlatformConfig
 from repro.platform.figures import (
@@ -24,7 +25,12 @@ from repro.platform.figures import (
     table5_overhead_sources,
     table6_extra_traffic,
 )
-from repro.platform.schemes import _mee_overhead_memo, make_platform
+from repro.platform.schemes import (
+    MEE_REPLAY_FIELDS,
+    _mee_overhead_memo,
+    _replay_mee,
+    make_platform,
+)
 from repro.query.trace import subsample_events
 from repro.workloads import workload_by_name
 
@@ -39,6 +45,12 @@ def profiles():
 @pytest.fixture(scope="module")
 def config():
     return PlatformConfig()
+
+
+@pytest.fixture(scope="module")
+def replay_events():
+    """A short TPC-C trace: reads and writes, read-only and writable pages."""
+    return workload_by_name("tpcc", seed=11).run().trace.events[:8000]
 
 
 def per_access(mee, events):
@@ -133,12 +145,67 @@ class TestReplayReuse:
         fig16_dram_sweep(fresh, config)
         table6_extra_traffic(fresh, config)
         dram = config.iceclave.dram_bytes
+        # Figure 16's 2 GiB point has the 4 GiB tree depths, so it reuses
+        # the 4 GiB HYBRID replay
         assert replays == {
             (EncryptionScheme.HYBRID, dram): 2,
             (EncryptionScheme.NONE, dram): 2,
             (EncryptionScheme.SPLIT_COUNTER, dram): 2,
-            (EncryptionScheme.HYBRID, 2 << 30): 2,  # Figure 16's 2 GiB point
         }
+
+    def test_other_tree_depths_get_their_own_replay(self, config):
+        """A DRAM size whose Merkle trees are deeper misses the memo."""
+        profile = workload_by_name("filter", seed=3).run()
+        big = dataclasses.replace(config, iceclave=config.iceclave.with_dram(64 << 30))
+        assert MemoryEncryptionEngine.tree_depths(config.iceclave) == (7, 6)
+        assert MemoryEncryptionEngine.tree_depths(big.iceclave) == (8, 8)
+        make_platform("iceclave", config).run(profile)
+        before = _mee_overhead_memo.cache_info()
+        make_platform("iceclave", big).run(profile)
+        assert _mee_overhead_memo.cache_info().misses == before.misses + 1
+
+    def test_warm_2gib_run_equals_a_cold_one(self, config):
+        """A 2 GiB run served from the 4 GiB replay equals a cold 2 GiB run."""
+        warm_profile = workload_by_name("tpcc", seed=5).run()
+        cold_profile = workload_by_name("tpcc", seed=5).run()
+        small = dataclasses.replace(config, iceclave=config.iceclave.with_dram(2 << 30))
+        make_platform("iceclave", config).run(warm_profile)
+        before = _mee_overhead_memo.cache_info()
+        warm = make_platform("iceclave", small).run(warm_profile)
+        assert _mee_overhead_memo.cache_info().hits == before.hits + 1
+        cold = make_platform("iceclave", small).run(cold_profile)
+        assert _mee_overhead_memo.cache_info().misses == before.misses + 1
+        assert repr(warm) == repr(cold)
+
+    @pytest.mark.parametrize(
+        "name",
+        [f.name for f in dataclasses.fields(IceClaveConfig) if f.name not in MEE_REPLAY_FIELDS],
+    )
+    def test_a_field_outside_the_memo_key_does_not_move_the_replay(
+        self, name, config, replay_events
+    ):
+        """Every ``IceClaveConfig`` field the key leaves out leaves a cold
+        replay's measured tuple byte-identical. ``dram_bytes`` and
+        ``page_bytes`` enter the key only through the tree depths, so they
+        change here to values with the same depths (Figure 16's 2 GiB, and
+        8 KiB pages). A field the replay starts reading fails this test
+        until it joins ``MEE_REPLAY_FIELDS``."""
+        base = config.iceclave
+        value = getattr(base, name)
+        if isinstance(value, dict):
+            value = {"changed": True}
+        elif name == "dram_bytes":
+            value = 2 << 30
+        else:
+            value = value * 2
+        changed = dataclasses.replace(base, **{name: value})
+        depths = MemoryEncryptionEngine.tree_depths
+        assert depths(changed) == depths(base)
+        dram_latency = config.isc_core.dram_latency_s
+        for scheme in (EncryptionScheme.HYBRID, EncryptionScheme.SPLIT_COUNTER):
+            expected = _replay_mee(replay_events, base, scheme, dram_latency)
+            measured = _replay_mee(replay_events, changed, scheme, dram_latency)
+            assert repr(measured) == repr(expected)
 
     def test_shared_replay_applies_the_callers_exposure(self, config):
         """An enforced run served from a default-exposure replay equals a cold one."""

@@ -15,6 +15,7 @@ from repro.flash import (
 from repro.flash.chip import FlashProgramError
 from repro.flash.ecc import EccConfig, EccUncorrectableError
 from repro.flash.geometry import small_geometry
+from repro.flash.ssd import read_storm_time
 from repro.platform.config import PlatformConfig
 from repro.platform.schemes import FLASH_PROBE_PAGES, flash_read_throughput
 from repro.sim import Engine
@@ -304,10 +305,20 @@ class TestReadStorm:
         _, dev = self.make()
         with pytest.raises(ValueError):
             dev.read_storm(range(4), window=0)
+        with pytest.raises(ValueError):
+            read_storm_time(dev.geometry, dev.timing, range(4), window=0)
 
-    @pytest.mark.parametrize("channels,read_latency", [(4, 10e-6), (8, 110e-6)])
+    # after the first two, every (channels, t_RD) a paper-figures pass probes,
+    # as the builders compute them: Figs. 12/13 sweep the channel count at
+    # the default 50 us, Fig. 14 sweeps ``us * 1e-6`` at 8 channels
+    @pytest.mark.parametrize(
+        "channels,read_latency",
+        [(4, 10e-6), (8, 110e-6)]
+        + [(c, 50 * 1e-6) for c in (4, 8, 16, 32)]
+        + [(8, us * 1e-6) for us in (10, 30, 70, 90, 110)],
+    )
     def test_flash_read_throughput_is_a_read_storm(self, channels, read_latency):
-        """The Fig. 14 probe equals pages*page_bytes/now of an explicit storm."""
+        """The Fig. 12-14 probe equals pages*page_bytes/now of an explicit storm."""
         config = PlatformConfig(
             channels=channels, flash_timing=FlashTiming(read_latency=read_latency)
         )
@@ -325,3 +336,43 @@ class TestReadStorm:
         dev.read_storm(range(pages), config.queue_depth_per_channel * channels)
         assert flash_read_throughput(config) == pages * geometry.page_bytes / engine.now
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        channels=st.integers(1, 16),
+        chips=st.integers(1, 4),
+        dies=st.integers(1, 4),
+        page_bytes=st.sampled_from([512, 2048, 4096, 16384]),
+        read_us=st.floats(1.0, 200.0),
+        bandwidth=st.floats(50e6, 2e9),
+        window=st.integers(1, 200),
+        data=st.data(),
+    )
+    def test_read_storm_time_equals_the_event_storm(
+        self, channels, chips, dies, page_bytes, read_us, bandwidth, window, data
+    ):
+        """The event-free recurrence ends at the storm's ``engine.now``, bit for
+        bit: in page order or scattered, and with windows past the die count,
+        so dies and channels queue."""
+        geometry = small_geometry(
+            channels=channels,
+            chips_per_channel=chips,
+            dies_per_chip=dies,
+            planes_per_die=1,
+            blocks_per_plane=2,
+            pages_per_block=64,
+            page_bytes=page_bytes,
+        )
+        timing = FlashTiming(read_latency=read_us * 1e-6, channel_bandwidth=bandwidth)
+        pages = data.draw(st.integers(0, min(400, geometry.total_pages)), label="pages")
+        ppas = data.draw(
+            st.one_of(
+                st.just(list(range(pages))),
+                st.lists(
+                    st.integers(0, geometry.total_pages - 1), min_size=pages, max_size=pages
+                ),
+            ),
+            label="ppas",
+        )
+        engine = Engine()
+        FlashDevice(engine, geometry, timing).read_storm(ppas, window)
+        assert read_storm_time(geometry, timing, ppas, window) == engine.now

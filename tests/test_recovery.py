@@ -628,7 +628,8 @@ class TestRecoveryCli:
         assert code == 0
         assert "resumed from" in out
         assert "byte-identical" in out
-        header = open(csv_path).readline()
+        with open(csv_path) as f:
+            header = f.readline()
         assert header.startswith("workload,seed,ops,fingerprint")
 
 
