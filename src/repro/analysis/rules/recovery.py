@@ -1,13 +1,14 @@
 """Recovery rules.
 
 The checkpoint/restore contract (docs/RECOVERY.md) is that a class
-participating in snapshotting — one that defines both ``snapshot_state``
-and ``restore_state`` — serializes *every* piece of mutable state it
-creates. An attribute initialized to a fresh list/dict/counter in
-``__init__`` but absent from both methods silently resets on restore: the
-crash-point oracle then sees a fingerprint mismatch at whichever crash
-point first exercises it, which is an expensive way to discover a missing
-line of serialization. This rule finds the missing line statically.
+participating in snapshotting — one that declares ``STATE`` in its body, or
+defines both ``snapshot_state`` and ``restore_state`` — serializes *every*
+piece of mutable state it creates. An attribute initialized to a fresh
+list/dict/counter in ``__init__`` but absent from ``STATE`` and both
+methods silently resets on restore: the crash-point oracle then sees a
+fingerprint mismatch at whichever crash point first exercises it, which is
+an expensive way to discover a missing line of serialization. This rule
+finds the missing line statically.
 """
 
 from __future__ import annotations
@@ -76,15 +77,31 @@ def _is_mutable_initializer(value: ast.expr) -> bool:
     return False
 
 
-def _mentioned_names(func: ast.FunctionDef) -> Set[str]:
-    """Attribute names a snapshot/restore method plausibly serializes.
+def _declared_state(cls: ast.ClassDef) -> Optional[ast.stmt]:
+    """The ``STATE = (...)`` assignment in the class body, if any."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "STATE" for t in targets):
+            return stmt
+    return None
+
+
+def _mentioned_names(node: ast.AST) -> Set[str]:
+    """Attribute names a ``STATE`` declaration or snapshot/restore method
+    plausibly serializes.
 
     Both ``self.X`` accesses and exact string keys count — state dicts are
     keyed by strings, so ``{"cursor": self.cursor}`` mentions ``cursor``
-    twice and ``state["cursor"]`` once.
+    twice and ``state["cursor"]`` once, and ``STATE = ("_log",)`` names
+    ``_log``.
     """
     names: Set[str] = set()
-    for sub in ast.walk(func):
+    for sub in ast.walk(node):
         if isinstance(sub, ast.Attribute):
             names.add(sub.attr)
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
@@ -117,26 +134,30 @@ class UnserializedStateRule(Rule):
 
     id = "recovery-unserialized-state"
     family = "recovery"
-    summary = "mutable attribute missing from snapshot_state/restore_state"
+    summary = "mutable attribute missing from STATE or snapshot_state/restore_state"
     rationale = (
-        "Checkpoint/restore contract: a class with snapshot_state and "
-        "restore_state must round-trip every mutable attribute it creates "
-        "in __init__. A forgotten attribute silently resets on restore and "
-        "surfaces only as a crash-point oracle fingerprint mismatch. "
-        "Either serialize the attribute in both methods or waive the line "
-        "with `# repro: allow[recovery-unserialized-state] -- why` when "
-        "the attribute is derived, diagnostic, or re-armed by its owner."
+        "Checkpoint/restore contract: a class that declares STATE, or has "
+        "snapshot_state and restore_state, must round-trip every mutable "
+        "attribute it creates in __init__. A forgotten attribute silently "
+        "resets on restore and surfaces only as a crash-point oracle "
+        "fingerprint mismatch. Either declare the attribute in STATE (or "
+        "serialize it in both methods) or waive the line with "
+        "`# repro: allow[recovery-unserialized-state] -- why` when the "
+        "attribute is derived, diagnostic, or re-armed by its owner."
     )
     node_types = (ast.ClassDef,)
 
     def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
         assert isinstance(node, ast.ClassDef)
-        snapshot = _method(node, "snapshot_state")
-        restore = _method(node, "restore_state")
+        declared = _declared_state(node)
+        methods = [_method(node, "snapshot_state"), _method(node, "restore_state")]
         init = _method(node, "__init__")
-        if snapshot is None or restore is None or init is None:
+        if init is None or (declared is None and None in methods):
             return
-        mentioned = _mentioned_names(snapshot) | _mentioned_names(restore)
+        mentioned: Set[str] = set()
+        for part in [declared, *methods]:
+            if part is not None:
+                mentioned |= _mentioned_names(part)
         seen: Set[str] = set()
         for attr, assign, value in _self_assignments(init):
             if attr in seen:
@@ -150,8 +171,9 @@ class UnserializedStateRule(Rule):
                 self.id,
                 assign,
                 f"`self.{attr}` is initialized in __init__ but never "
-                "appears in snapshot_state/restore_state; it silently "
-                "resets on restore — serialize it or waive with a reason",
+                "appears in STATE or snapshot_state/restore_state; it "
+                "silently resets on restore — serialize it or waive with a "
+                "reason",
             )
 
 

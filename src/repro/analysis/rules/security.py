@@ -43,7 +43,8 @@ LAYER_ALLOWED: Dict[str, FrozenSet[str]] = {
     "cpu": frozenset(),
     "ftl": frozenset({"flash", "sim"}),
     "query": frozenset({"crypto"}),
-    "core": frozenset({"crypto", "ftl"}),
+    # core reaches sim for the declared-state codec (the Merkle tree)
+    "core": frozenset({"crypto", "ftl", "sim"}),
     "host": frozenset({"core", "ftl", "flash", "sim"}),
     # the chaos harness emulates the *host-visible* fault surface, so it may
     # reach down into host/nvme status mapping — but never up into platform

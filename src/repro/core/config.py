@@ -8,7 +8,7 @@ benchmark prints them next to the values the micro-simulation measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -50,8 +50,6 @@ class IceClaveConfig:
 
     # -- minor-counter geometry of the split-counter scheme --
     minor_counter_bits: int = 7  # SC-64: 64 x 7-bit minors + one major / line
-
-    extras: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if self.tee_preallocation_bytes <= 0:

@@ -87,26 +87,3 @@ class CounterCache:
         self.misses = 0
         self.dirty_evictions = 0
         self.clean_evictions = 0
-
-    # -- checkpoint/restore ------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """LRU contents as an item list: recency order is part of the state.
-
-        Keys are already primitive (strings/ints/tuples), so they serialize
-        as-is; capacity/line size are constructor configuration.
-        """
-        return {
-            "lru": [(key, dirty) for key, dirty in self._lru.items()],
-            "hits": self.hits,
-            "misses": self.misses,
-            "dirty_evictions": self.dirty_evictions,
-            "clean_evictions": self.clean_evictions,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._lru = OrderedDict((key, dirty) for key, dirty in state["lru"])
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.dirty_evictions = state["dirty_evictions"]
-        self.clean_evictions = state["clean_evictions"]

@@ -18,6 +18,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.core.exceptions import IntegrityError
 from repro.crypto.mac import Mac
+from repro.sim.state import Stateful
 
 NodeKey = Tuple[int, int]  # (level, index); level 0 = leaves
 
@@ -26,8 +27,13 @@ NodeKey = Tuple[int, int]  # (level, index); level 0 = leaves
 _MEMO_MAX = 1 << 14
 
 
-class BonsaiMerkleTree:
+class BonsaiMerkleTree(Stateful):
     """An arity-N hash tree over counter blocks with an on-chip root."""
+
+    # The MAC key and arity are constructor configuration: restoring into a
+    # tree built with another key makes every verify fail, and a snapshot
+    # never carries key material.
+    STATE = ("leaf_count", "depth", "dram_nodes", "_root", "updates", "verifications")
 
     def __init__(self, key: bytes, arity: int = 8) -> None:
         if arity < 2:
@@ -58,7 +64,11 @@ class BonsaiMerkleTree:
         if not leaves:
             raise ValueError("cannot build a tree over zero leaves")
         self.leaf_count = len(leaves)
-        self.depth = max(1, math.ceil(math.log(len(leaves), self.arity)))
+        # the smallest depth >= 1 whose top level is one node, in integers
+        # (a float log overshoots at exact powers of the arity)
+        self.depth = 1
+        while self.arity**self.depth < self.leaf_count:
+            self.depth += 1
         self.dram_nodes.clear()
         for i, leaf in enumerate(leaves):
             self.dram_nodes[(0, i)] = self._leaf_digest(leaf)
@@ -197,32 +207,6 @@ class BonsaiMerkleTree:
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.leaf_count:
             raise IndexError(f"leaf {index} out of range [0, {self.leaf_count})")
-
-    # -- checkpoint/restore --------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Node store (keyed by (level, index) tuples), root and counters.
-
-        The MAC key and arity are constructor configuration; restoring into a
-        tree built with a different key makes every verify fail, which is the
-        behaviour we want — a snapshot never smuggles key material.
-        """
-        return {
-            "leaf_count": self.leaf_count,
-            "depth": self.depth,
-            "dram_nodes": [(key, node) for key, node in self.dram_nodes.items()],
-            "root": self._root,
-            "updates": self.updates,
-            "verifications": self.verifications,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.leaf_count = state["leaf_count"]
-        self.depth = state["depth"]
-        self.dram_nodes = {tuple(key): node for key, node in state["dram_nodes"]}
-        self._root = state["root"]
-        self.updates = state["updates"]
-        self.verifications = state["verifications"]
 
     # -- adversarial surface (fault injection / attack demos) ---------------------
 

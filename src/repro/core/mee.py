@@ -26,7 +26,7 @@ built on the same counter layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Tuple
 
@@ -165,7 +165,7 @@ class MemoryEncryptionEngine:
         self._major: Dict[int, int] = {}  # page -> major counter
         self.stats = MeeStats()
         # runtime invariant monitor (repro.recovery); None = disabled
-        self.invariant_monitor = None  # repro: allow[recovery-unserialized-state] -- monitors are re-armed by their owner after restore, never serialized
+        self.invariant_monitor = None
         self.split_tree_depth, self.major_tree_depth = self.tree_depths(config)
 
     @classmethod
@@ -182,7 +182,15 @@ class MemoryEncryptionEngine:
 
     @staticmethod
     def _depth(leaves: int) -> int:
-        return max(1, math.ceil(math.log(max(2, leaves), TREE_ARITY)))
+        """The smallest depth >= 1 with ``TREE_ARITY**depth >= leaves``.
+
+        Computed in integers: a float log overshoots by one level at exact
+        powers of the arity (``math.log(8**7, 8)`` is 7.000000000000001).
+        """
+        depth = 1
+        while TREE_ARITY**depth < leaves:
+            depth += 1
+        return depth
 
     # -- counter bookkeeping -------------------------------------------------
 
@@ -552,33 +560,3 @@ class MemoryEncryptionEngine:
         if not ops:
             return 0.0
         return self.stats.critical_latency_total / ops
-
-    # -- checkpoint/restore --------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Counter state, cache contents and cost accounting.
-
-        Config/scheme/latencies and the derived tree depths
-        (``split_tree_depth``/``major_tree_depth``) are constructor-owned.
-        """
-        return {
-            "cache": self.cache.snapshot_state(),
-            "split": [
-                (page, block.major, list(block.minors))
-                for page, block in self._split.items()
-            ],
-            "major": [(page, major) for page, major in self._major.items()],
-            "stats": {
-                f.name: getattr(self.stats, f.name) for f in fields(self.stats)
-            },
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.cache.restore_state(state["cache"])
-        self._split = {
-            page: _SplitBlock(major=major, minors=list(minors))
-            for page, major, minors in state["split"]
-        }
-        self._major = {page: major for page, major in state["major"]}
-        for name, value in state["stats"].items():
-            setattr(self.stats, name, value)

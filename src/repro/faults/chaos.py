@@ -29,6 +29,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.ftl.ftl import Ftl, UncorrectableReadError
 from repro.ftl.mapping import AccessDeniedError
 from repro.host.nvme import status_for_exception
+from repro.sim.state import Stateful
 from repro.sim.stats import ReliabilityStats
 
 # Small enough to churn through GC in a few thousand ops, big enough to
@@ -111,8 +112,27 @@ class ChaosReport:
     # invert the faults -> platform layering.
 
 
-class ChaosRunner:
+class ChaosRunner(Stateful):
     """One deterministic chaos execution (see module docstring)."""
+
+    # everything a resumed run needs to draw the same bytes: the component
+    # snapshots (PRNG, FTL stack, tenant enclaves, injector latch) and the
+    # harness's own cursor and ground-truth tables; the owner re-arms the
+    # monitors, so they are absent
+    STATE = (
+        "_next_op",
+        "_tag",
+        "_prepared",
+        "rng",
+        "stats",
+        "ftl",
+        "guard",
+        "injector",
+        "expected",
+        "event_log",
+        "nvme_statuses",
+        "invariant_violations",
+    )
 
     def __init__(
         self,
@@ -361,44 +381,6 @@ class ChaosRunner:
         suite.attach_ftl(self.ftl)
         for tee_id, tenant in sorted(self.guard.tenants.items()):
             suite.attach_mee(tenant.mee, f"tenant{tee_id}")
-
-    # -- checkpoint/restore ------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Everything a resumed run needs to draw the same bytes.
-
-        Composes the component snapshots (FTL stack, tenant enclaves,
-        injector latch, PRNG) with the harness's own cursor and ground-truth
-        tables. Monitors are deliberately absent — the owner re-arms them.
-        """
-        return {
-            "next_op": self._next_op,
-            "tag": self._tag,
-            "prepared": self._prepared,
-            "rng": self.rng.snapshot_state(),
-            "stats": self.stats.snapshot_state(),
-            "ftl": self.ftl.snapshot_state(),
-            "guard": self.guard.snapshot_state(),
-            "injector": self.injector.snapshot_state(),
-            "expected": sorted(self.expected.items()),
-            "event_log": list(self.event_log),
-            "nvme_statuses": sorted(self.nvme_statuses.items()),
-            "invariant_violations": self.invariant_violations,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._next_op = state["next_op"]
-        self._tag = state["tag"]
-        self._prepared = state["prepared"]
-        self.rng.restore_state(state["rng"])
-        self.stats.restore_state(state["stats"])
-        self.ftl.restore_state(state["ftl"])
-        self.guard.restore_state(state["guard"])
-        self.injector.restore_state(state["injector"])
-        self.expected = {lpa: payload for lpa, payload in state["expected"]}
-        self.event_log = list(state["event_log"])
-        self.nvme_statuses = {name: count for name, count in state["nvme_statuses"]}
-        self.invariant_violations = state["invariant_violations"]
 
 
 def run_chaos(

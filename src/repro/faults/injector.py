@@ -17,6 +17,7 @@ from repro.faults.errors import PowerLossError
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.faults.recovery import EnclaveIntegrityGuard
 from repro.ftl.ftl import Ftl
+from repro.sim.state import Stateful
 from repro.sim.stats import ReliabilityStats
 
 
@@ -32,8 +33,11 @@ class AppliedFault:
         return f"{self.event.describe()} action={self.action} {self.detail}"
 
 
-class FaultInjector:
+class FaultInjector(Stateful):
     """Fires plan events against an FTL (and optionally tenant enclaves)."""
+
+    # only the armed mid-GC cut latch; the plan is constructor input
+    STATE = ("gc_cut_armed",)
 
     def __init__(
         self,
@@ -62,15 +66,6 @@ class FaultInjector:
         if self.gc_cut_armed and point == "gc_mid_relocate":
             self.gc_cut_armed = False
             raise PowerLossError(point)
-
-    # -- checkpoint/restore ------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Only the armed mid-GC cut latch; the plan is constructor input."""
-        return {"gc_cut_armed": self.gc_cut_armed}
-
-    def restore_state(self, state: dict) -> None:
-        self.gc_cut_armed = state["gc_cut_armed"]
 
     # -- event application --------------------------------------------------------
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Deque
 
 from repro.crypto.prng import XorShift64
+from repro.sim.state import Stateful
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class EccUncorrectableError(Exception):
         self.raw_errors = raw_errors
 
 
-class EccModel:
+class EccModel(Stateful):
     """Samples raw bit errors per read and decides correctability.
 
     Fault injection (:mod:`repro.faults`) feeds forced raw-error counts
@@ -40,6 +41,19 @@ class EccModel:
     reads, which keeps an injected schedule reproducible regardless of how
     much natural sampling happened in between.
     """
+
+    # config is constructor-owned; the RNG, forced queue and counters move
+    STATE = (
+        "_rng",
+        "_forced",
+        "reads",
+        "corrected_bits",
+        "uncorrectable",
+        "injected_reads",
+        "retried_reads",
+        "retry_successes",
+        "last_raw_errors",
+    )
 
     def __init__(self, config: EccConfig = EccConfig(), seed: int = 1) -> None:
         self.config = config
@@ -134,33 +148,6 @@ class EccModel:
             self.config.base_rber * self.config.page_bits
         )
         return int(self.config.wear_scale * math.log(ratio))
-
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Config is constructor-owned; the RNG, forced queue and counters move."""
-        return {
-            "rng": self._rng.snapshot_state(),
-            "forced": list(self._forced),
-            "reads": self.reads,
-            "corrected_bits": self.corrected_bits,
-            "uncorrectable": self.uncorrectable,
-            "injected_reads": self.injected_reads,
-            "retried_reads": self.retried_reads,
-            "retry_successes": self.retry_successes,
-            "last_raw_errors": self.last_raw_errors,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._rng.restore_state(state["rng"])
-        self._forced = deque(state["forced"])
-        self.reads = state["reads"]
-        self.corrected_bits = state["corrected_bits"]
-        self.uncorrectable = state["uncorrectable"]
-        self.injected_reads = state["injected_reads"]
-        self.retried_reads = state["retried_reads"]
-        self.retry_successes = state["retry_successes"]
-        self.last_raw_errors = state["last_raw_errors"]
 
 
 @dataclass

@@ -18,10 +18,11 @@ values are drawn — but never which requests succeed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Dict, List
 
 from repro.crypto.prng import XorShift64
 from repro.fleet.topology import seeded_mix
+from repro.sim.state import Stateful
 
 _DEVICE_SALT = 0xDE51CE
 
@@ -56,8 +57,19 @@ class DeviceResult:
     reason: str = ""  # "" | "dead" | "missing" | "media_error"
 
 
-class FleetDevice:
+class FleetDevice(Stateful):
     """One SSD-shaped shard target: keyed byte store + fault state."""
+
+    STATE = (
+        "_rng",
+        "_store",
+        "alive",
+        "_quarantined",
+        "slow_until",
+        "slow_factor",
+        "error_credits",
+        "counters",
+    )
 
     def __init__(
         self,
@@ -177,30 +189,6 @@ class FleetDevice:
         self.slow_until = max(self.slow_until, now + duration_s)
         self.slow_factor = self.config.stall_factor
         self._count("stalls")
-
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "rng": self._rng.snapshot_state(),
-            "store": [(k, self._store[k]) for k in sorted(self._store)],
-            "alive": self.alive,
-            "quarantined": list(self._quarantined),
-            "slow_until": self.slow_until,
-            "slow_factor": self.slow_factor,
-            "error_credits": self.error_credits,
-            "counters": [(k, self.counters[k]) for k in sorted(self.counters)],
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._rng.restore_state(state["rng"])
-        self._store = {key: value for key, value in state["store"]}
-        self.alive = state["alive"]
-        self._quarantined = list(state["quarantined"])
-        self.slow_until = state["slow_until"]
-        self.slow_factor = state["slow_factor"]
-        self.error_credits = state["error_credits"]
-        self.counters = {key: value for key, value in state["counters"]}
 
 
 __all__ = ["DeviceConfig", "DeviceResult", "FleetDevice"]

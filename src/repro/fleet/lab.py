@@ -30,6 +30,7 @@ from repro.platform.metrics import SloTracker
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.policy import HedgePolicy
 from repro.sim.engine import Engine
+from repro.sim.state import Stateful
 
 _WORKLOAD_SALT = 0x0F1EE7
 _PAYLOAD_BYTES = 16
@@ -66,12 +67,34 @@ class FleetChaosConfig:
         )
 
 
-class FleetRunner:
+class FleetRunner(Stateful):
     """One lab arm: a fleet, a router, a rebuild manager, and a workload.
 
     Constructor arguments are all primitives so a checkpoint can rebuild
-    the runner from its snapshot meta alone.
+    the runner from its snapshot meta alone. Snapshots are quiescent: the
+    engine refuses one while events are queued.
     """
+
+    STATE = (
+        "engine",
+        "topology",
+        "devices",
+        "breakers",
+        "slo",
+        "router",
+        "rebuild",
+        "_rng",
+        "interarrival_s",
+        "client_deadline_s",
+        "op_index",
+        "_next_arrival",
+        "_versions",
+        "_expected",
+        "failure_reasons",
+        "hedged_reads",
+        "event_log",
+        "_finalized",
+    )
 
     def __init__(
         self,
@@ -275,57 +298,6 @@ class FleetRunner:
                 "corrupt": corrupt,
             }
         return FleetArmReport.from_runner(self)
-
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Quiescent-state snapshot (engine queue must be drained)."""
-        return {
-            "engine": self.engine.snapshot_state(),
-            "topology": self.topology.snapshot_state(),
-            "devices": [
-                (d, self.devices[d].snapshot_state()) for d in sorted(self.devices)
-            ],
-            "breakers": self.breakers.snapshot_state(),
-            "slo": self.slo.snapshot_state(),
-            "router": self.router.snapshot_state(),
-            "rebuild": self.rebuild.snapshot_state(),
-            "rng": self._rng.snapshot_state(),
-            "interarrival_s": self.interarrival_s,
-            "client_deadline_s": self.client_deadline_s,
-            "op_index": self.op_index,
-            "next_arrival": self._next_arrival,
-            "versions": [(k, self._versions[k]) for k in sorted(self._versions)],
-            "expected": [(k, self._expected[k]) for k in sorted(self._expected)],
-            "failure_reasons": [
-                (k, self.failure_reasons[k]) for k in sorted(self.failure_reasons)
-            ],
-            "hedged_reads": self.hedged_reads,
-            "event_log": list(self.event_log),
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.engine.restore_state(state["engine"])
-        self.topology.restore_state(state["topology"])
-        for device_id, device_state in state["devices"]:
-            self.devices[device_id].restore_state(device_state)
-        self.breakers.restore_state(state["breakers"])
-        self.slo.restore_state(state["slo"])
-        self.router.restore_state(state["router"])
-        self.rebuild.restore_state(state["rebuild"])
-        self._rng.restore_state(state["rng"])
-        self.interarrival_s = state["interarrival_s"]
-        self.client_deadline_s = state["client_deadline_s"]
-        self.op_index = state["op_index"]
-        self._next_arrival = state["next_arrival"]
-        self._versions = {key: value for key, value in state["versions"]}
-        self._expected = {key: value for key, value in state["expected"]}
-        self.failure_reasons = {
-            key: value for key, value in state["failure_reasons"]
-        }
-        self.hedged_reads = state["hedged_reads"]
-        self.event_log = list(state["event_log"])
-        self._finalized = {}
 
 
 @dataclass(frozen=True)

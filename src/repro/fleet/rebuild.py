@@ -22,14 +22,27 @@ State machine per key (tracked implicitly by ``holders`` and the queue):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List
+from typing import Dict, Iterable, List
 
 from repro.fleet.device import FleetDevice
 from repro.fleet.topology import FleetTopology
+from repro.sim.state import Stateful
 
 
-class RebuildManager:
+class RebuildManager(Stateful):
     """Placement ledger + quarantine/kill-triggered background rebuild."""
+
+    STATE = (
+        "_placement",
+        "_queue",
+        "_queued",
+        "_under",
+        "_lost",
+        "_last_accounted",
+        "counters",
+        "under_replicated_key_seconds",
+        "max_under_replicated",
+    )
 
     def __init__(
         self,
@@ -217,32 +230,6 @@ class RebuildManager:
                 now - self._last_accounted
             )
             self._last_accounted = now
-
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "placement": [(k, list(self._placement[k])) for k in sorted(self._placement)],
-            "queue": list(self._queue),
-            "queued": [(k, self._queued[k]) for k in sorted(self._queued)],
-            "under": self._under,
-            "lost": [(k, self._lost[k]) for k in sorted(self._lost)],
-            "last_accounted": self._last_accounted,
-            "counters": [(k, self.counters[k]) for k in sorted(self.counters)],
-            "under_replicated_key_seconds": self.under_replicated_key_seconds,
-            "max_under_replicated": self.max_under_replicated,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._placement = {key: list(holders) for key, holders in state["placement"]}
-        self._queue = list(state["queue"])
-        self._queued = {key: value for key, value in state["queued"]}
-        self._under = state["under"]
-        self._lost = {key: value for key, value in state["lost"]}
-        self._last_accounted = state["last_accounted"]
-        self.counters = {key: value for key, value in state["counters"]}
-        self.under_replicated_key_seconds = state["under_replicated_key_seconds"]
-        self.max_under_replicated = state["max_under_replicated"]
 
 
 __all__ = ["RebuildManager"]

@@ -28,6 +28,7 @@ from repro.resilience.breaker import BreakerBoard
 from repro.resilience.policy import HedgePolicy
 from repro.serve.wire import RETRYABLE, retry_after_for, status_for_fleet
 from repro.sim.engine import Engine
+from repro.sim.state import Stateful
 
 
 class FleetRefusal(Exception):
@@ -67,8 +68,11 @@ class WriteOutcome:
     replicas: Tuple[int, ...]  # device ids that accepted the write
 
 
-class ShardRouter:
+class ShardRouter(Stateful):
     """Routes keyed reads/writes across the fleet's replica sets."""
+
+    # counters and the read digest; collaborators snapshot themselves
+    STATE = ("counters", "read_digest")
 
     def __init__(
         self,
@@ -306,19 +310,6 @@ class ShardRouter:
         if record["hedge_event"] is not None and record["hedge_event"].live:
             engine.cancel(record["hedge_event"])
             record["hedge_event"] = None
-
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Counters and the read digest; collaborators snapshot themselves."""
-        return {
-            "counters": [(k, self.counters[k]) for k in sorted(self.counters)],
-            "read_digest": self.read_digest,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.counters = {key: value for key, value in state["counters"]}
-        self.read_digest = state["read_digest"]
 
 
 class TopologyChannelRouter:

@@ -17,9 +17,10 @@ only need to record membership, not the ring itself.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.crypto.prng import XorShift64
+from repro.sim.state import Stateful
 
 _RING_SALT = 0xF1EE7_0B1
 _KEY_SALT = 0x5EED_4EA5
@@ -39,13 +40,15 @@ def seeded_mix(seed: int, a: int, b: int = 0) -> int:
     return XorShift64(basis or 1).next_u64()
 
 
-class FleetTopology:
+class FleetTopology(Stateful):
     """Consistent-hash ring over the fleet's devices.
 
     ``device_ids`` fixes the ring for the life of the run; devices are
     marked dead rather than excised so a restored snapshot rebuilds the
     identical ring and only membership state varies.
     """
+
+    STATE = ("_alive",)
 
     def __init__(
         self,
@@ -118,16 +121,6 @@ class FleetTopology:
         if not replicas:
             raise ValueError("no alive device to place the key on")
         return replicas[0]
-
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Membership only: the ring is a pure function of (seed, devices)."""
-        return {"alive": [(d, self._alive[d]) for d in self.device_ids]}
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        for device_id, alive in state["alive"]:
-            self._alive[device_id] = alive
 
 
 __all__ = ["FleetTopology", "seeded_mix"]

@@ -9,7 +9,7 @@ discrete-event device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.flash.chip import FlashChip
@@ -19,6 +19,7 @@ from repro.ftl.gc import GarbageCollector, GcResult
 from repro.ftl.mapping import MappingTable, PUBLIC_ID
 from repro.ftl.page_allocator import OutOfSpaceError, PageAllocator
 from repro.ftl.wear_leveling import WearLeveler
+from repro.sim.state import Stateful
 from repro.sim.stats import ReliabilityStats
 
 
@@ -91,7 +92,7 @@ class FtlOpCost:
 
 
 @dataclass
-class FtlStats:
+class FtlStats(Stateful):
     host_reads: int = 0
     host_writes: int = 0
     gc_relocations: int = 0
@@ -99,16 +100,22 @@ class FtlStats:
     wl_migrations: int = 0
     disturb_refreshes: int = 0
 
-    def snapshot_state(self) -> Dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def restore_state(self, state: Dict[str, int]) -> None:
-        for f in fields(self):
-            setattr(self, f.name, state[f.name])
-
-
-class Ftl:
+class Ftl(Stateful):
     """Page-level FTL with greedy GC and static wear leveling."""
+
+    STATE = (
+        "chip",
+        "mapping",
+        "allocator",
+        "gc",
+        "wear_leveler",
+        "stats",
+        "_block_read_counts",
+        "recovery_scan_latency_per_page",
+        "ecc",
+        "reliability",
+    )
 
     def __init__(
         self,
@@ -521,42 +528,3 @@ class Ftl:
     def utilization(self) -> float:
         """Fraction of logical space currently mapped."""
         return len(self.mapping) / self.logical_pages
-
-    # -- checkpoint/restore -------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Whole-FTL state: media, map, allocator, collectors and counters."""
-        return {
-            "chip": self.chip.snapshot_state(),
-            "mapping": self.mapping.snapshot_state(),
-            "allocator": self.allocator.snapshot_state(),
-            "gc": self.gc.snapshot_state(),
-            "wear_leveler": self.wear_leveler.snapshot_state(),
-            "stats": self.stats.snapshot_state(),
-            "block_read_counts": sorted(self._block_read_counts.items()),
-            "recovery_scan_latency_per_page": self.recovery_scan_latency_per_page,
-            "ecc": self.ecc.snapshot_state() if self.ecc is not None else None,
-            "reliability": (
-                self.reliability.snapshot_state() if self.reliability is not None else None
-            ),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.chip.restore_state(state["chip"])
-        self.mapping.restore_state(state["mapping"])
-        self.allocator.restore_state(state["allocator"])
-        self.gc.restore_state(state["gc"])
-        self.wear_leveler.restore_state(state["wear_leveler"])
-        self.stats.restore_state(state["stats"])
-        self._block_read_counts = {block: count for block, count in state["block_read_counts"]}
-        self.recovery_scan_latency_per_page = state["recovery_scan_latency_per_page"]
-        if state["ecc"] is not None:
-            if self.ecc is None:
-                raise RuntimeError("snapshot carries ECC state but no EccModel is attached")
-            self.ecc.restore_state(state["ecc"])
-        if state["reliability"] is not None:
-            if self.reliability is None:
-                raise RuntimeError(
-                    "snapshot carries reliability counters but none are attached"
-                )
-            self.reliability.restore_state(state["reliability"])

@@ -16,6 +16,7 @@ from repro.flash.chip import FlashChip, PageState
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.mapping import MappingTable
 from repro.ftl.page_allocator import PageAllocator
+from repro.sim.state import Stateful
 
 
 @dataclass
@@ -34,8 +35,12 @@ class GcResult:
         self.blocks_erased += other.blocks_erased
 
 
-class GarbageCollector:
+class GarbageCollector(Stateful):
     """Greedy per-plane garbage collector."""
+
+    # counters only: chip, mapping and allocator are snapshotted by their
+    # owner, and the fault injector rewires ``fault_hook`` after a restore
+    STATE = ("invocations", "total_relocations", "total_erases")
 
     def __init__(
         self,
@@ -144,22 +149,3 @@ class GarbageCollector:
         if host_writes <= 0:
             return 1.0
         return (host_writes + self.total_relocations) / host_writes
-
-    # -- checkpoint/restore ------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Counters only: chip/mapping/allocator are snapshotted by their owner.
-
-        ``fault_hook`` is rewired by the fault injector after restore, never
-        serialized.
-        """
-        return {
-            "invocations": self.invocations,
-            "total_relocations": self.total_relocations,
-            "total_erases": self.total_erases,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.invocations = state["invocations"]
-        self.total_relocations = state["total_relocations"]
-        self.total_erases = state["total_erases"]

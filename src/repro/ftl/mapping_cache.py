@@ -73,20 +73,3 @@ class MappingCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    # -- checkpoint/restore ------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """LRU contents as an item list: recency order is part of the state."""
-        return {
-            "lru": [(tpage, resident) for tpage, resident in self._lru.items()],
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._lru = OrderedDict((tpage, resident) for tpage, resident in state["lru"])
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.evictions = state["evictions"]

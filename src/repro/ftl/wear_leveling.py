@@ -16,6 +16,7 @@ from repro.flash.chip import FlashChip, PageState
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.mapping import MappingTable
 from repro.ftl.page_allocator import PageAllocator
+from repro.sim.state import Stateful
 
 
 @dataclass
@@ -24,8 +25,11 @@ class WearLevelResult:
     pages_moved: int = 0
 
 
-class WearLeveler:
+class WearLeveler(Stateful):
     """Threshold-based static wear leveling."""
+
+    # counters only: chip, mapping and allocator are snapshotted by their owner
+    STATE = ("total_migrations",)
 
     def __init__(
         self,
@@ -113,12 +117,3 @@ class WearLeveler:
         result.pages_moved = moved
         self.total_migrations += 1
         return result
-
-    # -- checkpoint/restore ------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Counters only: chip/mapping/allocator are snapshotted by their owner."""
-        return {"total_migrations": self.total_migrations}
-
-    def restore_state(self, state: dict) -> None:
-        self.total_migrations = state["total_migrations"]

@@ -299,55 +299,6 @@ class NvmeQueuePair:
     def run(self) -> float:
         return self.engine.run()
 
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Queue-pair state at a quiescent point (no in-flight/waiting work).
-
-        In-flight and waiting commands hold completion closures that cannot
-        be serialized, so — like :meth:`repro.sim.engine.Engine.snapshot_state`
-        — checkpointing requires a drained queue. Completed commands are
-        captured as primitive tuples (their timeout timers are already
-        cancelled by then).
-        """
-        if self._in_flight or self._waiting:
-            raise RuntimeError(
-                f"cannot snapshot a queue pair with {self._in_flight} in-flight "
-                f"and {len(self._waiting)} waiting commands; drain first"
-            )
-        return {
-            "completed": [
-                (c.opcode, c.nbytes, c.submitted_at, c.completed_at, int(c.status))
-                for c in self.completed
-            ],
-            "latency": self.latency.snapshot_state(),
-            "error_completions": self.error_completions,
-            "timeouts": self.timeouts,
-            "admission_rejections": self.admission_rejections,
-            "completed_count": self.completed_count,
-            "completed_bytes": self.completed_bytes,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        if self._in_flight or self._waiting:
-            raise RuntimeError("cannot restore into a queue pair with live commands")
-        self.completed = [
-            NvmeCommand(
-                opcode=opcode,
-                nbytes=nbytes,
-                submitted_at=submitted_at,
-                completed_at=completed_at,
-                status=NvmeStatus(status),
-            )
-            for opcode, nbytes, submitted_at, completed_at, status in state["completed"]
-        ]
-        self.latency.restore_state(state["latency"])
-        self.error_completions = state["error_completions"]
-        self.timeouts = state["timeouts"]
-        self.admission_rejections = state["admission_rejections"]
-        self.completed_count = state["completed_count"]
-        self.completed_bytes = state["completed_bytes"]
-
     def throughput_bytes_per_s(self) -> float:
         """Sustained data throughput over the finished run.
 

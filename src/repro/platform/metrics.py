@@ -12,8 +12,9 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
+from repro.sim.state import Stateful
 from repro.sim.stats import nearest_rank
 
 
@@ -112,7 +113,7 @@ class SloObjectives:
             raise ValueError("p99 objective must be positive")
 
 
-class SloTracker:
+class SloTracker(Stateful):
     """Windowed request-outcome and latency tracking over sim-time.
 
     ``record(now, kind, latency_s, ok)`` is called once per finished
@@ -126,6 +127,10 @@ class SloTracker:
     derived). ``record`` costs O(log n) comparisons plus one list insert, so
     a percentile or hedge-quantile query is a lookup.
     """
+
+    # objectives and window are constructor inputs; restore re-sorts the
+    # derived ``_sorted_cache`` from ``_by_kind``
+    STATE = ("total", "failures", "_by_kind", "_failures_by_kind", "_windows")
 
     def __init__(
         self,
@@ -209,32 +214,9 @@ class SloTracker:
 
     # -- checkpoint/restore ----------------------------------------------------
 
-    def snapshot_state(self) -> Dict[str, object]:
-        """Everything recorded so far, as primitives (sorted item lists).
-
-        Latencies are captured in arrival order. The sorted lists
-        (``_sorted_cache``) are derived state and deliberately not captured;
-        restore rebuilds them.
-        """
-        return {
-            "total": self.total,
-            "failures": self.failures,
-            "by_kind": [(k, list(self._by_kind[k])) for k in sorted(self._by_kind)],
-            "failures_by_kind": [
-                (k, self._failures_by_kind[k]) for k in sorted(self._failures_by_kind)
-            ],
-            "windows": [(k, list(self._windows[k])) for k in sorted(self._windows)],
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Inverse of :meth:`snapshot_state`; rebuilds the sorted lists."""
-        self.total = state["total"]
-        self.failures = state["failures"]
-        self._by_kind = {kind: list(vals) for kind, vals in state["by_kind"]}
-        self._failures_by_kind = {
-            kind: count for kind, count in state["failures_by_kind"]
-        }
-        self._windows = {idx: list(pair) for idx, pair in state["windows"]}
+    def restore_state(self, state: Dict[str, Any]) -> None:
+        """Pour the declared state back, then re-sort the derived lists."""
+        super().restore_state(state)
         self._sorted_cache = {kind: sorted(vals) for kind, vals in self._by_kind.items()}
 
     # -- reporting ------------------------------------------------------------

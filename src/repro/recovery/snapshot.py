@@ -14,9 +14,9 @@ payload primitive does three things at once:
 - restore cannot resurrect stale code: classes are rebuilt by the current
   constructors and only their *state* comes from the file.
 
-Order-sensitive mappings (LRU ``OrderedDict``s, journals replayed in
-insertion order) are snapshotted as item *lists* via :func:`dict_items` so
-the fingerprint captures their iteration order, not just their contents.
+Mappings in component state are snapshotted as insertion-ordered item
+*lists* (:mod:`repro.sim.state`), so the fingerprint captures the order a
+restored dict must reproduce, not just its contents.
 
 A snapshot file is that fingerprint as 64 hex characters and a newline,
 then the canonical encoding it hashes. Loading checks the digest before it
@@ -37,10 +37,10 @@ import os
 import pathlib
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 #: Bump on any change to a participating ``snapshot_state()`` payload shape.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 _FORMAT_MARKER = "repro-snapshot"
 # containers nested deeper than this do not decode (a chaos snapshot nests 12)
@@ -197,19 +197,6 @@ def _decode(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
     raise ValueError(f"unknown tag {tag!r} at offset {pos - 1}")
 
 
-def dict_items(mapping: Dict[Any, Any]) -> List[Tuple[Any, Any]]:
-    """Snapshot an order-sensitive mapping as an insertion-ordered item list."""
-    return [(key, value) for key, value in mapping.items()]
-
-
-def items_dict(items: Iterable[Iterable[Any]]) -> Dict[Any, Any]:
-    """Rebuild a mapping from :func:`dict_items` output, preserving order."""
-    rebuilt: Dict[Any, Any] = {}
-    for key, value in items:
-        rebuilt[key] = value
-    return rebuilt
-
-
 # -- the snapshot object -------------------------------------------------------
 
 
@@ -307,9 +294,7 @@ __all__ = [
     "SnapshotVersionError",
     "canonical_fingerprint",
     "decode_canonical",
-    "dict_items",
     "encode_canonical",
-    "items_dict",
     "load_snapshot",
     "save_snapshot",
 ]

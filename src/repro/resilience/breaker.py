@@ -23,6 +23,8 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.sim.state import Stateful
+
 
 class BreakerState(enum.Enum):
     CLOSED = "closed"
@@ -44,8 +46,18 @@ class BreakerConfig:
             raise ValueError("breaker timers must be positive")
 
 
-class CircuitBreaker:
+class CircuitBreaker(Stateful):
     """One breaker instance (see module docstring for the state machine)."""
+
+    # the full state machine; key and config are constructor inputs
+    STATE = (
+        "state",
+        "consecutive_failures",
+        "probe_successes",
+        "opened_at",
+        "last_probe_at",
+        "transitions",
+    )
 
     def __init__(self, key: str, config: BreakerConfig = BreakerConfig()) -> None:
         self.key = key
@@ -114,27 +126,6 @@ class CircuitBreaker:
             and self.consecutive_failures >= self.config.failure_threshold
         ):
             self._transition(now, BreakerState.OPEN)
-
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Full state-machine state; key and config are constructor inputs."""
-        return {
-            "state": self.state.value,
-            "consecutive_failures": self.consecutive_failures,
-            "probe_successes": self.probe_successes,
-            "opened_at": self.opened_at,
-            "last_probe_at": self.last_probe_at,
-            "transitions": list(self.transitions),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.state = BreakerState(state["state"])
-        self.consecutive_failures = state["consecutive_failures"]
-        self.probe_successes = state["probe_successes"]
-        self.opened_at = state["opened_at"]
-        self.last_probe_at = state["last_probe_at"]
-        self.transitions = [(when, what) for when, what in state["transitions"]]
 
     # -- internals -------------------------------------------------------------
 

@@ -138,28 +138,5 @@ class DegradationLadder:
     def transition_log(self) -> List[str]:
         return [f"t={when * 1e6:.1f}us mode {what}" for when, what in self.transitions]
 
-    # -- checkpoint/restore ----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Mode, counters and hysteresis timers; config is constructor input."""
-        return {
-            "mode": self.mode.value,
-            "integrity_violations": self.integrity_violations,
-            "fatal_faults": self.fatal_faults,
-            "open_breakers": self._open_breakers,
-            "last_trip_at": self._last_trip_at,
-            "last_violation_at": self._last_violation_at,
-            "transitions": list(self.transitions),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self.mode = ServiceMode(state["mode"])
-        self.integrity_violations = state["integrity_violations"]
-        self.fatal_faults = state["fatal_faults"]
-        self._open_breakers = state["open_breakers"]
-        self._last_trip_at = state["last_trip_at"]
-        self._last_violation_at = state["last_violation_at"]
-        self.transitions = [(when, what) for when, what in state["transitions"]]
-
 
 __all__ = ["DegradationLadder", "DegradeConfig", "ServiceMode"]

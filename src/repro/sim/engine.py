@@ -20,6 +20,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.sim.state import Stateful
+
 # Compact below this queue size is not worth the rebuild.
 _COMPACT_MIN_QUEUE = 64
 
@@ -62,8 +64,10 @@ class Event:
         return f"Event(t={self.time!r}, seq={self.seq}, {state}, name={self.name!r})"
 
 
-class Engine:
+class Engine(Stateful):
     """A minimal deterministic discrete-event simulation engine."""
+
+    STATE = ("_now", "_seq", "_events_fired", "_cancelled_pending")
 
     def __init__(self) -> None:
         self._queue: List[_Entry] = []  # callbacks are closures; snapshots only happen at quiescent (empty-queue) points, enforced in snapshot_state
@@ -278,18 +282,9 @@ class Engine:
                 f"cannot snapshot an engine with {len(self._queue)} queued "
                 "events; drain the queue (quiescent point) first"
             )
-        return {
-            "now": self._now,
-            "seq": self._seq,
-            "events_fired": self._events_fired,
-            "cancelled_pending": self._cancelled_pending,
-        }
+        return super().snapshot_state()
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         if self._queue:
             raise RuntimeError("cannot restore into an engine with queued events")
-        self._now = state["now"]
-        self._seq = state["seq"]
-        self._events_fired = state["events_fired"]
-        self._cancelled_pending = state["cancelled_pending"]
-
+        super().restore_state(state)

@@ -5,9 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.sim.state import Stateful
+
 
 @dataclass
-class ReliabilityStats:
+class ReliabilityStats(Stateful):
     """Counters for fault injection and recovery (:mod:`repro.faults`).
 
     ``faults_injected`` counts scheduled fault events that fired;
@@ -41,13 +43,6 @@ class ReliabilityStats:
     def reset(self) -> None:
         for f in fields(self):
             setattr(self, f.name, 0.0 if f.name == "added_latency_s" else 0)
-
-    def snapshot_state(self) -> Dict[str, float]:
-        return self.as_dict()
-
-    def restore_state(self, state: Dict[str, float]) -> None:
-        for f in fields(self):
-            setattr(self, f.name, state[f.name])
 
 
 @dataclass
@@ -239,26 +234,6 @@ class Histogram:
     @property
     def total(self) -> float:
         return self._mean * self.count
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Welford accumulators and retained samples (checkpoint/restore)."""
-        return {
-            "count": self.count,
-            "mean": self._mean,
-            "m2": self._m2,
-            "min": self.min,
-            "max": self.max,
-            "samples": list(self._samples) if self._samples is not None else None,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.count = state["count"]
-        self._mean = state["mean"]
-        self._m2 = state["m2"]
-        self.min = state["min"]
-        self.max = state["max"]
-        samples = state["samples"]
-        self._samples = list(samples) if samples is not None else None
 
     def percentile(self, pct: float) -> float:
         """Return an exact percentile; requires ``keep_samples=True``."""

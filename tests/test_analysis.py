@@ -67,6 +67,11 @@ class TestRuleFixtures:
         fired = [(f.rule, f.line_text) for f in result.findings]
         assert fired == [("recovery-unserialized-state", "self.pending: List[int] = []")]
 
+    def test_recovery_rule_reads_declared_state(self):
+        result = scan(FIXTURES / "recovery_unserialized_declared.py")
+        fired = [(f.rule, f.line_text) for f in result.findings]
+        assert fired == [("recovery-unserialized-state", "self.misses = 0")]
+
     def test_every_registered_rule_has_a_fixture(self):
         # project-level (interprocedural) rules have their own fixture map
         # in tests/test_analysis_flow.py

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import BonsaiMerkleTree, IntegrityError
 from repro.core import integrity
+from repro.core.config import IceClaveConfig
+from repro.core.mee import MemoryEncryptionEngine
 
 
 def make_tree(n=20, arity=4):
@@ -116,6 +118,21 @@ class TestSizing:
         # leaf digests, so allow a generous band around 4 MB / 0.5 MB
         assert 4 <= split_mb <= 12
         assert 0.5 <= major_mb <= 1.5
+
+    def test_depth_is_exact_at_powers_of_the_arity(self):
+        """A float log overshoots there: ``math.log(125, 5)`` is 3.0000000000000004."""
+        tree = BonsaiMerkleTree(b"k", arity=5)
+        leaves = [bytes([i]) for i in range(125)]
+        tree.build(leaves)
+        assert tree.depth == 3
+        assert tree.storage_bytes() == BonsaiMerkleTree.storage_estimate(125, arity=5)
+        tree.verify(124, leaves[124])
+        # 8 GiB holds 8**7 pages: (7, 6), as at 4 GiB; 64 and 512 GiB go one
+        # level deeper per tree
+        depths = MemoryEncryptionEngine.tree_depths
+        assert depths(IceClaveConfig().with_dram(8 << 30)) == (7, 6)
+        assert depths(IceClaveConfig().with_dram(64 << 30)) == (8, 7)
+        assert depths(IceClaveConfig().with_dram(512 << 30)) == (9, 8)
 
     @given(st.integers(min_value=1, max_value=300))
     @settings(max_examples=20, deadline=None)

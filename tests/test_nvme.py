@@ -245,16 +245,3 @@ class TestDrain:
         assert fresh is not held
         assert (held.opcode, held.nbytes, held.submitted_at,
                 held.completed_at, held.status) == before
-
-    def test_snapshot_roundtrip_preserves_aggregates(self):
-        engine, qp = make_qp()
-        for _ in range(3):
-            qp.submit("read", 1024)
-        engine.run()
-        qp.drain_completed()
-        state = qp.snapshot_state()
-        _, fresh = make_qp()
-        fresh.restore_state(state)
-        assert fresh.completed_count == 3
-        assert fresh.completed_bytes == 3 * 1024
-
