@@ -112,7 +112,7 @@ def attack_4_dram_tamper_and_replay() -> None:
         mee2.read_line(1, 0)
         raise AssertionError("replay undetected!")
     except IntegrityError:
-        print("  replay of stale snapshot: DETECTED (Bonsai Merkle tree root is on-chip)\n")
+        print("  replay of stale snapshot: DETECTED (its MAC binds an outdated counter)\n")
 
 
 def main() -> None:

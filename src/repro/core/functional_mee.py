@@ -9,11 +9,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.core.config import IceClaveConfig
 from repro.core.exceptions import IntegrityError
 from repro.core.integrity import BonsaiMerkleTree
 from repro.core.mee import LINES_PER_PAGE, TREE_ARITY, _SplitBlock
 from repro.crypto.aes import AES128
 from repro.crypto.mac import Mac
+
+_MINOR_LIMIT = IceClaveConfig().minor_counter_limit  # writes that overflow a minor counter
 
 
 class FunctionalMee:
@@ -21,8 +24,9 @@ class FunctionalMee:
 
     Each tenant enclave of the chaos campaign runs on one, and tests and
     the attack demo use it to show that ciphertext in DRAM is
-    unintelligible, tampering is caught by MACs, and replay is caught by
-    the Bonsai Merkle tree.
+    unintelligible, and that tampering and replay are caught: each line's
+    MAC binds its (major, minor) counter, which never repeats within one
+    engine, and the Bonsai Merkle tree authenticates the counters themselves.
     """
 
     def __init__(self, pages: int, aes_key: bytes, mac_key: bytes) -> None:
@@ -51,7 +55,7 @@ class FunctionalMee:
 
         An aborted enclave restarts on it, so its owner never holds the raw
         keys. Being a new object, it carries over no counters, DRAM contents
-        or invariant monitor.
+        or invariant monitor; its counters restart at 0 under the same keys.
         """
         return FunctionalMee(self.pages, *self._keys)
 
@@ -59,9 +63,7 @@ class FunctionalMee:
         cached = self._ser_cache.get(page)
         if cached is None:
             block = self._counters[page]
-            cached = block.major.to_bytes(8, "big") + bytes(
-                m & 0x7F for m in block.minors
-            )
+            cached = block.major.to_bytes(8, "big") + bytes(block.minors)
             self._ser_cache[page] = cached
         return cached
 
@@ -74,7 +76,7 @@ class FunctionalMee:
         fails (the minor has moved on).
         """
         block = self._counters[page]
-        return block.major.to_bytes(8, "big") + bytes([block.minors[line] & 0x7F])
+        return block.major.to_bytes(8, "big") + bytes([block.minors[line]])
 
     def _otp(self, page: int, line: int, nbytes: int) -> bytes:
         major, minor = (
@@ -84,18 +86,53 @@ class FunctionalMee:
         seed = (major << 40) ^ (minor << 24) ^ (page << 8) ^ line
         return self._aes.otp(seed, nbytes)
 
-    def write_line(self, page: int, line: int, plaintext: bytes) -> None:
-        """Encrypt + MAC a line into DRAM, bumping its minor counter."""
-        self._check(page, line)
+    def _advance(self, page: int, line: int) -> None:
+        """Bump a line's minor counter; at ``minor_counter_limit``, re-key the page.
+
+        As in :meth:`MemoryEncryptionEngine.write`, the page takes a fresh
+        major and its minors restart at 0, so within this engine no (major,
+        minor) a MAC binds repeats. Every other resident line is verified
+        under its old counter (an overflow must not launder a tampered line),
+        then sealed under the new one. The caller writes the page's tree leaf.
+        """
         block = self._counters[page]
-        block.minors[line] += 1
-        self._ser_cache.pop(page, None)  # counter changed; drop stale serialization
+        self._ser_cache.pop(page, None)  # counter changes; drop stale serialization
+        if block.minors[line] + 1 < _MINOR_LIMIT:
+            block.minors[line] += 1
+            return
+        resident = [
+            (other, self._open(page, other))
+            for other in range(LINES_PER_PAGE)
+            if other != line and (page, other) in self.dram_ciphertext
+        ]
+        block.major += 1
+        block.minors = [0] * LINES_PER_PAGE
+        for other, plaintext in resident:
+            self._seal(page, other, plaintext)
+
+    def _seal(self, page: int, line: int, plaintext: bytes) -> None:
+        """Encrypt + MAC a line into DRAM under its current counter."""
         pad = self._otp(page, line, len(plaintext))
         ciphertext = bytes(p ^ k for p, k in zip(plaintext, pad))
         self.dram_ciphertext[(page, line)] = ciphertext
         self.dram_macs[(page, line)] = self._mac.digest(
             ciphertext, self._line_counter(page, line), bytes([line])
         )
+
+    def _open(self, page: int, line: int) -> bytes:
+        """Check a resident line's MAC under its current counter and decrypt it."""
+        ciphertext = self.dram_ciphertext[(page, line)]
+        expected = self._mac.digest(ciphertext, self._line_counter(page, line), bytes([line]))
+        if expected != self.dram_macs.get((page, line)):
+            raise IntegrityError(f"MAC mismatch on page {page} line {line}")
+        pad = self._otp(page, line, len(ciphertext))
+        return bytes(c ^ k for c, k in zip(ciphertext, pad))
+
+    def write_line(self, page: int, line: int, plaintext: bytes) -> None:
+        """Encrypt + MAC a line into DRAM, bumping its minor counter."""
+        self._check(page, line)
+        self._advance(page, line)
+        self._seal(page, line, plaintext)
         self.tree.update(page, self._serialize_counter(page))
         monitor = self.invariant_monitor
         if monitor is not None:
@@ -119,15 +156,8 @@ class FunctionalMee:
         touched: Dict[int, None] = {}
         for page, line, plaintext in items:
             self._check(page, line)
-            block = self._counters[page]
-            block.minors[line] += 1
-            self._ser_cache.pop(page, None)
-            pad = self._otp(page, line, len(plaintext))
-            ciphertext = bytes(p ^ k for p, k in zip(plaintext, pad))
-            self.dram_ciphertext[(page, line)] = ciphertext
-            self.dram_macs[(page, line)] = self._mac.digest(
-                ciphertext, self._line_counter(page, line), bytes([line])
-            )
+            self._advance(page, line)
+            self._seal(page, line, plaintext)
             touched[page] = None
         # tree.updates must advance by len(items) (snapshots pin it), while
         # each touched page's leaf is written once with its final counters
@@ -139,18 +169,10 @@ class FunctionalMee:
     def read_line(self, page: int, line: int) -> bytes:
         """Verify (MAC + tree) and decrypt a line from DRAM."""
         self._check(page, line)
-        ciphertext = self.dram_ciphertext.get((page, line))
-        stored_mac = self.dram_macs.get((page, line))
-        if ciphertext is None or stored_mac is None:
+        if (page, line) not in self.dram_ciphertext or (page, line) not in self.dram_macs:
             raise KeyError(f"page {page} line {line} was never written")
         self.tree.verify(page, self._serialize_counter(page))
-        expected = self._mac.digest(
-            ciphertext, self._line_counter(page, line), bytes([line])
-        )
-        if expected != stored_mac:
-            raise IntegrityError(f"MAC mismatch on page {page} line {line}")
-        pad = self._otp(page, line, len(ciphertext))
-        return bytes(c ^ k for c, k in zip(ciphertext, pad))
+        return self._open(page, line)
 
     def _check(self, page: int, line: int) -> None:
         if not 0 <= page < self.pages:

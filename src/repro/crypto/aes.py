@@ -44,12 +44,21 @@ for _i, _v in enumerate(_SBOX):
 
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
-
-def _xtime(a: int) -> int:
-    a <<= 1
-    if a & 0x100:
-        a ^= 0x11B
-    return a & 0xFF
+# xtime: multiplication by 2 in GF(2^8), reduced by the AES polynomial
+_XTIME = [(a << 1) ^ (0x11B if a & 0x80 else 0) for a in range(256)]
+# Encryption T-tables: Tr[x] is the MixColumns column S[x] adds from row r, as a big-endian
+# word: T0[x] = (2·S[x], S[x], S[x], 3·S[x]), T1..T3 its rotations. As 3·s = 2·s ^ s, it is
+# 2·s times a mask of the bytes with factor 2 or 3, XOR s times a mask of those with 1 or 3.
+_MUL2 = bytes(_SBOX).translate(bytes(_XTIME))
+_T0, _T1, _T2, _T3 = (
+    [m * two ^ s * one for s, m in zip(_SBOX, _MUL2)]
+    for two, one in (
+        (0x01000001, 0x00010101),
+        (0x01010000, 0x01000101),
+        (0x00010100, 0x01010001),
+        (0x00000101, 0x01010100),
+    )
+)
 
 
 def _gmul(a: int, b: int) -> int:
@@ -58,7 +67,7 @@ def _gmul(a: int, b: int) -> int:
     while b:
         if b & 1:
             result ^= a
-        a = _xtime(a)
+        a = _XTIME[a]
         b >>= 1
     return result
 
@@ -70,6 +79,8 @@ class AES128:
         if len(key) != KEY_BYTES:
             raise ValueError("AES-128 requires a 16-byte key")
         self._round_keys = self._expand_key(key)
+        flat = bytes(sum(self._round_keys, []))  # encryption reads them as 32-bit words
+        self._words = [int.from_bytes(flat[i : i + 4], "big") for i in range(0, len(flat), 4)]
 
     @staticmethod
     def _expand_key(key: bytes) -> list:
@@ -94,30 +105,12 @@ class AES128:
             state[i] = box[state[i]]
 
     @staticmethod
-    def _shift_rows(state: list) -> None:
-        # state is column-major: byte r + 4c
-        for row in range(1, 4):
-            cols = [state[row + 4 * c] for c in range(4)]
-            cols = cols[row:] + cols[:row]
-            for c in range(4):
-                state[row + 4 * c] = cols[c]
-
-    @staticmethod
     def _inv_shift_rows(state: list) -> None:
         for row in range(1, 4):
             cols = [state[row + 4 * c] for c in range(4)]
             cols = cols[-row:] + cols[:-row]
             for c in range(4):
                 state[row + 4 * c] = cols[c]
-
-    @staticmethod
-    def _mix_columns(state: list) -> None:
-        for c in range(4):
-            col = state[4 * c : 4 * c + 4]
-            state[4 * c + 0] = _gmul(col[0], 2) ^ _gmul(col[1], 3) ^ col[2] ^ col[3]
-            state[4 * c + 1] = col[0] ^ _gmul(col[1], 2) ^ _gmul(col[2], 3) ^ col[3]
-            state[4 * c + 2] = col[0] ^ col[1] ^ _gmul(col[2], 2) ^ _gmul(col[3], 3)
-            state[4 * c + 3] = _gmul(col[0], 3) ^ col[1] ^ col[2] ^ _gmul(col[3], 2)
 
     @staticmethod
     def _inv_mix_columns(state: list) -> None:
@@ -139,17 +132,25 @@ class AES128:
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != BLOCK_BYTES:
             raise ValueError("AES block must be 16 bytes")
-        state = list(block)
-        self._add_round_key(state, self._round_keys[0])
-        for rnd in range(1, _ROUNDS):
-            self._sub_bytes(state, _SBOX)
-            self._shift_rows(state)
-            self._mix_columns(state)
-            self._add_round_key(state, self._round_keys[rnd])
-        self._sub_bytes(state, _SBOX)
-        self._shift_rows(state)
-        self._add_round_key(state, self._round_keys[_ROUNDS])
-        return bytes(state)
+        rk = self._words
+        x = int.from_bytes(block, "big")  # the state as four big-endian column words
+        s0, s1, s2, s3 = x >> 96, x >> 64 & 0xFFFFFFFF, x >> 32 & 0xFFFFFFFF, x & 0xFFFFFFFF
+        s0, s1, s2, s3 = s0 ^ rk[0], s1 ^ rk[1], s2 ^ rk[2], s3 ^ rk[3]
+        t0, t1, t2, t3 = _T0, _T1, _T2, _T3
+        for r in range(4, 4 * _ROUNDS, 4):  # SubBytes, ShiftRows, MixColumns, AddRoundKey
+            s0, s1, s2, s3 = (
+                t0[s0 >> 24] ^ t1[s1 >> 16 & 255] ^ t2[s2 >> 8 & 255] ^ t3[s3 & 255] ^ rk[r],
+                t0[s1 >> 24] ^ t1[s2 >> 16 & 255] ^ t2[s3 >> 8 & 255] ^ t3[s0 & 255] ^ rk[r + 1],
+                t0[s2 >> 24] ^ t1[s3 >> 16 & 255] ^ t2[s0 >> 8 & 255] ^ t3[s1 & 255] ^ rk[r + 2],
+                t0[s3 >> 24] ^ t1[s0 >> 16 & 255] ^ t2[s1 >> 8 & 255] ^ t3[s2 & 255] ^ rk[r + 3],
+            )
+        sb = _SBOX  # the last round has no MixColumns
+        w0 = sb[s0 >> 24] << 24 | sb[s1 >> 16 & 255] << 16 | sb[s2 >> 8 & 255] << 8 | sb[s3 & 255]
+        w1 = sb[s1 >> 24] << 24 | sb[s2 >> 16 & 255] << 16 | sb[s3 >> 8 & 255] << 8 | sb[s0 & 255]
+        w2 = sb[s2 >> 24] << 24 | sb[s3 >> 16 & 255] << 16 | sb[s0 >> 8 & 255] << 8 | sb[s1 & 255]
+        w3 = sb[s3 >> 24] << 24 | sb[s0 >> 16 & 255] << 16 | sb[s1 >> 8 & 255] << 8 | sb[s2 & 255]
+        out = (w0 ^ rk[40]) << 96 | (w1 ^ rk[41]) << 64 | (w2 ^ rk[42]) << 32 | (w3 ^ rk[43])
+        return out.to_bytes(BLOCK_BYTES, "big")
 
     def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != BLOCK_BYTES:

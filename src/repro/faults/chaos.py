@@ -168,6 +168,9 @@ class ChaosRunner(Stateful):
         self.plan = FaultPlan.generate(seed, ops, plan_config or FaultPlanConfig())
         self.injector = FaultInjector(self.plan, self.ftl, self.guard, self.stats)
         self.expected: Dict[int, bytes] = {}
+        # sorted keys of ``expected`` for step(); dropped whenever the key
+        # set changes (and on restore), never checkpointed
+        self._expected_keys: Optional[List[int]] = None
         self.event_log: List[str] = []
         self.nvme_statuses: Dict[str, int] = {}
         self.invariant_violations = 0
@@ -194,6 +197,8 @@ class ChaosRunner(Stateful):
 
     def _write(self, lpa: int, tag: int) -> None:
         payload = self._payload(lpa, tag)
+        if lpa not in self.expected:
+            self._expected_keys = None  # the write adds a key
         try:
             self.ftl.write(lpa, payload)
         except PowerLossError as exc:
@@ -212,6 +217,7 @@ class ChaosRunner(Stateful):
             self.nvme_statuses[status.name] = self.nvme_statuses.get(status.name, 0) + 1
             self.event_log.append(f"op={op} lost lpa={lpa} nvme={status.name}")
             self.expected.pop(lpa, None)
+            self._expected_keys = None
             return
         got = self.chip.read(cost.ppa)
         if got != self.expected[lpa]:
@@ -252,6 +258,7 @@ class ChaosRunner(Stateful):
                 }
                 dropped = len(self.expected) - len(survivors)
                 self.expected = survivors
+                self._expected_keys = None
                 self.event_log.append(f"op={op} die quarantine dropped {dropped} lpas")
             elif fault.action == "dram_corrupted":
                 for message in self.guard.sweep():
@@ -312,9 +319,16 @@ class ChaosRunner(Stateful):
             self._write(lpa, self._tag)
             self._tag += 1
         else:
-            keys = sorted(self.expected)
+            keys = self._expected_keys
+            if keys is None:
+                keys = self._expected_keys = sorted(self.expected)
             self._read(op, keys[self.rng.next_below(len(keys))])
         self._next_op += 1
+
+    def restore_state(self, state: dict) -> None:
+        """Pour ``state`` back in place; the sorted-key cache is rebuilt lazily."""
+        super().restore_state(state)
+        self._expected_keys = None
 
     @property
     def ops_executed(self) -> int:

@@ -66,8 +66,18 @@ class EnclaveIntegrityGuard:
         return tenant
 
     def write(self, tee_id: int, page: int, line: int, plaintext: bytes) -> None:
+        """Commit a line; a violation the commit detects aborts the tenant.
+
+        A write that overflows a minor counter re-keys the page and first
+        verifies its other resident lines, so a write can find a tampered
+        neighbour; the write is then not journaled.
+        """
         tenant = self.tenants[tee_id]
-        tenant.mee.write_line(page, line, plaintext)
+        try:
+            tenant.mee.write_line(page, line, plaintext)
+        except IntegrityError as exc:
+            self._abort(tenant, str(exc))
+            return
         if (page, line) not in tenant.lines_written:
             tenant.lines_written.append((page, line))
         tenant.journal[(page, line)] = bytes(plaintext)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.flash.geometry import FlashGeometry
 
@@ -118,45 +118,14 @@ class FlashChip:
         return self.block_wear.get(block, 0)
 
     def valid_pages_in_block(self, block: int) -> int:
-        base = self._block_base(block)
-        return sum(
-            1
-            for page in range(self.geometry.pages_per_block)
-            if self.page_state(self._ppa_in_block(base, page)) is PageState.VALID
-        )
+        state = self._page_state
+        return sum(1 for ppa in self.pages_of_block(block) if state.get(ppa) is PageState.VALID)
 
-    def _block_base(self, block: int) -> int:
-        """First PPA of a global block (page index 0)."""
-        plane = block // self.geometry.blocks_per_plane
-        block_in_plane = block % self.geometry.blocks_per_plane
-        die = plane // self.geometry.planes_per_die
-        plane_in_die = plane % self.geometry.planes_per_die
-        chan_chip = die // self.geometry.dies_per_chip
-        die_in_chip = die % self.geometry.dies_per_chip
-        channel = chan_chip // self.geometry.chips_per_channel
-        chip = chan_chip % self.geometry.chips_per_channel
-        from repro.flash.geometry import PhysicalAddress
-
-        return self.geometry.compose(
-            PhysicalAddress(channel, chip, die_in_chip, plane_in_die, block_in_plane, 0)
-        )
-
-    def _ppa_in_block(self, base_ppa: int, page: int) -> int:
-        # consecutive pages in a block are strided by the plane interleave
-        stride = (
-            self.geometry.channels
-            * self.geometry.chips_per_channel
-            * self.geometry.dies_per_chip
-            * self.geometry.planes_per_die
-        )
-        return base_ppa + page * stride
-
-    def pages_of_block(self, block: int) -> List[int]:
-        base = self._block_base(block)
-        return [
-            self._ppa_in_block(base, page)
-            for page in range(self.geometry.pages_per_block)
-        ]
+    def pages_of_block(self, block: int) -> range:
+        """PPAs of a block's pages in order (strided by the plane interleave)."""
+        base = self.geometry.block_base(block)
+        stride = self.geometry.total_planes
+        return range(base, base + self.geometry.pages_per_block * stride, stride)
 
     # -- operations ------------------------------------------------------------
 
@@ -187,8 +156,7 @@ class FlashChip:
             raise FlashProgramError(
                 f"page {ppa} is {state.value}; NAND pages cannot be reprogrammed"
             )
-        block = self.geometry.block_of(ppa)
-        page_index = self.geometry.decompose(ppa).page
+        block, page_index = self.geometry.block_and_page(ppa)
         cursor = self._write_cursor.get(block, 0)
         if page_index != cursor:
             raise FlashProgramError(

@@ -59,6 +59,21 @@ class FlashGeometry:
         object.__setattr__(self, "_total_planes", planes)
         object.__setattr__(self, "_total_blocks", blocks)
         object.__setattr__(self, "_total_pages", pages)
+        # The low interleave bits of a PPA (``ppa % total_planes``) encode
+        # channel, chip, die and plane; tabulate them against the global
+        # plane index (channel-major) in both directions, so the hot
+        # queries below are a divmod and a lookup.
+        channels, cpc, dpc = self.channels, self.chips_per_channel, self.dies_per_chip
+        low_of_plane = tuple(
+            ((plane * dpc + die) * cpc + chip) * channels + channel
+            for channel in range(channels)
+            for chip in range(cpc)
+            for die in range(dpc)
+            for plane in range(self.planes_per_die)
+        )
+        plane_of_low = tuple(sorted(range(planes), key=low_of_plane.__getitem__))
+        object.__setattr__(self, "_low_of_plane", low_of_plane)
+        object.__setattr__(self, "_plane_of_low", plane_of_low)
 
     # -- aggregate sizes (instance attrs precomputed in __post_init__;
     # deliberately not annotated so the dataclass does not treat them as
@@ -89,11 +104,17 @@ class FlashGeometry:
     # PPA layout (least significant first): channel, chip, die, plane, then
     # (block, page) within the plane. Consecutive PPAs land on consecutive
     # channels, maximizing stripe parallelism for sequential access.
+    # decompose/compose spell the layout out field by field; the per-page
+    # queries after them use the interleave tables and are tested against
+    # decompose for every PPA.
+
+    def _out_of_range(self, ppa: int) -> ValueError:
+        return ValueError(f"PPA {ppa} out of range [0, {self._total_pages})")
 
     def decompose(self, ppa: int) -> PhysicalAddress:
         """Split a dense PPA into its physical coordinates."""
-        if not 0 <= ppa < self.total_pages:
-            raise ValueError(f"PPA {ppa} out of range [0, {self.total_pages})")
+        if not 0 <= ppa < self._total_pages:
+            raise self._out_of_range(ppa)
         rest, channel = divmod(ppa, self.channels)
         rest, chip = divmod(rest, self.chips_per_channel)
         rest, die = divmod(rest, self.dies_per_chip)
@@ -130,7 +151,7 @@ class FlashGeometry:
         operation; this skips the full :class:`PhysicalAddress` build.
         """
         if not 0 <= ppa < self._total_pages:
-            raise ValueError(f"PPA {ppa} out of range [0, {self._total_pages})")
+            raise self._out_of_range(ppa)
         rest, channel = divmod(ppa, self.channels)
         rest, chip = divmod(rest, self.chips_per_channel)
         die = rest % self.dies_per_chip
@@ -138,17 +159,38 @@ class FlashGeometry:
 
     def die_index(self, ppa: int) -> int:
         """Global die index for ``ppa`` (used to pick the die resource)."""
-        return self.channel_and_die(ppa)[1]
+        if not 0 <= ppa < self._total_pages:
+            raise self._out_of_range(ppa)
+        return self._plane_of_low[ppa % self._total_planes] // self.planes_per_die
 
     def plane_index(self, ppa: int) -> int:
         """Global plane index for ``ppa``."""
-        addr = self.decompose(ppa)
-        return self.die_index(ppa) * self.planes_per_die + addr.plane
+        if not 0 <= ppa < self._total_pages:
+            raise self._out_of_range(ppa)
+        return self._plane_of_low[ppa % self._total_planes]
+
+    def block_and_page(self, ppa: int) -> "tuple[int, int]":
+        """(global block index, page index within the block) for ``ppa``."""
+        if not 0 <= ppa < self._total_pages:
+            raise self._out_of_range(ppa)
+        rest, low = divmod(ppa, self._total_planes)
+        block, page = divmod(rest, self.pages_per_block)
+        return self._plane_of_low[low] * self.blocks_per_plane + block, page
 
     def block_of(self, ppa: int) -> int:
         """Global block index containing ``ppa``."""
-        addr = self.decompose(ppa)
-        return self.plane_index(ppa) * self.blocks_per_plane + addr.block
+        if not 0 <= ppa < self._total_pages:
+            raise self._out_of_range(ppa)
+        rest, low = divmod(ppa, self._total_planes)
+        return self._plane_of_low[low] * self.blocks_per_plane + rest // self.pages_per_block
+
+    def block_base(self, block: int) -> int:
+        """PPA of page 0 of a global block; page ``i`` is ``i * total_planes`` on."""
+        if not 0 <= block < self._total_blocks:
+            raise ValueError(f"block {block} out of range [0, {self._total_blocks})")
+        plane, block_in_plane = divmod(block, self.blocks_per_plane)
+        plane_base = self._low_of_plane[plane]  # page 0 of the plane's block 0
+        return plane_base + block_in_plane * self.pages_per_block * self._total_planes
 
 
 def small_geometry(

@@ -195,12 +195,13 @@ class Ftl(Stateful):
             raise UncorrectableReadError(lpa, ppa, "die failure")
         if self.chip.store_data:
             self.chip.read(ppa)
-        if self.ecc is not None:
-            self._decode_read(lpa, ppa, cost)
-        self.stats.host_reads += 1
-        # disturb accounting charges the block whose cells were sensed (the
-        # original page, even if the data was scrubbed elsewhere afterwards)
+        # the block whose cells were sensed: its wear sets the ECC error
+        # rate, and disturb accounting charges it (the original page, even
+        # if the data was scrubbed elsewhere afterwards)
         block = self.geometry.block_of(ppa)
+        if self.ecc is not None:
+            self._decode_read(lpa, ppa, block, cost)
+        self.stats.host_reads += 1
         self._block_read_counts[block] = self._block_read_counts.get(block, 0) + 1
         if self._block_read_counts[block] >= self.read_disturb_threshold:
             moved = self._refresh_block(block)
@@ -209,7 +210,7 @@ class Ftl(Stateful):
             cost.block_erases += 1
         return cost
 
-    def _decode_read(self, lpa: int, ppa: int, cost: FtlOpCost) -> None:
+    def _decode_read(self, lpa: int, ppa: int, block: int, cost: FtlOpCost) -> None:
         """ECC-decode a page read; retry, scrub, or fail permanently.
 
         - clean/correctable: errors fixed inline, nothing else happens;
@@ -220,7 +221,7 @@ class Ftl(Stateful):
           :class:`UncorrectableReadError` propagates to the host path.
         """
         rel = self.reliability
-        wear = self.chip.wear_of(self.geometry.block_of(ppa))
+        wear = self.chip.wear_of(block)
         try:
             corrected = self.ecc.check_read(wear)
             if rel is not None:

@@ -87,11 +87,11 @@ class GarbageCollector(Stateful):
         return best_block
 
     def _is_free_or_active(self, block: int, plane: int) -> bool:
-        # a block with write cursor 0 and no valid/invalid pages is free
-        pages = self.chip.pages_of_block(block)
+        # write cursor 0 means every page is FREE: program() enforces
+        # in-order programming and erase() resets pages and cursor together
         if self.allocator._active_block[plane] == block:
             return True
-        return all(self.chip.page_state(p) is PageState.FREE for p in pages)
+        return self.chip.write_cursor(block) == 0
 
     def collect_plane(self, plane: int) -> GcResult:
         """Run GC on one plane until it is back above the watermark."""

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import AES128, Mac, TriviumFast, XorShift64, mac_digest
+from repro.crypto.aes import _SBOX, _gmul
 
 TRIVIUM_STATE_BITS = 288
 
@@ -70,7 +71,55 @@ ZERO_KEY_IV_KEYSTREAM = bytes.fromhex(
 )
 
 
+def _shift_rows(state: list) -> None:
+    # state is column-major: byte r + 4c
+    for row in range(1, 4):
+        cols = [state[row + 4 * c] for c in range(4)]
+        cols = cols[row:] + cols[:row]
+        for c in range(4):
+            state[row + 4 * c] = cols[c]
+
+
+def _mix_columns(state: list) -> None:
+    for c in range(4):
+        col = state[4 * c : 4 * c + 4]
+        state[4 * c + 0] = _gmul(col[0], 2) ^ _gmul(col[1], 3) ^ col[2] ^ col[3]
+        state[4 * c + 1] = col[0] ^ _gmul(col[1], 2) ^ _gmul(col[2], 3) ^ col[3]
+        state[4 * c + 2] = col[0] ^ col[1] ^ _gmul(col[2], 2) ^ _gmul(col[3], 3)
+        state[4 * c + 3] = _gmul(col[0], 3) ^ col[1] ^ col[2] ^ _gmul(col[3], 2)
+
+
+def aes_encrypt_reference(key: bytes, block: bytes) -> bytes:
+    """FIPS-197 encryption round by round on a byte state: SubBytes,
+    ShiftRows, MixColumns and AddRoundKey as the standard writes them.
+
+    Slow; the oracle the T-table :meth:`AES128.encrypt_block` is checked
+    against. It shares only the S-box and the key schedule, which the
+    known-answer vectors pin.
+    """
+    round_keys = AES128(key)._round_keys
+    state = [b ^ k for b, k in zip(block, round_keys[0])]
+    for rnd in range(1, 11):
+        state = [_SBOX[b] for b in state]
+        _shift_rows(state)
+        if rnd < 10:
+            _mix_columns(state)
+        state = [b ^ k for b, k in zip(state, round_keys[rnd])]
+    return bytes(state)
+
+
 class TestAes:
+    def test_reference_matches_fips197_vector(self):
+        key = bytes(range(16))
+        plaintext = bytes.fromhex("00112233445566778899aabbccddeeff")
+        expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
+        assert aes_encrypt_reference(key, plaintext) == expected
+
+    @given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))
+    @settings(max_examples=200, deadline=None)
+    def test_t_tables_match_round_by_round_reference(self, key, block):
+        assert AES128(key).encrypt_block(block) == aes_encrypt_reference(key, block)
+
     def test_fips197_vector(self):
         """FIPS-197 Appendix C.1 known-answer test."""
         key = bytes(range(16))

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from repro.cli import main
+from repro.core.config import IceClaveConfig
 from repro.core.exceptions import IntegrityError
 from repro.faults import (
     EnclaveIntegrityGuard,
@@ -302,6 +303,25 @@ class TestEnclaveContainment:
         # the fresh enclave accepts new writes immediately
         guard.write(1, 0, 0, b"fresh-start")
         assert guard.read(1, 0, 0) == b"fresh-start"
+
+    def test_overflow_write_that_finds_a_tampered_line_aborts_only_that_tenant(self):
+        """A minor-counter overflow verifies the page's other resident lines
+        before re-keying them; what it finds is contained like a read."""
+        guard = self._guard()
+        guard.tenants[1].mee.tamper_ciphertext(0, 0)
+        limit = IceClaveConfig().minor_counter_limit
+        # line (0, 1) was seeded once, so its (limit - 1)-th write here is
+        # the limit-th in all: the one that overflows and finds line (0, 0)
+        for _ in range(limit - 2):
+            guard.write(1, 0, 1, b"churn")
+        assert guard.live_tenants() == [1, 2]
+        guard.write(1, 0, 1, b"lost")
+        assert guard.live_tenants() == [2]
+        assert guard.tenants[1].journal[(0, 1)] == b"churn"  # the last commit before it
+        assert guard.read(2, 0, 0) == b"t2l0"
+        assert guard.stats.tenant_aborts == 1
+        guard.restart(1)
+        assert guard.read(1, 0, 1) == b"churn"
 
     def test_restart_of_live_tenant_is_refused(self):
         guard = self._guard()

@@ -12,6 +12,7 @@ from repro.flash import (
     PageState,
     PhysicalAddress,
 )
+from repro.faults.chaos import CHAOS_GEOMETRY
 from repro.flash.chip import FlashProgramError
 from repro.flash.ecc import EccConfig, EccUncorrectableError
 from repro.flash.geometry import small_geometry
@@ -72,6 +73,57 @@ class TestGeometry:
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
             FlashGeometry(channels=0)
+
+
+# Shapes for the table-driven address queries: the chaos device (12 blocks
+# per plane, not a power of two), the test default, and Table 3's
+# chips/dies/planes interleave at two channels with a small plane.
+ADDRESS_SHAPES = {
+    "chaos": CHAOS_GEOMETRY,
+    "small": small_geometry(),
+    "table3-2ch": FlashGeometry(channels=2, blocks_per_plane=4, pages_per_block=8),
+}
+
+
+@pytest.mark.parametrize("geo", ADDRESS_SHAPES.values(), ids=ADDRESS_SHAPES.keys())
+class TestAddressQueries:
+    """The per-page queries read interleave tables; decompose/compose spell
+    the layout out field by field and are the oracle."""
+
+    def test_every_ppa_matches_decompose(self, geo):
+        got, want = [], []
+        for ppa in range(geo.total_pages):
+            a = geo.decompose(ppa)
+            die = (a.channel * geo.chips_per_channel + a.chip) * geo.dies_per_chip + a.die
+            plane = die * geo.planes_per_die + a.plane
+            block = plane * geo.blocks_per_plane + a.block
+            want.append((die, plane, block, (block, a.page)))
+            got.append(
+                (geo.die_index(ppa), geo.plane_index(ppa), geo.block_of(ppa),
+                 geo.block_and_page(ppa))
+            )
+        assert got == want
+
+    def test_every_block_base_matches_compose(self, geo):
+        for block in range(geo.total_blocks):
+            plane, block_in_plane = divmod(block, geo.blocks_per_plane)
+            die, plane_in_die = divmod(plane, geo.planes_per_die)
+            chip, die_in_chip = divmod(die, geo.dies_per_chip)
+            channel, chip_in_channel = divmod(chip, geo.chips_per_channel)
+            addr = PhysicalAddress(
+                channel, chip_in_channel, die_in_chip, plane_in_die, block_in_plane, 0
+            )
+            assert geo.block_base(block) == geo.compose(addr)
+
+    def test_out_of_range_is_refused(self, geo):
+        queries = (geo.die_index, geo.plane_index, geo.block_of, geo.block_and_page)
+        for ppa in (-1, geo.total_pages):
+            for query in queries:
+                with pytest.raises(ValueError):
+                    query(ppa)
+        for block in (-1, geo.total_blocks):
+            with pytest.raises(ValueError):
+                geo.block_base(block)
 
 
 class TestChip:

@@ -89,6 +89,15 @@ class FtlMachine(RuleBasedStateMachine):
     def free_space_never_exhausted(self):
         assert self.ftl.allocator.total_free_blocks() >= 1
 
+    @invariant()
+    def zero_cursor_means_all_free(self):
+        chip = self.ftl.chip
+        for block in range(GEOMETRY.total_blocks):
+            all_free = all(
+                chip.page_state(ppa) is PageState.FREE for ppa in chip.pages_of_block(block)
+            )
+            assert (chip.write_cursor(block) == 0) == all_free
+
 
 FtlMachine.TestCase.settings = settings(
     max_examples=25, stateful_step_count=40, deadline=None

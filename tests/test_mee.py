@@ -1,6 +1,7 @@
 """Tests for the memory encryption engine (hybrid counters, SC-64)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import CounterCache, EncryptionScheme, IceClaveConfig, IntegrityError
 from repro.core.functional_mee import FunctionalMee
@@ -197,7 +198,8 @@ class TestFunctionalMee:
             mee.read_line(0, 0)
 
     def test_replayed_line_detected(self):
-        """Replay: restore an old (ciphertext, MAC) pair -> tree catches it."""
+        """Replay: restore an old (ciphertext, MAC) pair -> its MAC no longer
+        verifies, because it binds a minor counter the line has moved past."""
         mee = self.make()
         mee.write_line(0, 0, b"v1" + bytes(62))
         stale = (mee.dram_ciphertext[(0, 0)], mee.dram_macs[(0, 0)])
@@ -231,3 +233,89 @@ class TestFunctionalMee:
         assert batched.snapshot_state() == sequential.snapshot_state()
         for page, line, _ in items:
             assert batched.read_line(page, line) == sequential.read_line(page, line)
+
+
+def _replay_after(writes):
+    """Keep line (1, 3)'s first (ciphertext, MAC), overwrite the line
+    ``writes`` more times, put the kept pair back and read it."""
+    mee = FunctionalMee(4, b"k" * 16, b"m" * 16)
+    mee.write_line(1, 3, b"A" * 64)
+    mee.write_line(1, 5, b"C" * 64)  # a resident neighbour the overflow re-keys
+    stale = (mee.dram_ciphertext[(1, 3)], mee.dram_macs[(1, 3)])
+    for _ in range(writes):
+        mee.write_line(1, 3, b"B" * 64)
+    assert mee.read_line(1, 3) == b"B" * 64
+    assert mee.read_line(1, 5) == b"C" * 64
+    mee.dram_ciphertext[(1, 3)], mee.dram_macs[(1, 3)] = stale
+    with pytest.raises(IntegrityError):
+        mee.read_line(1, 3)
+    return mee
+
+
+class TestMinorCounterOverflow:
+    """A line's minor counter overflows at ``minor_counter_limit`` writes;
+    the page then moves to a fresh major, so the counter a MAC binds never
+    repeats and no stale pair verifies again."""
+
+    @pytest.mark.parametrize("writes", [1, 127, 128, 256])
+    def test_stale_pair_is_refused(self, writes):
+        _replay_after(writes)
+
+    @given(st.integers(min_value=1, max_value=300))
+    @settings(max_examples=10, deadline=None)
+    def test_stale_pair_is_refused_after_any_number_of_writes(self, writes):
+        mee = _replay_after(writes)
+        limit = IceClaveConfig().minor_counter_limit
+        assert mee.counter_pair(1, 3) == divmod(1 + writes, limit)
+
+    def test_overflow_does_not_launder_a_tampered_line(self):
+        limit = IceClaveConfig().minor_counter_limit
+        mee = FunctionalMee(2, b"k" * 16, b"m" * 16)
+        mee.write_line(0, 0, b"resident" * 8)
+        mee.tamper_ciphertext(0, 0)
+        for _ in range(limit - 1):
+            mee.write_line(0, 1, b"x" * 64)
+        before = mee.snapshot_state()
+        with pytest.raises(IntegrityError):
+            mee.write_line(0, 1, b"x" * 64)  # the re-key must verify line 0 first
+        assert mee.snapshot_state() == before
+        with pytest.raises(IntegrityError):
+            mee.read_line(0, 0)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(1, 150)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_counters_match_the_timing_engine(self, runs):
+        """One write sequence (runs of writes to one line), both engines:
+        equal (major, minor) on every line after every write, and equal
+        overflow counts."""
+        timing = MemoryEncryptionEngine(scheme=EncryptionScheme.SPLIT_COUNTER)
+        functional = FunctionalMee(2, b"k" * 16, b"m" * 16)
+        for page, line, count in runs:
+            for _ in range(count):
+                timing.write(page, line, readonly=False)
+                functional.write_line(page, line, bytes([page, line]) * 8)
+                for p in range(2):
+                    for ln in range(3):
+                        assert functional.counter_pair(p, ln) == timing.counter_of(p, ln, False)
+        # a functional major moves only on overflow
+        majors = sum(functional.counter_pair(p, 0)[0] for p in range(2))
+        assert majors == timing.stats.minor_overflows
+        for page, line, _ in runs:
+            assert functional.read_line(page, line) == bytes([page, line]) * 8
+
+    def test_counters_match_the_timing_engine_at_full_width(self):
+        timing = MemoryEncryptionEngine(scheme=EncryptionScheme.SPLIT_COUNTER)
+        functional = FunctionalMee(1, b"k" * 16, b"m" * 16)
+        for i in range(300):
+            line = 0 if i % 3 else 1
+            timing.write(0, line, readonly=False)
+            functional.write_line(0, line, b"%03d" % i)
+        for line in (0, 1, 2):
+            assert functional.counter_pair(0, line) == timing.counter_of(0, line, False)
+        assert timing.stats.minor_overflows == functional.counter_pair(0, 0)[0] == 1

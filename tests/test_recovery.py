@@ -384,6 +384,29 @@ class TestComponentRoundTrips:
         twin.run_until(200)
         assert twin.finalize().fingerprint() == runner.finalize().fingerprint()
 
+    def test_chaos_restore_in_place_over_a_live_key_cache(self):
+        """step() keeps the sorted keys of the ground-truth table between key
+        set changes; a restore into a runner whose cache holds another key
+        set must not read through it. The report fingerprint does not show
+        which LPAs were read, so the final checkpoint digest is compared too
+        (its per-block read counts do)."""
+        uninterrupted = ChaosRunner("tpch-q1", 0.5, seed=11, ops=3000)
+        uninterrupted.run_until(3000)
+        golden_state = snapshot_chaos_runner(uninterrupted).fingerprint()
+        golden = uninterrupted.finalize().fingerprint()
+        runner = ChaosRunner("tpch-q1", 0.5, seed=11, ops=3000)
+        runner.run_until(653)
+        assert runner.event_log[-1].startswith("op=652 lost lpa=")  # a key left
+        snapshot = snapshot_chaos_runner(runner)
+        runner.run_until(1200)  # past op 1069's die quarantine, which drops 60 keys
+        snapshot_keys = sorted(lpa for lpa, _ in snapshot.state["expected"])
+        assert runner._expected_keys not in (None, snapshot_keys)
+        runner.restore_state(snapshot.state)
+        assert runner.ops_executed == 653
+        runner.run_until(3000)
+        assert snapshot_chaos_runner(runner).fingerprint() == golden_state
+        assert runner.finalize().fingerprint() == golden
+
 
 class TestInvariantMonitors:
     def test_components_default_to_disabled(self):
