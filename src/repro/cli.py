@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 # Each subcommand imports the packages it runs inside its cmd_* function:
 # importing this module must not load the simulator, or numpy.
@@ -378,17 +378,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if report.all_passed else 1
 
 
-def _run_lab(
-    args: argparse.Namespace,
-    run: Callable[[], Any],
-    on_arm: Callable[[Any], Any],
-    arm_label: str,
-    gates: List[Tuple[Callable[[Any], bool], str]],
-) -> int:
+def _run_lab(args: argparse.Namespace, run: Callable[[], Any]) -> int:
     """Print, export, rerun and gate one two-arm lab report.
 
-    ``on_arm(report)`` picks the arm the availability floor judges and
-    ``arm_label`` names it; ``gates`` are the lab's own exit checks.
+    The report names the arm the availability floor judges
+    (``report.JUDGED``: attribute and label) and returns its own exit gates
+    as ``(held, message)`` pairs.
     """
     import json
 
@@ -396,9 +391,10 @@ def _run_lab(
         return 2
     report = run()
     print(report.format())
-    arm = on_arm(report)
+    attribute, label = report.JUDGED
+    arm = getattr(report, attribute)
     if args.events:
-        print(f"event log ({arm_label}):")
+        print(f"event log ({label}):")
         for line in arm.event_log:
             print(f"  {line}")
     if args.csv:
@@ -416,14 +412,14 @@ def _run_lab(
     exit_code = 0 if _same_twice(report.fingerprint(), run().fingerprint()) else 1
     if arm.availability < args.min_availability / 100.0:
         print(
-            f"FAIL: {arm_label.replace(' ', '-')} availability "
+            f"FAIL: {label.replace(' ', '-')} availability "
             f"{arm.availability * 100:.4f}% is below the "
             f"{args.min_availability:.2f}% floor",
             file=sys.stderr,
         )
         exit_code = 1
-    for failed, message in gates:
-        if failed(report):
+    for held, message in report.gates():
+        if not held:
             print(f"FAIL: {message}", file=sys.stderr)
             exit_code = 1
     return exit_code
@@ -437,12 +433,11 @@ def cmd_resilience(args: argparse.Namespace) -> int:
 
     seed = args.seed if args.seed is not None else DEFAULT_RESILIENCE_SEED
     ops = 600 if args.quick else args.ops
-    gain = (lambda r: r.availability_gain() <= 0, "policies did not improve availability")
 
     def run() -> Any:
         return run_resilience(seed=seed, ops=ops)
 
-    return _run_lab(args, run, lambda r: r.resilient, "policies on", [gain])
+    return _run_lab(args, run)
 
 
 def cmd_serve_lab(args: argparse.Namespace) -> int:
@@ -458,21 +453,13 @@ def cmd_serve_lab(args: argparse.Namespace) -> int:
     tenants = 250 if args.quick else args.tenants
     requests = 1000 if args.quick else args.requests
     chaos = not args.no_chaos
-    leak = (
-        lambda r: not r.attestation_gate_held(),
-        "attestation gate leaked — tampered handshakes were not all refused "
-        "(or none were exercised)",
-    )
-    win = (lambda r: not r.policy_win, "policies-on did not strictly beat policies-off")
-    # without a fault plan both arms may serve everything: no win to demand
-    gates = [leak, win] if chaos else [leak]
 
     def run() -> Any:
         return run_serve_lab(
             seed=seed, tenants=tenants, requests=requests, process=args.process, chaos=chaos
         )
 
-    return _run_lab(args, run, lambda r: r.attested, "policies on", gates)
+    return _run_lab(args, run)
 
 
 def cmd_fleet_lab(args: argparse.Namespace) -> int:
@@ -494,10 +481,6 @@ def cmd_fleet_lab(args: argparse.Namespace) -> int:
 
     seed = args.seed if args.seed is not None else DEFAULT_FLEET_SEED
     requests = 600 if args.quick else args.requests
-    win = (
-        lambda r: not r.policy_win,
-        "replication-on did not strictly beat replication-off on availability and p99",
-    )
 
     def run() -> FleetReport:
         # both arms as fork-pool points: byte-identical at any --jobs
@@ -508,7 +491,7 @@ def cmd_fleet_lab(args: argparse.Namespace) -> int:
         off, on = map_points(specs, jobs=args.jobs)
         return FleetReport(off=off, on=on)
 
-    return _run_lab(args, run, lambda r: r.on, "replication on", [win])
+    return _run_lab(args, run)
 
 
 def cmd_search(args: argparse.Namespace) -> int:

@@ -22,14 +22,12 @@ from repro.fleet.lab import (
     FleetReport,
     FleetRunner,
     run_fleet,
-    run_fleet_arm,
 )
 from repro.fleet.rebuild import RebuildManager
 from repro.fleet.router import (
     FleetRefusal,
     ReadOutcome,
     ShardRouter,
-    TopologyChannelRouter,
     WriteOutcome,
 )
 from repro.fleet.topology import FleetTopology, seeded_mix
@@ -48,11 +46,9 @@ __all__ = [
     "ReadOutcome",
     "RebuildManager",
     "ShardRouter",
-    "TopologyChannelRouter",
     "WriteOutcome",
     "restore_fleet_runner",
     "run_fleet",
-    "run_fleet_arm",
     "run_fleet_oracle",
     "seeded_mix",
     "snapshot_fleet_runner",

@@ -30,7 +30,7 @@ from repro.platform.metrics import SloTracker
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.policy import HedgePolicy
 from repro.sim.engine import Engine
-from repro.sim.state import Stateful
+from repro.sim.state import Record, Stateful
 
 _WORKLOAD_SALT = 0x0F1EE7
 _PAYLOAD_BYTES = 16
@@ -301,7 +301,7 @@ class FleetRunner(Stateful):
 
 
 @dataclass(frozen=True)
-class FleetArmReport:
+class FleetArmReport(Record):
     """Everything one lab arm produced, as picklable primitives."""
 
     seed: int
@@ -310,6 +310,7 @@ class FleetArmReport:
     replication: int
     hedge: bool
     availability: float
+    failures: int
     p50_read_s: float
     p99_read_s: float
     p99_write_s: float
@@ -327,9 +328,9 @@ class FleetArmReport:
     rebuild_pending: int
     devices_lost: int
     read_digest: str
-    failure_reasons: Tuple[Tuple[str, int], ...] = ()
+    failure_reasons: Dict[str, int] = field(default_factory=dict)
     slo_lines: Tuple[str, ...] = ()
-    event_log: Tuple[str, ...] = field(default=())
+    event_log: Tuple[str, ...] = ()
 
     @classmethod
     def from_runner(cls, runner: FleetRunner) -> "FleetArmReport":
@@ -342,6 +343,7 @@ class FleetArmReport:
             replication=runner.replication,
             hedge=runner.hedge_enabled,
             availability=runner.slo.availability(),
+            failures=runner.slo.failures,
             p50_read_s=runner.slo.percentile("read", 50.0),
             p99_read_s=runner.slo.percentile("read", 99.0),
             p99_write_s=runner.slo.percentile("write", 99.0),
@@ -359,9 +361,7 @@ class FleetArmReport:
             rebuild_pending=rebuild.pending,
             devices_lost=rebuild.counters.get("devices_lost", 0),
             read_digest=runner.router.read_digest,
-            failure_reasons=tuple(
-                (k, runner.failure_reasons[k]) for k in sorted(runner.failure_reasons)
-            ),
+            failure_reasons=dict(sorted(runner.failure_reasons.items())),
             slo_lines=tuple(runner.slo.summary_lines()),
             event_log=tuple(runner.event_log),
         )
@@ -372,41 +372,13 @@ class FleetArmReport:
             f" hedge={'on' if self.hedge else 'off'}"
         )
 
-    def fingerprint_lines(self) -> List[str]:
-        """Every field, deterministically rendered (floats via repr)."""
-        lines = [
-            f"seed={self.seed} requests={self.requests} devices={self.devices}",
-            self.label(),
-            f"availability={self.availability!r}",
-            f"p50_read_s={self.p50_read_s!r}",
-            f"p99_read_s={self.p99_read_s!r}",
-            f"p99_write_s={self.p99_write_s!r}",
-            f"hedged_reads={self.hedged_reads} hedge_wins={self.hedge_wins}",
-            f"reads_routed={self.reads_routed} writes_routed={self.writes_routed}",
-            f"verified={self.verified} lost={self.lost} corrupt={self.corrupt}",
-            f"keys_lost={self.keys_lost}"
-            f" rebuilds_completed={self.rebuilds_completed}"
-            f" rebuild_pending={self.rebuild_pending}",
-            f"max_under_replicated={self.max_under_replicated}",
-            f"under_replicated_key_seconds={self.under_replicated_key_seconds!r}",
-            f"devices_lost={self.devices_lost}",
-            f"read_digest={self.read_digest}",
-        ]
-        lines += [f"refusal.{name}={count}" for name, count in self.failure_reasons]
-        lines += list(self.slo_lines)
-        lines += list(self.event_log)
-        return lines
-
-    def fingerprint(self) -> str:
-        blob = "\n".join(self.fingerprint_lines()).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
-
 
 @dataclass(frozen=True)
-class FleetReport:
+class FleetReport(Record):
     """The A/B comparison the fleet lab prints and exports."""
 
     schema = "fleet-lab-report/v1"
+    JUDGED = ("on", "replication on")  # the arm the availability floor judges
 
     off: FleetArmReport
     on: FleetArmReport
@@ -419,16 +391,37 @@ class FleetReport:
             and self.on.p99_read_s < self.off.p99_read_s
         )
 
+    def gates(self) -> List[Tuple[bool, str]]:
+        """The lab's exit gates as ``(held, message)`` pairs."""
+        return [(
+            self.policy_win,
+            "replication-on did not strictly beat replication-off on availability and p99",
+        )]
+
     def format(self) -> str:
         lines = [
             f"fleet lab: seed={self.on.seed} requests={self.on.requests}"
             f" devices={self.on.devices}",
-            "",
-            f"[A] {self.off.label()}",
         ]
-        lines += ["    " + line for line in self.off.fingerprint_lines()[2:14]]
-        lines += ["", f"[B] {self.on.label()}"]
-        lines += ["    " + line for line in self.on.fingerprint_lines()[2:14]]
+        for tag, arm in (("A", self.off), ("B", self.on)):
+            lines += [
+                "",
+                f"[{tag}] {arm.label()}",
+                f"    availability={arm.availability!r}",
+                f"    p50_read_s={arm.p50_read_s!r}",
+                f"    p99_read_s={arm.p99_read_s!r}",
+                f"    p99_write_s={arm.p99_write_s!r}",
+                f"    hedged_reads={arm.hedged_reads} hedge_wins={arm.hedge_wins}",
+                f"    reads_routed={arm.reads_routed} writes_routed={arm.writes_routed}",
+                f"    verified={arm.verified} lost={arm.lost} corrupt={arm.corrupt}",
+                f"    keys_lost={arm.keys_lost}"
+                f" rebuilds_completed={arm.rebuilds_completed}"
+                f" rebuild_pending={arm.rebuild_pending}",
+                f"    max_under_replicated={arm.max_under_replicated}",
+                f"    under_replicated_key_seconds={arm.under_replicated_key_seconds!r}",
+                f"    devices_lost={arm.devices_lost}",
+                f"    read_digest={arm.read_digest}",
+            ]
         lines += [
             "",
             f"availability: {self.off.availability * 100:.4f}%"
@@ -456,67 +449,15 @@ class FleetReport:
         return rows
 
     def to_json(self) -> Dict[str, Any]:
-        def arm_dict(arm: FleetArmReport) -> Dict[str, Any]:
-            return {
-                "replication": arm.replication,
-                "hedge": arm.hedge,
-                "availability": arm.availability,
-                "p50_read_s": arm.p50_read_s,
-                "p99_read_s": arm.p99_read_s,
-                "hedged_reads": arm.hedged_reads,
-                "hedge_wins": arm.hedge_wins,
-                "verified": arm.verified,
-                "lost": arm.lost,
-                "keys_lost": arm.keys_lost,
-                "rebuilds_completed": arm.rebuilds_completed,
-                "max_under_replicated": arm.max_under_replicated,
-                "under_replicated_key_seconds": arm.under_replicated_key_seconds,
-                "devices_lost": arm.devices_lost,
-                "failure_reasons": dict(arm.failure_reasons),
-                "fingerprint": arm.fingerprint(),
-            }
-
         return {
             "schema": self.schema,
             "seed": self.on.seed,
             "requests": self.on.requests,
             "devices": self.on.devices,
-            "replication_off": arm_dict(self.off),
-            "replication_on": arm_dict(self.on),
+            "replication_off": self.off.as_dict(),
+            "replication_on": self.on.as_dict(),
             "policy_win": self.policy_win,
         }
-
-    def fingerprint(self) -> str:
-        blob = f"{self.off.fingerprint()}|{self.on.fingerprint()}".encode("ascii")
-        return hashlib.sha256(blob).hexdigest()
-
-
-def run_fleet_arm(
-    seed: int,
-    requests: int,
-    devices: int = 6,
-    replication: int = 2,
-    hedge: bool = True,
-    working_set: int = WORKING_SET,
-    write_quorum: int = 1,
-    rebuild_batch: int = 4,
-    device_kills: int = 1,
-    die_quarantines: int = 2,
-) -> FleetArmReport:
-    """Run one lab arm start to finish (pure function of its arguments)."""
-    runner = FleetRunner(
-        seed,
-        requests,
-        devices=devices,
-        replication=replication,
-        hedge=hedge,
-        working_set=working_set,
-        write_quorum=write_quorum,
-        rebuild_batch=rebuild_batch,
-        device_kills=device_kills,
-        die_quarantines=die_quarantines,
-    )
-    return runner.run()
 
 
 def run_fleet(
@@ -529,25 +470,18 @@ def run_fleet(
     die_quarantines: int = 2,
 ) -> FleetReport:
     """Both arms, same seed and chaos plan: replication-off vs -on."""
-    off = run_fleet_arm(
-        seed,
-        requests,
-        devices=devices,
-        replication=1,
-        hedge=False,
-        working_set=working_set,
-        device_kills=device_kills,
-        die_quarantines=die_quarantines,
-    )
-    on = run_fleet_arm(
-        seed,
-        requests,
-        devices=devices,
-        replication=replication,
-        hedge=True,
-        working_set=working_set,
-        device_kills=device_kills,
-        die_quarantines=die_quarantines,
+    off, on = (
+        FleetRunner(
+            seed,
+            requests,
+            devices=devices,
+            replication=arm_replication,
+            hedge=hedge,
+            working_set=working_set,
+            device_kills=device_kills,
+            die_quarantines=die_quarantines,
+        ).run()
+        for arm_replication, hedge in ((1, False), (replication, True))
     )
     return FleetReport(off=off, on=on)
 
@@ -558,5 +492,4 @@ __all__ = [
     "FleetReport",
     "FleetRunner",
     "run_fleet",
-    "run_fleet_arm",
 ]

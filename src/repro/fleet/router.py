@@ -312,27 +312,9 @@ class ShardRouter(Stateful):
             record["hedge_event"] = None
 
 
-class TopologyChannelRouter:
-    """Duck-typed channel router for ``OffloadService._pick_channel``.
-
-    The serving layer never imports the fleet layer; it accepts any object
-    with ``candidates(op, lpa) -> Sequence[int]``. This adapter maps LPAs
-    onto the fleet's consistent-hash replica order so the service's
-    breaker-backed failover walks ring replicas instead of the hard-coded
-    primary/half-stride pair.
-    """
-
-    def __init__(self, topology: FleetTopology) -> None:
-        self._topology = topology
-
-    def candidates(self, op: str, lpa: int) -> Tuple[int, ...]:
-        return tuple(self._topology.replicas_for(lpa))
-
-
 __all__ = [
     "FleetRefusal",
     "ReadOutcome",
     "ShardRouter",
-    "TopologyChannelRouter",
     "WriteOutcome",
 ]

@@ -116,11 +116,5 @@ class FleetTopology(Stateful):
                 break
         return picked
 
-    def primary_for(self, key: int) -> int:
-        replicas = self.replicas_for(key, count=1)
-        if not replicas:
-            raise ValueError("no alive device to place the key on")
-        return replicas[0]
-
 
 __all__ = ["FleetTopology", "seeded_mix"]

@@ -85,10 +85,10 @@ def execute_point(spec: Spec) -> Any:
         workload, write_ratio, seed, ops = payload
         return run_chaos(workload, write_ratio, seed=seed, ops=ops)
     if kind == "fleet-arm":
-        from repro.fleet import run_fleet_arm
+        from repro.fleet import FleetRunner
 
         seed, requests, devices, replication, hedge, kills, quarantines = payload
-        return run_fleet_arm(
+        return FleetRunner(
             seed,
             requests,
             devices=devices,
@@ -96,7 +96,7 @@ def execute_point(spec: Spec) -> Any:
             hedge=hedge,
             device_kills=kills,
             die_quarantines=quarantines,
-        )
+        ).run()
     raise ValueError(f"unknown point kind {kind!r}")
 
 

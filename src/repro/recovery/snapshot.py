@@ -19,7 +19,8 @@ Mappings in component state are snapshotted as insertion-ordered item
 restored dict must reproduce, not just its contents.
 
 A snapshot file is that fingerprint as 64 hex characters and a newline,
-then the canonical encoding it hashes. Loading checks the digest before it
+then the canonical encoding it hashes. The codec itself lives in
+:mod:`repro.sim.state`, beside the ``STATE`` rules that produce its input. Loading checks the digest before it
 looks at the body, and decodes the body with a parser that builds only the
 primitive types above: nothing in a file is ever executed.
 
@@ -37,20 +38,15 @@ import os
 import pathlib
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
+
+from repro.sim.state import canonical_fingerprint, decode_canonical, encode_canonical
 
 #: Bump on any change to a participating ``snapshot_state()`` payload shape.
 SNAPSHOT_VERSION = 3
 
 _FORMAT_MARKER = "repro-snapshot"
-# containers nested deeper than this do not decode (a chaos snapshot nests 12)
-_MAX_DEPTH = 100
 _HEX_DIGEST = re.compile(rb"[0-9a-f]{64}")
-_INT = re.compile(rb"-?[0-9]+")
-_LENGTH = re.compile(rb"[0-9]+")
-_ATOMS = {b"N;": None, b"T;": True, b"F;": False}
-_OPENERS = {b"L": b"[", b"U": b"[", b"M": b"{"}
-_CLOSERS = {b"L": b"]", b"U": b"]", b"M": b"}"}
 
 
 class SnapshotError(Exception):
@@ -63,138 +59,6 @@ class SnapshotCorruptError(SnapshotError):
 
 class SnapshotVersionError(SnapshotError):
     """The file's format version is not the one this code writes."""
-
-
-# -- canonical encoding --------------------------------------------------------
-
-
-def _encode(value: Any, out: List[bytes]) -> None:
-    """Append a type-tagged, unambiguous encoding of ``value`` to ``out``.
-
-    Only snapshot-legal primitives are accepted; anything else raises
-    ``TypeError`` *at save time*, which is what keeps object graphs out of
-    the format. ``bool`` is checked before ``int`` (it is a subclass), and
-    floats go through ``repr`` (shortest round-trip text, stable across
-    supported CPython versions).
-    """
-    if value is None:
-        out.append(b"N;")
-    elif value is True:
-        out.append(b"T;")
-    elif value is False:
-        out.append(b"F;")
-    elif isinstance(value, int):
-        out.append(b"I%d;" % value)
-    elif isinstance(value, float):
-        out.append(b"D" + repr(value).encode("ascii") + b";")
-    elif isinstance(value, str):
-        data = value.encode("utf-8")
-        out.append(b"S%d:" % len(data))
-        out.append(data)
-    elif isinstance(value, bytes):
-        out.append(b"B%d:" % len(value))
-        out.append(value)
-    elif isinstance(value, (list, tuple)):
-        out.append(b"L%d[" % len(value) if isinstance(value, list) else b"U%d[" % len(value))
-        for item in value:
-            _encode(item, out)
-        out.append(b"]")
-    elif isinstance(value, dict):
-        pairs = []
-        for key, val in value.items():
-            key_parts: List[bytes] = []
-            _encode(key, key_parts)
-            val_parts: List[bytes] = []
-            _encode(val, val_parts)
-            pairs.append((b"".join(key_parts), b"".join(val_parts)))
-        pairs.sort()
-        out.append(b"M%d{" % len(pairs))
-        for key_bytes, val_bytes in pairs:
-            out.append(key_bytes)
-            out.append(val_bytes)
-        out.append(b"}")
-    else:
-        raise TypeError(
-            f"snapshot state must be primitive; got {type(value).__name__!r}"
-        )
-
-
-def encode_canonical(value: Any) -> bytes:
-    """The canonical encoding of ``value`` (``TypeError`` on non-primitives)."""
-    parts: List[bytes] = []
-    _encode(value, parts)
-    return b"".join(parts)
-
-
-def canonical_fingerprint(value: Any) -> str:
-    """sha256 hex digest of the canonical encoding of ``value``."""
-    return hashlib.sha256(encode_canonical(value)).hexdigest()
-
-
-def decode_canonical(data: bytes) -> Any:
-    """Rebuild the value whose :func:`encode_canonical` output is ``data``.
-
-    Builds only the types the encoder emits and runs nothing from the
-    input. Raises ``ValueError`` on any malformed input: an unknown tag, a
-    length or count past the end, nesting deeper than ``_MAX_DEPTH``, an
-    unhashable mapping key, or bytes after the value.
-    """
-    value, pos = _decode(data, 0, 0)
-    if pos != len(data):
-        raise ValueError(f"trailing bytes at offset {pos}")
-    return value
-
-
-def _field(data: bytes, pos: int, end: bytes, pattern: re.Pattern) -> Tuple[bytes, int]:
-    """The token from ``pos`` up to the ``end`` byte, and the offset after it."""
-    stop = data.find(end, pos)
-    if stop < 0 or not pattern.fullmatch(data, pos, stop):
-        raise ValueError(f"malformed token at offset {pos}")
-    return data[pos:stop], stop + 1
-
-
-def _decode(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
-    """The value encoded at ``pos`` (``depth`` containers deep), and the offset after it."""
-    atom = data[pos : pos + 2]
-    if atom in _ATOMS:
-        return _ATOMS[atom], pos + 2
-    tag = data[pos : pos + 1]
-    pos += 1
-    if tag == b"I":
-        text, pos = _field(data, pos, b";", _INT)
-        return int(text), pos
-    if tag == b"D":
-        stop = data.find(b";", pos)
-        if stop < 0:
-            raise ValueError(f"unterminated float at offset {pos}")
-        return float(data[pos:stop]), stop + 1
-    if tag in (b"S", b"B"):
-        text, pos = _field(data, pos, b":", _LENGTH)
-        end = pos + int(text)
-        if end > len(data):
-            raise ValueError(f"length {int(text)} at offset {pos} runs past the end")
-        chunk = data[pos:end]
-        return (str(chunk, "utf-8") if tag == b"S" else chunk), end
-    if tag in _OPENERS:
-        if depth >= _MAX_DEPTH:
-            raise ValueError(f"nesting deeper than {_MAX_DEPTH} at offset {pos}")
-        text, pos = _field(data, pos, _OPENERS[tag], _LENGTH)
-        items: List[Any] = []
-        for _ in range(int(text) * (2 if tag == b"M" else 1)):
-            item, pos = _decode(data, pos, depth + 1)
-            items.append(item)
-        if data[pos : pos + 1] != _CLOSERS[tag]:
-            raise ValueError(f"unclosed container at offset {pos}")
-        pos += 1
-        if tag == b"L":
-            return items, pos
-        if tag == b"U":
-            return tuple(items), pos
-        try:
-            return dict(zip(items[::2], items[1::2])), pos
-        except TypeError as exc:  # an unhashable (list or dict) key
-            raise ValueError(f"bad mapping key before offset {pos}: {exc}") from exc
-    raise ValueError(f"unknown tag {tag!r} at offset {pos - 1}")
 
 
 # -- the snapshot object -------------------------------------------------------

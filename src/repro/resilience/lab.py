@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.crypto.prng import XorShift64
 from repro.faults.plan import FaultKind, FaultPlan, FaultPlanConfig
@@ -41,6 +41,7 @@ from repro.resilience.breaker import BreakerBoard, BreakerConfig
 from repro.resilience.degrade import DegradationLadder, DegradeConfig
 from repro.resilience.policy import HedgePolicy, RetryPolicy, TimeoutBudget
 from repro.sim.engine import Engine, Event
+from repro.sim.state import Record
 
 PAGE_BYTES = 4096
 
@@ -132,7 +133,7 @@ class _Request:
 
 
 @dataclass
-class ArmReport:
+class ArmReport(Record):
     """Outcome of one arm (policies on or off)."""
 
     policies: str  # "on" | "off"
@@ -145,21 +146,6 @@ class ArmReport:
     failure_reasons: Dict[str, int] = field(default_factory=dict)
     slo_lines: List[str] = field(default_factory=list)
     event_log: List[str] = field(default_factory=list)
-
-    def fingerprint_lines(self) -> List[str]:
-        parts = [
-            f"arm={self.policies}",
-            f"availability={self.availability!r}",
-            f"requests={self.requests}",
-            f"failures={self.failures}",
-            f"p50_read={self.p50_read_s!r}",
-            f"p99_read={self.p99_read_s!r}",
-        ]
-        parts += [f"counter.{k}={v}" for k, v in sorted(self.counters.items())]
-        parts += [f"reason.{k}={v}" for k, v in sorted(self.failure_reasons.items())]
-        parts += self.slo_lines
-        parts += self.event_log
-        return parts
 
 
 class _Arm:
@@ -639,8 +625,10 @@ class _Arm:
 
 
 @dataclass
-class ResilienceReport:
+class ResilienceReport(Record):
     """Both arms of one experiment plus the comparison the CLI prints."""
+
+    JUDGED = ("resilient", "policies on")  # the arm the availability floor judges
 
     seed: int
     ops: int
@@ -657,12 +645,9 @@ class ResilienceReport:
             return float("inf")
         return self.baseline.p99_read_s / self.resilient.p99_read_s
 
-    def fingerprint(self) -> str:
-        parts = [f"seed={self.seed}", f"ops={self.ops}", f"channels={self.channels}"]
-        parts += [f"plan.{k}={v}" for k, v in sorted(self.plan_summary.items())]
-        parts += self.baseline.fingerprint_lines()
-        parts += self.resilient.fingerprint_lines()
-        return "\n".join(parts)
+    def gates(self) -> List[Tuple[bool, str]]:
+        """The lab's exit gates as ``(held, message)`` pairs."""
+        return [(self.availability_gain() > 0, "policies did not improve availability")]
 
     def format(self) -> str:
         lines = [

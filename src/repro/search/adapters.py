@@ -5,7 +5,8 @@ builds the corresponding harness (chaos runner, resilience/fleet/serve lab
 arm, crash-oracle round-trip), runs it to completion, and condenses the
 outcome into an :class:`Evaluation`: a flat ``signals`` dict the objectives
 score, a simulated-operation ``cost`` the budget charges, and a sha256
-``run_fingerprint`` that replay compares byte-for-byte.
+``run_fingerprint`` that replay compares byte-for-byte. A lab target's
+fingerprint is its report's own :meth:`~repro.sim.state.Record.fingerprint`.
 
 The genome's workload dimension lands where each stack can express it: the
 YCSB mix weights set the write fraction of the chaos/resilience streams
@@ -17,11 +18,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict
+from typing import Any, Callable, Dict
 
 from repro.faults.chaos import ChaosReport, ChaosRunner
 from repro.faults.plan import FaultPlanConfig
-from repro.fleet.lab import WORKING_SET, run_fleet_arm
+from repro.fleet.lab import WORKING_SET, FleetRunner
 from repro.recovery.checkpoint import restore_chaos_runner, snapshot_chaos_runner
 from repro.recovery.monitors import MonitorSuite
 from repro.resilience.lab import LabConfig, run_resilience_arm
@@ -144,6 +145,17 @@ def eval_oracle(scenario: Scenario) -> Evaluation:
     )
 
 
+def _slo_signals(arm: Any) -> Dict[str, float]:
+    """The SLO signals every lab arm (resilience, serve or fleet) carries."""
+    return {
+        "availability": arm.availability,
+        "failures": float(arm.failures),
+        "requests": float(arm.requests),
+        "error_budget_burn": _error_budget_burn(arm.failures, arm.requests),
+        "p99_read_s": arm.p99_read_s,
+    }
+
+
 def eval_resilience(scenario: Scenario) -> Evaluation:
     """Resilience target: SLO damage to a single lab arm.
 
@@ -164,25 +176,18 @@ def eval_resilience(scenario: Scenario) -> Evaluation:
         config=cfg,
         plan_config=scenario.plan_config(),
     )
-    signals = {
-        "availability": report.availability,
-        "failures": float(report.failures),
-        "requests": float(report.requests),
-        "error_budget_burn": _error_budget_burn(report.failures, report.requests),
-        "p99_read_s": report.p99_read_s,
-    }
     return Evaluation(
         target=scenario.target,
         cost=scenario.ops,
-        signals=signals,
-        run_fingerprint=_digest(*report.fingerprint_lines()),
+        signals=_slo_signals(report),
+        run_fingerprint=report.fingerprint(),
     )
 
 
 def eval_fleet(scenario: Scenario) -> Evaluation:
     """Fleet target: durability damage (lost keys, replication exposure)."""
     devices = int(scenario.config.get("devices", 6))
-    report = run_fleet_arm(
+    report = FleetRunner(
         scenario.seed,
         scenario.ops,
         devices=devices,
@@ -191,19 +196,15 @@ def eval_fleet(scenario: Scenario) -> Evaluation:
         working_set=min(WORKING_SET, scenario.ops),
         device_kills=int(scenario.config.get("device_kills", 1)),
         die_quarantines=int(scenario.faults.get("uncorrectable_pages", 2)),
+    ).run()
+    signals = _slo_signals(report)
+    signals.update(
+        keys_lost=float(report.keys_lost),
+        lost=float(report.lost),
+        corrupt=float(report.corrupt),
+        under_replicated_key_seconds=report.under_replicated_key_seconds,
+        devices_lost=float(report.devices_lost),
     )
-    signals = {
-        "availability": report.availability,
-        "error_budget_burn": _error_budget_burn(
-            report.requests - round(report.availability * report.requests),
-            report.requests,
-        ),
-        "keys_lost": float(report.keys_lost),
-        "lost": float(report.lost),
-        "corrupt": float(report.corrupt),
-        "under_replicated_key_seconds": report.under_replicated_key_seconds,
-        "devices_lost": float(report.devices_lost),
-    }
     return Evaluation(
         target=scenario.target,
         cost=scenario.ops,
@@ -226,21 +227,13 @@ def eval_serve(scenario: Scenario) -> Evaluation:
         chaos=True,
         plan_config=scenario.plan_config(),
     )
-    baseline = report.baseline
-    signals = {
-        "availability": baseline.availability,
-        "failures": float(baseline.failures),
-        "error_budget_burn": _error_budget_burn(
-            baseline.failures, max(1, baseline.requests)
-        ),
-        "attested_availability": report.attested.availability,
-        "p99_read_s": baseline.p99_read_s,
-    }
+    signals = _slo_signals(report.baseline)
+    signals["attested_availability"] = report.attested.availability
     return Evaluation(
         target=scenario.target,
         cost=2 * scenario.ops,
         signals=signals,
-        run_fingerprint=_digest(report.fingerprint()),
+        run_fingerprint=report.fingerprint(),
     )
 
 

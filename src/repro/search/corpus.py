@@ -1,6 +1,9 @@
 """Corpus persistence: versioned, content-fingerprinted, replayable.
 
-A campaign's hits are written as a ``search-corpus/v1`` JSON document.
+A campaign's hits are written as a ``search-corpus/v2`` JSON document.
+Version 2 holds the lab targets' run fingerprints as the canonical hash of
+each lab report's fields (:class:`repro.sim.state.Record`); a v1 entry
+would replay as a divergence, so v1 files are refused.
 The document's ``fingerprint`` is the sha256 of its canonical body (sorted
 keys, compact separators, the fingerprint field itself excluded), so two
 identical campaigns produce byte-identical files and any edit is visible.
@@ -25,7 +28,7 @@ from repro.search.engine import SearchResult
 from repro.search.genome import Scenario
 from repro.search.objectives import OBJECTIVES_BY_NAME, score_evaluation
 
-SCHEMA = "search-corpus/v1"
+SCHEMA = "search-corpus/v2"
 
 
 def _canonical_dumps(document: Dict[str, object]) -> str:
@@ -39,7 +42,7 @@ def corpus_fingerprint(document: Dict[str, object]) -> str:
 
 
 def build_corpus(result: SearchResult) -> Dict[str, object]:
-    """Serialize a campaign into a self-fingerprinted v1 document."""
+    """Serialize a campaign into a self-fingerprinted corpus document."""
     entries: List[Dict[str, object]] = []
     for hit in result.hits:
         fingerprint = hit.scenario.fingerprint()
@@ -87,7 +90,7 @@ def save_corpus(document: Dict[str, object], path: Union[str, Path]) -> Path:
 
 
 def load_corpus(path: Union[str, Path]) -> Dict[str, object]:
-    """Read and validate a v1 document (schema + content fingerprint)."""
+    """Read and validate a corpus document (schema + content fingerprint)."""
     document = json.loads(Path(path).read_text(encoding="utf-8"))
     schema = document.get("schema")
     if schema != SCHEMA:

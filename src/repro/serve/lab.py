@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.attestation import AttestationDevice, AttestationVerifier
 from repro.core.config import MIB, IceClaveConfig
@@ -75,6 +75,7 @@ from repro.serve.session import (
 )
 from repro.serve.wire import RETRYABLE, Reply, Request, SealedEnvelope, WireStatus
 from repro.sim.engine import Engine
+from repro.sim.state import Record
 
 # what the policies-on client will retry: the hinted statuses, plus media
 # errors — the device mirrors every page on a replica channel, so a
@@ -162,7 +163,7 @@ class _ChannelState:
 
 
 @dataclass
-class ServeArmReport:
+class ServeArmReport(Record):
     """Outcome of one arm (policies on or off)."""
 
     policies: str
@@ -181,47 +182,6 @@ class ServeArmReport:
     failure_reasons: Dict[str, int] = field(default_factory=dict)
     slo_lines: List[str] = field(default_factory=list)
     event_log: List[str] = field(default_factory=list)
-
-    def fingerprint_lines(self) -> List[str]:
-        parts = [
-            f"arm={self.policies}",
-            f"requests={self.requests}",
-            f"failures={self.failures}",
-            f"availability={self.availability!r}",
-            f"p50_read={self.p50_read_s!r}",
-            f"p99_read={self.p99_read_s!r}",
-            f"sessions_established={self.sessions_established}",
-            f"sessions_refused={self.sessions_refused}",
-            f"tampered_attempted={self.tampered_attempted}",
-            f"blocked_unattested={self.requests_blocked_unattested}",
-            f"tenants_served={self.tenants_served}",
-            f"tenants_out_of_budget={self.tenants_out_of_budget}",
-        ]
-        parts += [f"counter.{k}={v}" for k, v in sorted(self.counters.items())]
-        parts += [f"reason.{k}={v}" for k, v in sorted(self.failure_reasons.items())]
-        parts += self.slo_lines
-        parts += self.event_log
-        return parts
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready view (schema: one arm of serve-lab-report/v1)."""
-        return {
-            "policies": self.policies,
-            "requests": self.requests,
-            "failures": self.failures,
-            "availability": self.availability,
-            "p50_read_s": self.p50_read_s,
-            "p99_read_s": self.p99_read_s,
-            "sessions_established": self.sessions_established,
-            "sessions_refused": self.sessions_refused,
-            "tampered_attempted": self.tampered_attempted,
-            "requests_blocked_unattested": self.requests_blocked_unattested,
-            "tenants_served": self.tenants_served,
-            "tenants_out_of_budget": self.tenants_out_of_budget,
-            "counters": dict(sorted(self.counters.items())),
-            "failure_reasons": dict(sorted(self.failure_reasons.items())),
-            "slo_lines": list(self.slo_lines),
-        }
 
 
 def _make_runtime(config: ServeLabConfig) -> IceClaveRuntime:
@@ -527,8 +487,10 @@ class _ServeArm:
 
 
 @dataclass
-class ServeLabReport:
+class ServeLabReport(Record):
     """Both arms of one serve experiment plus the comparison."""
+
+    JUDGED = ("attested", "policies on")  # the arm the availability floor judges
 
     seed: int
     tenants: int
@@ -561,20 +523,16 @@ class ServeLabReport:
             for arm in (self.baseline, self.attested)
         )
 
-    def fingerprint(self) -> str:
-        parts = [
-            f"seed={self.seed}",
-            f"tenants={self.tenants}",
-            f"requests={self.requests}",
-            f"channels={self.channels}",
-            f"process={self.process}",
-            f"chaos={self.chaos}",
-            f"tampered={self.tampered}",
-        ]
-        parts += [f"plan.{k}={v}" for k, v in sorted(self.plan_summary.items())]
-        parts += self.baseline.fingerprint_lines()
-        parts += self.attested.fingerprint_lines()
-        return "\n".join(parts)
+    def gates(self) -> List[Tuple[bool, str]]:
+        """The lab's exit gates as ``(held, message)`` pairs."""
+        gates = [(
+            self.attestation_gate_held(),
+            "attestation gate leaked — tampered handshakes were not all refused "
+            "(or none were exercised)",
+        )]
+        if self.chaos:  # without a fault plan both arms may serve everything
+            gates.append((self.policy_win, "policies-on did not strictly beat policies-off"))
+        return gates
 
     def format(self) -> str:
         lines = [

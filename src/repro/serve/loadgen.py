@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from repro.crypto.prng import XorShift64
 
@@ -163,21 +163,11 @@ def generate_arrivals(
     return arrivals
 
 
-def arrival_stats(arrivals: List[Arrival]) -> Tuple[float, float, int]:
-    """(span_s, mean_rate_per_s, distinct_tenants) — for report headers."""
-    if not arrivals:
-        return (0.0, 0.0, 0)
-    span = arrivals[-1].at_s
-    rate = len(arrivals) / span if span > 0 else 0.0
-    return (span, rate, len({a.tenant_id for a in arrivals}))
-
-
 __all__ = [
     "Arrival",
     "ArrivalConfig",
     "PROCESSES",
     "TenantProfile",
-    "arrival_stats",
     "generate_arrivals",
     "make_tenants",
 ]

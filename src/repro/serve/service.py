@@ -31,7 +31,7 @@ Request path, in gate order:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Protocol, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.core.exceptions import TeeCreationError
 from repro.host.library import IceClaveLibrary, ServiceDegradedError
@@ -68,18 +68,6 @@ class DataPathFault(Exception):
 DataPath = Callable[[str, int, int, float], float]
 
 
-class ChannelRouter(Protocol):
-    """Pluggable channel placement for :meth:`OffloadService._pick_channel`.
-
-    The service stays agnostic of who does the placing — the fleet layer's
-    consistent-hash adapter satisfies this protocol without the serving
-    layer ever importing it (the layer DAG points fleet → serve, not back).
-    Candidates are tried in order behind the per-channel breakers.
-    """
-
-    def candidates(self, op: str, lpa: int) -> Sequence[int]: ...
-
-
 def _default_data_path(op: str, lpa: int, channel: int, now: float) -> float:
     return 120e-6 if op == "write" else 80e-6
 
@@ -110,7 +98,6 @@ class OffloadService:
         ladder: Optional[DegradationLadder] = None,
         data_path: DataPath = _default_data_path,
         auth_penalty_s: float = 5e-6,
-        router: Optional[ChannelRouter] = None,
     ) -> None:
         if channels < 1:
             raise ValueError("the service needs at least one channel")
@@ -122,7 +109,6 @@ class OffloadService:
         self.ladder = ladder
         self.data_path = data_path
         self.auth_penalty_s = auth_penalty_s
-        self.router = router
         self.counters: Dict[str, int] = {}
 
     # -- bookkeeping -----------------------------------------------------------
@@ -148,13 +134,8 @@ class OffloadService:
     def _replica(self, lpa: int) -> int:
         return (lpa + self.channels // 2) % self.channels
 
-    def _candidates(self, op: str, lpa: int) -> Sequence[int]:
-        if self.router is not None:
-            return self.router.candidates(op, lpa)
-        return (self._primary(lpa), self._replica(lpa))
-
-    def _pick_channel(self, op: str, lpa: int, now: float) -> Optional[int]:
-        for index in self._candidates(op, lpa):
+    def _pick_channel(self, lpa: int, now: float) -> Optional[int]:
+        for index in (self._primary(lpa), self._replica(lpa)):
             if self.breakers is None:
                 return index
             if self.breakers.breaker(f"ch{index}").allow(now):
@@ -210,7 +191,7 @@ class OffloadService:
                 self._count("reads_refused_failsafe")
                 return self._refusal(WireStatus.FAILSAFE), 0.0
         lpa = request.lpas[0]
-        channel = self._pick_channel(request.op, lpa, now)
+        channel = self._pick_channel(lpa, now)
         if channel is None:
             self._count("no_channel_available")
             return self._refusal(WireStatus.THROTTLED), 0.0

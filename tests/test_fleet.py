@@ -10,10 +10,8 @@ from repro.fleet import (
     FleetTopology,
     RebuildManager,
     ShardRouter,
-    TopologyChannelRouter,
     restore_fleet_runner,
     run_fleet,
-    run_fleet_arm,
     run_fleet_oracle,
     seeded_mix,
     snapshot_fleet_runner,
@@ -374,30 +372,12 @@ class TestRebuild:
 
 
 class TestServeIntegration:
-    def test_channel_router_walks_ring_replicas(self):
-        from tests.test_serve import make_service
-
-        topo = FleetTopology(7, range(4), replication=2)
-        service, _ = make_service(channels=4, router=TopologyChannelRouter(topo))
-        for lpa in range(16):
-            assert service._pick_channel("read", lpa, 0.0) == topo.primary_for(lpa)
-
-    def test_service_roundtrip_with_fleet_router(self):
-        from repro.serve import Request
-        from tests.test_serve import make_service, roundtrip
-
-        topo = FleetTopology(7, range(4), replication=2)
-        service, session = make_service(
-            channels=4, router=TopologyChannelRouter(topo)
-        )
-        assert roundtrip(service, session, Request(op="read", lpas=(3,))).ok
-
     def test_default_channel_scheme_unchanged_without_router(self):
         from tests.test_serve import make_service
 
         service, _ = make_service(channels=4)
         for lpa in range(16):
-            assert service._pick_channel("read", lpa, 0.0) == lpa % 4
+            assert service._pick_channel(lpa, 0.0) == lpa % 4
 
 
 # -- the lab -------------------------------------------------------------------
@@ -420,6 +400,13 @@ class TestFleetLab:
         assert a.fingerprint() == b.fingerprint()
         assert a.to_json() == b.to_json()
 
+    def test_fingerprint_pinned(self):
+        # pins the lab's output across code versions, not just across two runs
+        report = run_fleet(42, 400, devices=6, working_set=48)
+        assert report.fingerprint() == (
+            "996ef884575675f66cb8bdafa9cfec020a1f63b27130c27e802af2e1056d4f3a"
+        )
+
     def test_jobs_parallel_matches_serial(self):
         from repro.perf.parallel import fleet_point, map_points
 
@@ -436,7 +423,7 @@ class TestFleetLab:
     def test_arm_report_is_picklable(self):
         import pickle
 
-        arm = run_fleet_arm(42, 200, devices=4)
+        arm = FleetRunner(42, 200, devices=4).run()
         clone = pickle.loads(pickle.dumps(arm))
         assert clone.fingerprint() == arm.fingerprint()
 

@@ -522,6 +522,12 @@ class TestResilienceLab:
         other = run_resilience(seed=8, ops=600)
         assert other.fingerprint() != self.first.fingerprint()
 
+    def test_fingerprint_pinned(self):
+        # pins the lab's output across code versions, not just across two runs
+        assert self.first.fingerprint() == (
+            "14da3b95de67c4464228bd6e27a742d74b4b8b903d52d4fc91b69a0d4ac8cbf8"
+        )
+
     def test_settle_compares_no_requests(self, monkeypatch):
         """Settling a request is a lookup by rid, not a field-wise scan of
         every live request (which made the lab quadratic in --ops)."""

@@ -204,7 +204,7 @@ class TestCorpus:
         path = save_corpus(document, tmp_path / "corpus.json")
         loaded = load_corpus(path)
         assert loaded == document
-        assert loaded["schema"] == "search-corpus/v1"
+        assert loaded["schema"] == "search-corpus/v2"
         assert loaded["fingerprint"] == corpus_fingerprint(loaded)
 
     def test_tampering_is_detected(self, campaign, tmp_path):
@@ -219,7 +219,17 @@ class TestCorpus:
     def test_wrong_schema_is_rejected(self, tmp_path):
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps({"schema": "search-corpus/v999"}))
-        with pytest.raises(ValueError, match="not a search-corpus/v1"):
+        with pytest.raises(ValueError, match="not a search-corpus/v2"):
+            load_corpus(path)
+
+    def test_v1_corpus_is_refused(self, campaign, tmp_path):
+        # a v1 file holds lab run fingerprints from before the canonical
+        # record hash; replaying it would read as a determinism bug
+        document = build_corpus(campaign)
+        document["schema"] = "search-corpus/v1"
+        document["fingerprint"] = corpus_fingerprint(document)
+        path = save_corpus(document, tmp_path / "old.json")
+        with pytest.raises(ValueError, match="not a search-corpus/v2 document"):
             load_corpus(path)
 
     def test_replay_reproduces_every_entry(self, campaign):

@@ -3,7 +3,6 @@ service, the open-loop load generator, and the serve lab."""
 
 import fnmatch
 import gc
-import hashlib
 import os
 import pathlib
 import subprocess
@@ -496,18 +495,17 @@ class TestLoadgen:
 
 
 class TestServeLab:
-    # sha256 of run_serve_lab(seed=7, tenants=50, requests=400).fingerprint():
-    # pins the lab's output across code versions, not just across two runs
+    # run_serve_lab(seed=7, tenants=50, requests=400).fingerprint(): pins the
+    # lab's output across code versions, not just across two runs
     PINNED_FINGERPRINTS = {
-        "poisson": "5a2dd62766f4bac819e48f14ffdb52c051ae1d3c48e5b347276374e6099c6536",
-        "bursty": "78647c7e461480336e78c44462859e208d0b2974d51ce61bc1ea3a79bdb72ab7",
+        "poisson": "4617b1ceb11383599f49f55f4a0ac76032248a35fa722f9a2bb1ccd2cfc26c7e",
+        "bursty": "47689c18b926fd7e86f5343a06d492fd189d24787d26417837d72f6dc420a340",
     }
 
     @pytest.mark.parametrize("process", sorted(PINNED_FINGERPRINTS))
     def test_fingerprint_pinned(self, process):
         report = run_serve_lab(seed=7, tenants=50, requests=400, process=process)
-        digest = hashlib.sha256(report.fingerprint().encode()).hexdigest()
-        assert digest == self.PINNED_FINGERPRINTS[process]
+        assert report.fingerprint() == self.PINNED_FINGERPRINTS[process]
 
     def test_small_campaign_deterministic_and_policies_win(self):
         first = run_serve_lab(seed=3, tenants=40, requests=160)

@@ -1,4 +1,5 @@
-"""Tests for repro.sim.state: the declared-state checkpoint codec."""
+"""Tests for repro.sim.state: the declared-state checkpoint codec and the
+canonical encoding under it."""
 
 import enum
 from collections import OrderedDict, deque
@@ -6,10 +7,13 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.recovery import canonical_fingerprint
-from repro.recovery.snapshot import decode_canonical, encode_canonical
 from repro.sim.engine import Engine
-from repro.sim.state import Stateful
+from repro.sim.state import (
+    Stateful,
+    canonical_fingerprint,
+    decode_canonical,
+    encode_canonical,
+)
 
 
 class Mode(enum.Enum):
@@ -167,3 +171,12 @@ class TestCodec:
         twin = Engine()
         twin.restore_state(state)
         assert twin.now == 1.0
+
+
+def test_recovery_re_exports_the_codec():
+    import repro.recovery
+    from repro.recovery import snapshot
+
+    assert repro.recovery.canonical_fingerprint is canonical_fingerprint
+    assert snapshot.encode_canonical is encode_canonical
+    assert snapshot.decode_canonical is decode_canonical
