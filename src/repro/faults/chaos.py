@@ -29,7 +29,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.ftl.ftl import Ftl, UncorrectableReadError
 from repro.ftl.mapping import AccessDeniedError
 from repro.host.nvme import status_for_exception
-from repro.sim.state import Stateful
+from repro.sim.state import Record, Stateful
 from repro.sim.stats import ReliabilityStats
 
 # Small enough to churn through GC in a few thousand ops, big enough to
@@ -52,8 +52,12 @@ MIN_WRITE_FRACTION = 0.35
 
 
 @dataclass
-class ChaosReport:
-    """Deterministic outcome of one chaos run."""
+class ChaosReport(Record):
+    """Deterministic outcome of one chaos run.
+
+    A :class:`~repro.sim.state.Record`: the fingerprint hashes every field,
+    so equal fingerprints ⇔ identical runs.
+    """
 
     workload: str
     seed: int
@@ -62,23 +66,12 @@ class ChaosReport:
     plan_summary: Dict[str, int] = field(default_factory=dict)
     nvme_statuses: Dict[str, int] = field(default_factory=dict)
     ftl_counters: Dict[str, int] = field(default_factory=dict)
+    # the FTL's reads per flash block after the last op (the counts live in
+    # SSD DRAM, so they restart at each power-loss rebuild): the one field
+    # that shows which LPAs the run read
+    block_reads: Dict[int, int] = field(default_factory=dict)
     invariant_violations: int = 0
     event_log: List[str] = field(default_factory=list)
-
-    def fingerprint(self) -> str:
-        """Canonical serialization; equal fingerprints ⇔ identical runs."""
-        parts = [f"workload={self.workload}", f"seed={self.seed}", f"ops={self.ops}"]
-        for name, value in sorted(self.reliability.items()):
-            parts.append(f"rel.{name}={value!r}")
-        for name, value in sorted(self.plan_summary.items()):
-            parts.append(f"plan.{name}={value}")
-        for name, value in sorted(self.nvme_statuses.items()):
-            parts.append(f"nvme.{name}={value}")
-        for name, value in sorted(self.ftl_counters.items()):
-            parts.append(f"ftl.{name}={value}")
-        parts.append(f"invariant_violations={self.invariant_violations}")
-        parts.extend(self.event_log)
-        return "\n".join(parts)
 
     def format(self) -> str:
         rel = self.reliability
@@ -344,6 +337,7 @@ class ChaosRunner(Stateful):
 
     def finalize(self) -> ChaosReport:
         """Final verification sweep and report (after all ops executed)."""
+        block_reads = self.ftl.block_read_counts()  # the fallback cut clears them
         if self.injector.gc_cut_armed:
             # the armed mid-GC cut never met a GC pass; fall back to a
             # between-ops cut so the scheduled fault still happens
@@ -373,6 +367,7 @@ class ChaosRunner(Stateful):
             plan_summary={k.value: v for k, v in self.plan.by_kind().items()},
             nvme_statuses=dict(self.nvme_statuses),
             ftl_counters=ftl_counters,
+            block_reads=block_reads,
             invariant_violations=self.invariant_violations,
             event_log=list(self.event_log),
         )

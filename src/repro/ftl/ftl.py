@@ -529,3 +529,7 @@ class Ftl(Stateful):
     def utilization(self) -> float:
         """Fraction of logical space currently mapped."""
         return len(self.mapping) / self.logical_pages
+
+    def block_read_counts(self) -> Dict[int, int]:
+        """Reads per block since the last power-loss rebuild or refresh (a copy)."""
+        return dict(self._block_read_counts)

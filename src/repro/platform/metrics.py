@@ -10,21 +10,25 @@ summaries, which is how the resilience CLI proves determinism.
 from __future__ import annotations
 
 import bisect
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
-from repro.sim.state import Stateful
+from repro.sim.state import Record, Stateful
 from repro.sim.stats import nearest_rank
 
 
 @dataclass
-class RunResult:
+class RunResult(Record):
     """Outcome of running one workload on one platform.
 
     ``components`` holds the Figure 11 breakdown. Load and compute overlap
     in streaming platforms, so components need not sum to ``total_time``;
     ``exposed()`` gives the stacked view used for plotting.
+
+    A :class:`~repro.sim.state.Record`: the fingerprint hashes every field,
+    floats by ``repr``, so serial and parallel executions of one point hash
+    identically only when every value is byte-identical, which is how the
+    perf layer proves ``--jobs N`` changes nothing.
     """
 
     workload: str
@@ -58,25 +62,6 @@ class RunResult:
         )
         result.reliability = dict(report.reliability)
         return result
-
-    def fingerprint(self) -> str:
-        """Stable content hash: equal runs ⇒ equal hex digest.
-
-        Floats are rendered with ``repr`` (shortest round-trip form), so
-        serial and parallel executions of the same point hash identically
-        only when every value is byte-identical — which is how the perf
-        layer proves ``--jobs N`` changes nothing.
-        """
-        parts = [self.workload, self.scheme, repr(self.total_time)]
-        for label, mapping in (
-            ("components", self.components),
-            ("stats", self.stats),
-            ("reliability", self.reliability),
-            ("recovery", self.recovery),
-        ):
-            for key in sorted(mapping):
-                parts.append(f"{label}.{key}={mapping[key]!r}")
-        return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
 
     def speedup_over(self, other: "RunResult") -> float:
         """How much faster this run is than ``other`` (>1 = faster)."""

@@ -21,7 +21,6 @@ points that land in an interesting state (the fleet tags mid-rebuild cuts).
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -50,8 +49,8 @@ class OraclePoint:
     seed: int
     crash_op: int
     matched: bool
-    golden_digest: str
-    resumed_digest: str
+    golden_fingerprint: str
+    resumed_fingerprint: str
     tagged: bool = False  # the sweep's cut predicate held at the crash point
 
 
@@ -96,7 +95,7 @@ class OracleReport:
             if not point.matched:
                 lines.append(
                     f"  MISMATCH seed={point.seed} crash_op={point.crash_op}: "
-                    f"{point.resumed_digest[:16]} != {point.golden_digest[:16]}"
+                    f"{point.resumed_fingerprint[:16]} != {point.golden_fingerprint[:16]}"
                 )
         return "\n".join(lines)
 
@@ -107,11 +106,6 @@ def crash_points(ops: int, count: int) -> List[int]:
         raise ValueError("need ops >= 2 and count >= 1")
     step = ops / (count + 1)
     return sorted({min(ops - 1, max(1, round(step * (i + 1)))) for i in range(count)})
-
-
-def digest(fingerprint: str) -> str:
-    """The sha256 hex digest a report fingerprint is compared by."""
-    return hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()
 
 
 def _probe_corruption(path: str, kind: str) -> bool:
@@ -155,7 +149,6 @@ def sweep(
     with tempfile.TemporaryDirectory(prefix="repro-oracle-") as tmp:
         for seed in range(base_seed, base_seed + seeds):
             golden_fp = build(seed).run().fingerprint()
-            golden_digest = digest(golden_fp)
             for crash_op in cuts:
                 runner = build(seed)
                 runner.run_until(crash_op)
@@ -178,8 +171,8 @@ def sweep(
                         seed=seed,
                         crash_op=crash_op,
                         matched=matched,
-                        golden_digest=golden_digest,
-                        resumed_digest=digest(resumed_fp),
+                        golden_fingerprint=golden_fp,
+                        resumed_fingerprint=resumed_fp,
                         tagged=tagged,
                     )
                 )
@@ -220,4 +213,4 @@ def run_oracle(
     )
 
 
-__all__ = ["OraclePoint", "OracleReport", "crash_points", "digest", "run_oracle", "sweep"]
+__all__ = ["OraclePoint", "OracleReport", "crash_points", "run_oracle", "sweep"]

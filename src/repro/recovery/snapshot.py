@@ -7,8 +7,8 @@ payload primitive does three things at once:
 
 - the state is *inspectable* (no opaque object graphs inside a snapshot);
 - it can be canonically encoded, so every snapshot carries a ``sha256``
-  content fingerprint — the same discipline as
-  :meth:`repro.platform.metrics.RunResult.fingerprint` — and a corrupted
+  content fingerprint — the canonical hash every run report's
+  :meth:`~repro.sim.state.Record.fingerprint` takes — and a corrupted
   file is rejected at load time rather than restored into a subtly wrong
   simulator;
 - restore cannot resurrect stale code: classes are rebuilt by the current

@@ -33,7 +33,6 @@ from repro.recovery.checkpoint import (
     snapshot_chaos_runner,
 )
 from repro.recovery.monitors import MonitorSuite
-from repro.recovery.oracle import digest
 from repro.recovery.snapshot import Snapshot, SnapshotError, load_snapshot, save_snapshot
 from repro.sim.stats import RecoveryStats
 
@@ -50,7 +49,7 @@ class SoakResult:
     workload: str
     seed: int
     ops: int
-    fingerprint_digest: str
+    fingerprint: str
     resumed_from_op: Optional[int]
     invariant_violations: int
     verified: Optional[bool]  # None when --verify was not requested
@@ -167,7 +166,7 @@ def run_soak(
         workload=workload,
         seed=seed,
         ops=ops,
-        fingerprint_digest=digest(report.fingerprint()),
+        fingerprint=report.fingerprint(),
         resumed_from_op=resumed_from_op,
         invariant_violations=report.invariant_violations,
         verified=verified,
@@ -181,7 +180,7 @@ def _results_path(state_dir: str) -> str:
 
 
 def load_results(state_dir: str) -> Dict[str, str]:
-    """seed (as str) -> final fingerprint digest for completed campaigns."""
+    """seed (as str) -> final report fingerprint of each completed campaign."""
     path = _results_path(state_dir)
     if not os.path.exists(path):
         return {}
@@ -220,7 +219,7 @@ def run_soak_campaigns(
     """Run ``campaigns`` consecutive seeds, skipping already-finished ones.
 
     ``results.json`` in the state directory records each completed seed's
-    final fingerprint digest; a rerun after a crash (or a kill) fast-skips
+    final report fingerprint; a rerun after a crash (or a kill) fast-skips
     those and resumes the interrupted campaign from its newest snapshot.
     ``kill_at`` applies to the first campaign that actually runs.
     """
@@ -252,7 +251,7 @@ def run_soak_campaigns(
         kill_at = None  # the kill switch fires at most once per invocation
         if result is not None:
             results.append(result)
-            completed[str(result.seed)] = result.fingerprint_digest
+            completed[str(result.seed)] = result.fingerprint
             _write_results(state_dir, completed)
         if exit_code != 0:
             return exit_code, results
@@ -274,7 +273,7 @@ def recovery_csv_rows(
                 result.workload,
                 str(result.seed),
                 str(result.ops),
-                result.fingerprint_digest[:16],
+                result.fingerprint[:16],
                 str(result.invariant_violations),
             ]
             + [str(int(stats.as_dict()[name])) for name in counter_names]

@@ -5,8 +5,9 @@ builds the corresponding harness (chaos runner, resilience/fleet/serve lab
 arm, crash-oracle round-trip), runs it to completion, and condenses the
 outcome into an :class:`Evaluation`: a flat ``signals`` dict the objectives
 score, a simulated-operation ``cost`` the budget charges, and a sha256
-``run_fingerprint`` that replay compares byte-for-byte. A lab target's
-fingerprint is its report's own :meth:`~repro.sim.state.Record.fingerprint`.
+``run_fingerprint`` that replay compares byte-for-byte. It is the report's
+own :meth:`~repro.sim.state.Record.fingerprint`; the oracle target hashes
+its two reports' fingerprints together.
 
 The genome's workload dimension lands where each stack can express it: the
 YCSB mix weights set the write fraction of the chaos/resilience streams
@@ -16,7 +17,6 @@ along in the genome for standalone ``ycsb`` runs and replay identity.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict
 
@@ -28,6 +28,7 @@ from repro.recovery.monitors import MonitorSuite
 from repro.resilience.lab import LabConfig, run_resilience_arm
 from repro.search.genome import Scenario
 from repro.serve.lab import run_serve_lab
+from repro.sim.state import canonical_fingerprint
 from repro.workloads.ycsb import DEFAULT_MIX, mix_write_fraction
 
 # SLO the damage objectives are judged against (matches the labs' 99%
@@ -47,10 +48,6 @@ class Evaluation:
 
     def signal(self, name: str) -> float:
         return float(self.signals.get(name, 0.0))
-
-
-def _digest(*parts: str) -> str:
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
 def _genome_mix(scenario: Scenario) -> Dict[str, float]:
@@ -104,7 +101,7 @@ def eval_chaos(scenario: Scenario) -> Evaluation:
         target=scenario.target,
         cost=scenario.ops,
         signals=_chaos_signals(report, suite),
-        run_fingerprint=_digest(report.fingerprint()),
+        run_fingerprint=report.fingerprint(),
     )
 
 
@@ -139,8 +136,8 @@ def eval_oracle(scenario: Scenario) -> Evaluation:
         target=scenario.target,
         cost=2 * scenario.ops,
         signals=signals,
-        run_fingerprint=_digest(
-            full_report.fingerprint(), resumed_report.fingerprint()
+        run_fingerprint=canonical_fingerprint(
+            [full_report.fingerprint(), resumed_report.fingerprint()]
         ),
     )
 

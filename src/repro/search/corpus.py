@@ -1,12 +1,13 @@
 """Corpus persistence: versioned, content-fingerprinted, replayable.
 
-A campaign's hits are written as a ``search-corpus/v2`` JSON document.
-Version 2 holds the lab targets' run fingerprints as the canonical hash of
-each lab report's fields (:class:`repro.sim.state.Record`); a v1 entry
-would replay as a divergence, so v1 files are refused.
-The document's ``fingerprint`` is the sha256 of its canonical body (sorted
-keys, compact separators, the fingerprint field itself excluded), so two
-identical campaigns produce byte-identical files and any edit is visible.
+A campaign's hits are written as a ``search-corpus/v3`` JSON document.
+Version 3 holds every target's run fingerprint as the canonical hash of its
+report's fields (:class:`repro.sim.state.Record`); an entry of an older
+version would replay as a divergence, so v1 and v2 files are refused.
+The document's ``fingerprint`` is the
+:func:`~repro.sim.state.canonical_fingerprint` of its body (the fingerprint
+field itself excluded), so two identical campaigns produce byte-identical
+files and any edit is visible.
 
 ``replay`` re-evaluates every entry's minimal genome (falling back to the
 original when a hit was not shrunk) and demands two things: the re-run's
@@ -17,7 +18,6 @@ is an executable, self-verifying repro.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,18 +27,15 @@ from repro.search.adapters import evaluate_scenario
 from repro.search.engine import SearchResult
 from repro.search.genome import Scenario
 from repro.search.objectives import OBJECTIVES_BY_NAME, score_evaluation
+from repro.sim.state import canonical_fingerprint
 
-SCHEMA = "search-corpus/v2"
-
-
-def _canonical_dumps(document: Dict[str, object]) -> str:
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+SCHEMA = "search-corpus/v3"
 
 
 def corpus_fingerprint(document: Dict[str, object]) -> str:
-    """sha256 over the canonical body, ``fingerprint`` field excluded."""
+    """The canonical hash of the body, ``fingerprint`` field excluded."""
     body = {k: v for k, v in document.items() if k != "fingerprint"}
-    return hashlib.sha256(_canonical_dumps(body).encode("utf-8")).hexdigest()
+    return canonical_fingerprint(body)
 
 
 def build_corpus(result: SearchResult) -> Dict[str, object]:

@@ -1,17 +1,21 @@
-"""Lab reports are records: the fingerprint covers every field, in any dict order.
+"""Run reports are records: the fingerprint covers every field, in any dict order.
 
-Each of the six report classes of the resilience, serve and fleet labs
-hashes its dataclass fields with the canonical codec, so a field added later
-is covered without a hand-kept list. These tests pin that coverage.
+The six report classes of the resilience, serve and fleet labs, the chaos
+report and the platform's run result each hash their dataclass fields with
+the canonical codec, so a field added later is covered without a hand-kept
+list. These tests pin that coverage.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.faults import run_chaos
 from repro.fleet import run_fleet
+from repro.platform import PlatformConfig, make_platform
 from repro.resilience import run_resilience
 from repro.serve import run_serve_lab
+from repro.workloads import workload_by_name
 
 CLASSES = (
     "ArmReport",
@@ -20,6 +24,8 @@ CLASSES = (
     "ServeLabReport",
     "FleetArmReport",
     "FleetReport",
+    "ChaosReport",
+    "RunResult",
 )
 
 
@@ -35,6 +41,10 @@ def reports():
         "ServeArmReport": serve.baseline,
         "FleetReport": fleet,
         "FleetArmReport": fleet.off,
+        "ChaosReport": run_chaos("tpch-q1", 0.5, seed=11, ops=400),
+        "RunResult": make_platform("iceclave", PlatformConfig()).run(
+            workload_by_name("tpch-q1", seed=7).run()
+        ),
     }
     assert {name: type(report).__name__ for name, report in found.items()} == {
         name: name for name in CLASSES

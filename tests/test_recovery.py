@@ -7,6 +7,7 @@ faults and snapshot/restore against a reference model.
 """
 
 import copy
+import dataclasses
 import hashlib
 import pickle
 
@@ -48,6 +49,7 @@ from repro.recovery import (
 from repro.recovery.snapshot import decode_canonical, encode_canonical
 from repro.recovery.soak import SOAK_KILLED_EXIT, load_results, recovery_csv_rows
 from repro.resilience.breaker import BreakerBoard
+from repro.sim.state import Stateful
 from repro.sim.stats import ReliabilityStats
 
 
@@ -387,9 +389,9 @@ class TestComponentRoundTrips:
     def test_chaos_restore_in_place_over_a_live_key_cache(self):
         """step() keeps the sorted keys of the ground-truth table between key
         set changes; a restore into a runner whose cache holds another key
-        set must not read through it. The report fingerprint does not show
-        which LPAs were read, so the final checkpoint digest is compared too
-        (its per-block read counts do)."""
+        set must not read through it. The report's per-block read counts show
+        which LPAs were read, and the final checkpoint digest is compared
+        too."""
         uninterrupted = ChaosRunner("tpch-q1", 0.5, seed=11, ops=3000)
         uninterrupted.run_until(3000)
         golden_state = snapshot_chaos_runner(uninterrupted).fingerprint()
@@ -406,6 +408,29 @@ class TestComponentRoundTrips:
         runner.run_until(3000)
         assert snapshot_chaos_runner(runner).fingerprint() == golden_state
         assert runner.finalize().fingerprint() == golden
+
+    def test_report_sees_a_restore_that_reads_other_lpas(self):
+        """A restore that keeps the stale sorted-key cache reads other LPAs
+        for hundreds of ops while every counter in the report still matches
+        the uninterrupted run; only the per-block read counts differ, and
+        they move the report fingerprint."""
+
+        class StaleKeyCache(ChaosRunner):
+            def restore_state(self, state):
+                Stateful.restore_state(self, state)  # keeps _expected_keys
+
+        golden = ChaosRunner("tpch-q1", 0.5, seed=11, ops=3000).run()
+        runner = StaleKeyCache("tpch-q1", 0.5, seed=11, ops=3000)
+        runner.run_until(653)
+        snapshot = snapshot_chaos_runner(runner)
+        runner.run_until(1200)
+        runner.restore_state(snapshot.state)
+        runner.run_until(3000)
+        report = runner.finalize()
+        assert report.fingerprint() != golden.fingerprint()
+        assert report.block_reads != golden.block_reads
+        same_reads = dataclasses.replace(report, block_reads=golden.block_reads)
+        assert same_reads.fingerprint() == golden.fingerprint()
 
 
 class TestInvariantMonitors:

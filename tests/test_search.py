@@ -204,7 +204,7 @@ class TestCorpus:
         path = save_corpus(document, tmp_path / "corpus.json")
         loaded = load_corpus(path)
         assert loaded == document
-        assert loaded["schema"] == "search-corpus/v2"
+        assert loaded["schema"] == "search-corpus/v3"
         assert loaded["fingerprint"] == corpus_fingerprint(loaded)
 
     def test_tampering_is_detected(self, campaign, tmp_path):
@@ -219,18 +219,27 @@ class TestCorpus:
     def test_wrong_schema_is_rejected(self, tmp_path):
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps({"schema": "search-corpus/v999"}))
-        with pytest.raises(ValueError, match="not a search-corpus/v2"):
+        with pytest.raises(ValueError, match="not a search-corpus/v3"):
+            load_corpus(path)
+
+    @staticmethod
+    def _refuses(schema, campaign, tmp_path):
+        document = build_corpus(campaign)
+        document["schema"] = schema
+        document["fingerprint"] = corpus_fingerprint(document)
+        path = save_corpus(document, tmp_path / "old.json")
+        with pytest.raises(ValueError, match="not a search-corpus/v3 document"):
             load_corpus(path)
 
     def test_v1_corpus_is_refused(self, campaign, tmp_path):
         # a v1 file holds lab run fingerprints from before the canonical
         # record hash; replaying it would read as a determinism bug
-        document = build_corpus(campaign)
-        document["schema"] = "search-corpus/v1"
-        document["fingerprint"] = corpus_fingerprint(document)
-        path = save_corpus(document, tmp_path / "old.json")
-        with pytest.raises(ValueError, match="not a search-corpus/v2 document"):
-            load_corpus(path)
+        self._refuses("search-corpus/v1", campaign, tmp_path)
+
+    def test_v2_corpus_is_refused(self, campaign, tmp_path):
+        # a v2 file holds chaos and oracle run fingerprints from before the
+        # chaos report became a record
+        self._refuses("search-corpus/v2", campaign, tmp_path)
 
     def test_replay_reproduces_every_entry(self, campaign):
         report = replay_corpus(build_corpus(campaign))
