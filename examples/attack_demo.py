@@ -19,6 +19,7 @@ from repro.core import (
 )
 from repro.core.config import MIB
 from repro.core.functional_mee import FunctionalMee
+from repro.faults import EnclaveIntegrityGuard
 from repro.flash import FlashChip
 from repro.flash.geometry import small_geometry
 from repro.ftl import Ftl
@@ -90,7 +91,7 @@ def attack_3_bus_snooping(ftl) -> None:
 
 
 def attack_4_dram_tamper_and_replay() -> None:
-    print("== Attack 4: tamper with / replay SSD DRAM contents (§4.4) ==")
+    print("== Attack 4: tamper with / splice / replay SSD DRAM contents (§4.4) ==")
     mee = FunctionalMee(pages=8, aes_key=b"0123456789abcdef", mac_key=b"mac-key")
     mee.write_line(0, 0, b"intermediate result v1" + bytes(42))
     # cold-boot style tamper: flip a ciphertext bit in DRAM
@@ -112,7 +113,38 @@ def attack_4_dram_tamper_and_replay() -> None:
         mee2.read_line(1, 0)
         raise AssertionError("replay undetected!")
     except IntegrityError:
-        print("  replay of stale snapshot: DETECTED (its MAC binds an outdated counter)\n")
+        print("  replay of stale snapshot: DETECTED (its MAC binds an outdated counter)")
+    # splice: copy a valid pair onto the same line of another page, which
+    # sits at the same counter
+    mee3 = FunctionalMee(pages=8, aes_key=b"0123456789abcdef", mac_key=b"mac-key")
+    mee3.write_line(0, 5, b"alice: $100" + bytes(53))
+    mee3.write_line(1, 5, b"bob:   $5  " + bytes(53))
+    mee3.dram_ciphertext[(1, 5)] = mee3.dram_ciphertext[(0, 5)]
+    mee3.dram_macs[(1, 5)] = mee3.dram_macs[(0, 5)]
+    try:
+        mee3.read_line(1, 5)
+        raise AssertionError("splice undetected!")
+    except IntegrityError:
+        print("  splice onto another page: DETECTED (its MAC binds the page)")
+    # replay across a restart: corrupt DRAM to force the tenant to abort,
+    # then put back a pair kept from before the restart
+    guard = EnclaveIntegrityGuard()
+    guard.register(1, 2, aes_key=b"0123456789abcdef", mac_key=b"mac-key")
+    guard.write(1, 0, 0, b"balance = $100" + bytes(50))
+    old = guard.tenants[1].mee
+    stale = (old.dram_ciphertext[(0, 0)], old.dram_macs[(0, 0)])
+    guard.write(1, 0, 0, b"balance = $0  " + bytes(50))
+    guard.write(1, 0, 1, b"other")
+    old.tamper_ciphertext(0, 1)
+    assert guard.read(1, 0, 1) is None  # the tenant aborts
+    reborn = guard.restart(1).mee  # same keys, the journal replayed
+    reborn.dram_ciphertext[(0, 0)], reborn.dram_macs[(0, 0)] = stale
+    if guard.read(1, 0, 0) is not None:
+        raise AssertionError("replay across a restart undetected!")
+    print(
+        "  replay across an enclave restart: DETECTED (the new generation's"
+        " counters start one major up)\n"
+    )
 
 
 def main() -> None:

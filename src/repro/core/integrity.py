@@ -14,7 +14,7 @@ and the attack demo can demonstrate tamper and replay detection.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.exceptions import IntegrityError
 from repro.crypto.mac import Mac
@@ -130,45 +130,6 @@ class BonsaiMerkleTree(Stateful):
             writes += 1
         self._root = self.dram_nodes[(self.depth, 0)]
         self.updates += 1
-        return writes
-
-    def update_batch(self, updates: Iterable[Tuple[int, bytes]]) -> int:
-        """Apply many leaf updates with one dirty-path recomputation.
-
-        ``updates`` may repeat an index (the last write wins, exactly as a
-        sequence of :meth:`update` calls). Each shared interior node on the
-        dirty paths is recomputed *once* over final child values instead of
-        once per touching leaf — and because every node digest is a pure
-        function of its children, the resulting ``dram_nodes`` and root are
-        identical to the sequential path (the differential test pins this).
-
-        The ``updates`` counter advances by the number of items, matching
-        what per-leaf calls would record (snapshots stay byte-identical);
-        the return value counts *actual* node writes, which is the traffic
-        the batch saved.
-        """
-        dirty: Dict[int, None] = {}
-        count = 0
-        for index, leaf in updates:
-            self._check_index(index)
-            self.dram_nodes[(0, index)] = self._leaf_digest(leaf)
-            dirty[index] = None
-            count += 1
-        if count == 0:
-            return 0
-        writes = len(dirty)
-        nodes = self.dram_nodes
-        level_dirty = dirty
-        for level in range(1, self.depth + 1):
-            parents: Dict[int, None] = {}
-            for node in level_dirty:
-                parents[node // self.arity] = None
-            for parent in parents:
-                nodes[(level, parent)] = self._parent_digest(level, parent)
-            writes += len(parents)
-            level_dirty = parents
-        self._root = nodes[(self.depth, 0)]
-        self.updates += count
         return writes
 
     def verify(self, index: int, leaf: bytes) -> int:

@@ -17,10 +17,12 @@ path that authenticated it) is already verified on-chip, so the OTP can be
 precomputed and decryption is pipelined; a miss serializes the counter
 fetch plus the uncached part of the tree walk.
 
-This module is the *timing/traffic* engine: it holds no keys and imports
-no cipher. Functional encryption (real AES OTPs, real MAC verification,
-real trees) lives in :class:`repro.core.functional_mee.FunctionalMee`,
-built on the same counter layout.
+The counters themselves follow one set of rules, :class:`CounterCore`,
+which both engines hold. This module is the *timing/traffic* engine: it
+holds no keys and imports no cipher. Functional encryption (real AES OTPs,
+real MAC verification, real trees) lives in
+:class:`repro.core.functional_mee.FunctionalMee`, over its own
+:class:`CounterCore`.
 """
 
 from __future__ import annotations
@@ -101,6 +103,114 @@ class _SplitBlock:
     major: int = 0
     minors: List[int] = field(default_factory=lambda: [0] * LINES_PER_PAGE)
 
+    def rekey(self) -> None:
+        """Move to a fresh major; every minor restarts at 0."""
+        self.major += 1
+        self.minors = [0] * LINES_PER_PAGE
+
+
+class CounterCore:
+    """The §4.4 counter rules: the one owner of every encryption counter.
+
+    Both engines hold one. The timing engine charges the promotions and
+    re-keys that :meth:`bump` reports; the functional engine keys its pads
+    and MACs with :meth:`pair` and hashes :meth:`leaf` into its Bonsai tree.
+    A writable page has a split block (``split``); under ``HYBRID`` a
+    read-only page keeps only a major counter (``major``). A line's (major,
+    minor) never moves backwards: a write bumps its minor, and a re-key, a
+    promotion or a demotion moves its page to a higher major. Holds no keys.
+    """
+
+    def __init__(self, scheme: EncryptionScheme, limit: int, pages: int = 0) -> None:
+        self.scheme = scheme
+        self.limit = limit  # writes to one line that overflow its minor counter
+        # page -> split block, in creation order; pages [0, pages) up front
+        self.split: Dict[int, _SplitBlock] = {page: _SplitBlock() for page in range(pages)}
+        self.major: Dict[int, int] = {}  # HYBRID read-only page -> major counter
+        self._leaves: Dict[int, bytes] = {}  # leaf() memo, dropped when a page moves
+
+    def pair(self, page: int, line: int) -> Tuple[int, int]:
+        """(major, minor) encryption counter of one line."""
+        block = self.split.get(page)
+        if block is None:
+            return self.major.get(page, 0), 0
+        return block.major, block.minors[line]
+
+    def rekeys(self, page: int, line: int) -> bool:
+        """Whether the next write to (page, line) re-keys the page, moving
+        every other line of it to a new counter (``bump``'s ``rekeyed``)."""
+        block = self.split.get(page)
+        minor = 0 if block is None else block.minors[line]
+        return minor + 1 >= self.limit
+
+    def bump(self, page: int, line: int, readonly: bool = False) -> Tuple[bool, bool]:
+        """Apply one write to (page, line); returns (promoted, rekeyed).
+
+        ``readonly`` is the page's current permission. Under ``HYBRID`` a
+        write to a read-only page promotes it: its split block starts one
+        major past its major-only counter, so the page is re-encrypted. Any
+        other page without a split block starts one at its major-only
+        counter, which its lines already hold. The line's minor then moves
+        up; at ``limit`` the page is re-keyed to a fresh major.
+        """
+        self._leaves.pop(page, None)
+        block = self.split.get(page)
+        promoted = False
+        if block is None:
+            major = self.major.pop(page, 0)
+            promoted = readonly and self.scheme is EncryptionScheme.HYBRID
+            block = self.split[page] = _SplitBlock(major + 1 if promoted else major)
+        minors = block.minors
+        minors[line] += 1
+        if minors[line] < self.limit:
+            return promoted, False
+        block.rekey()
+        return promoted, True
+
+    def make_readonly(self, page: int) -> None:
+        """Dynamic permission change back to read-only (§4.4, ``HYBRID`` only).
+
+        The split block goes; the page's major counter, incremented, is
+        copied back to the major-only counters.
+        """
+        if self.scheme is not EncryptionScheme.HYBRID:
+            return
+        block = self.split.pop(page, None)
+        if block is not None:
+            self.major[page] = block.major + 1
+            self._leaves.pop(page, None)
+
+    def rekey_all(self) -> None:
+        """Move every split page to a fresh major: the overflow re-key, page by page."""
+        for block in self.split.values():
+            block.rekey()
+        self._leaves.clear()
+
+    def leaf(self, page: int) -> bytes:
+        """A page's Bonsai leaf: its split block's major, then its minors."""
+        leaf = self._leaves.get(page)
+        if leaf is None:
+            block = self.split[page]
+            leaf = self._leaves[page] = block.major.to_bytes(8, "big") + bytes(block.minors)
+        return leaf
+
+    # -- checkpoint/restore ----------------------------------------------------
+
+    def snapshot_state(self) -> List[Tuple[int, int, List[int]]]:
+        """One ``(page, major, minors)`` per split block, in creation order.
+
+        Major-only counters are not carried: the one checkpointed engine,
+        the functional one, runs split counters only.
+        """
+        return [(page, block.major, list(block.minors)) for page, block in self.split.items()]
+
+    def restore_state(self, state: List[Tuple[int, int, List[int]]]) -> None:
+        self.split.clear()
+        for page, major, minors in state:
+            self.split[page] = _SplitBlock(major, list(minors))
+        self.major.clear()
+        self._leaves.clear()
+
 
 @dataclass
 class MeeStats:
@@ -161,8 +271,7 @@ class MemoryEncryptionEngine:
         self.dram_latency = dram_latency
         self.mac_compute_time = mac_compute_time
         self.cache = CounterCache(config.counter_cache_bytes, config.cache_line_bytes)
-        self._split: Dict[int, _SplitBlock] = {}
-        self._major: Dict[int, int] = {}  # page -> major counter
+        self.counters = CounterCore(scheme, config.minor_counter_limit)
         self.stats = MeeStats()
         # runtime invariant monitor (repro.recovery); None = disabled
         self.invariant_monitor = None
@@ -191,26 +300,6 @@ class MemoryEncryptionEngine:
         while TREE_ARITY**depth < leaves:
             depth += 1
         return depth
-
-    # -- counter bookkeeping -------------------------------------------------
-
-    def _uses_split_block(self, page: int, readonly: bool) -> bool:
-        if self.scheme is EncryptionScheme.SPLIT_COUNTER:
-            return True
-        # HYBRID: read-only pages use major blocks unless already promoted
-        return (not readonly) or page in self._split
-
-    def _counter_key(self, page: int, readonly: bool) -> Tuple[str, int]:
-        if self._uses_split_block(page, readonly):
-            return ("ctr-s", page)
-        return ("ctr-m", page // MAJOR_COUNTERS_PER_BLOCK)
-
-    def counter_of(self, page: int, line: int, readonly: bool) -> Tuple[int, int]:
-        """(major, minor) encryption counter for one cache line."""
-        if self._uses_split_block(page, readonly):
-            block = self._split.setdefault(page, _SplitBlock())
-            return block.major, block.minors[line]
-        return self._major.get(page, 0), 0
 
     # -- tree walk simulation ----------------------------------------------------
 
@@ -272,14 +361,14 @@ class MemoryEncryptionEngine:
         if scheme is EncryptionScheme.NONE:
             return result
 
-        # Inlined _counter_key/_uses_split_block/_book: this method runs once
-        # per protected DRAM access and dominates MEE replay time, so the
+        # Inlined counter-line choice and stats booking: this method runs
+        # once per protected DRAM access (``replay`` inlines it again), so the
         # common (hybrid, read-only, counter-hit) path avoids helper calls.
         if scheme is EncryptionScheme.SPLIT_COUNTER:
             use_split = True
         else:
             # HYBRID: read-only pages use major blocks unless already promoted
-            use_split = (not readonly) or page in self._split
+            use_split = (not readonly) or page in self.counters.split
         if use_split:
             key = ("ctr-s", page)
         else:
@@ -353,19 +442,11 @@ class MemoryEncryptionEngine:
         enc_latency = self.config.aes_delay  # encrypt the outgoing line
         verify_latency = self.mac_compute_time  # fresh MAC over the line
 
-        split = self._split
-        if scheme is EncryptionScheme.HYBRID and readonly and page not in split:
-            enc_latency += self._promote_page(page, result)
-
-        block = split.get(page)
-        if block is None:
-            block = split[page] = _SplitBlock()
-        minors = block.minors
-        minors[line] += 1
-        if minors[line] >= self.config.minor_counter_limit:
-            # minor overflow: bump major, reset minors, re-encrypt the page
-            block.major += 1
-            block.minors = [0] * LINES_PER_PAGE
+        promoted, rekeyed = self.counters.bump(page, line, readonly)
+        if promoted:
+            stats.permission_promotions += 1
+            enc_latency += self._reencrypt_page(result)
+        if rekeyed:  # minor overflow: the page moved to a fresh major
             stats.minor_overflows += 1
             enc_latency += self._reencrypt_page(result)
 
@@ -390,7 +471,7 @@ class MemoryEncryptionEngine:
 
         result.latency = enc_latency + verify_latency
         # writes drain through the write buffer; only page re-encryption
-        # storms stall the pipeline (inlined _book, as in ``read``)
+        # storms stall the pipeline (stats booked inline, as in ``read``)
         critical = self._reencrypt_stall if result.reencrypted_page else 0.0
         stats.encryption_lines += (
             result.counter_read_lines + result.counter_write_lines + result.reencrypt_lines
@@ -430,7 +511,7 @@ class MemoryEncryptionEngine:
                 else:
                     stats.data_reads += 1
             return
-        split = self._split
+        split = self.counters.split
         cache_access = self.cache.access
         config = self.config
         mac_time = self.mac_compute_time
@@ -497,26 +578,7 @@ class MemoryEncryptionEngine:
                 stats.verification_ops += 1
             stats.critical_latency_total += enc_latency
 
-    def make_readonly(self, page: int) -> None:
-        """Dynamic permission change back to read-only (§4.4).
-
-        The major counter is incremented and copied back to the major tree;
-        split state is dropped.
-        """
-        if self.scheme is not EncryptionScheme.HYBRID:
-            return
-        block = self._split.pop(page, None)
-        if block is not None:
-            self._major[page] = block.major + 1
-
     # -- helpers ----------------------------------------------------------------
-
-    def _promote_page(self, page: int, result: MeeAccessResult) -> float:
-        """Read-only → writable: seed split state and re-encrypt the page."""
-        major = self._major.pop(page, 0)
-        self._split[page] = _SplitBlock(major=major + 1)
-        self.stats.permission_promotions += 1
-        return self._reencrypt_page(result)
 
     @property
     def _reencrypt_stall(self) -> float:
@@ -529,23 +591,6 @@ class MemoryEncryptionEngine:
         self.stats.reencryptions += 1
         # the re-encryption streams through the AES pipeline
         return LINES_PER_PAGE * self.config.aes_delay
-
-    def _book(
-        self,
-        result: MeeAccessResult,
-        enc_latency: float,
-        verify_latency: float,
-        critical: float,
-        performed_verify: bool = True,
-    ) -> None:
-        self.stats.encryption_lines += result.encryption_lines
-        self.stats.verification_lines += result.verification_lines
-        self.stats.encryption_latency_total += enc_latency
-        self.stats.encryption_ops += 1
-        if performed_verify:
-            self.stats.verification_latency_total += verify_latency
-            self.stats.verification_ops += 1
-        self.stats.critical_latency_total += critical
 
     # -- aggregates -----------------------------------------------------------------
 

@@ -261,8 +261,8 @@ class ChaosRunner(Stateful):
                     )
                     tenant = self.guard.restart(message.tee_id)
                     if self.monitors is not None:
-                        # fresh enclave generation: re-arm the monitor so its
-                        # counter shadows restart with the new MEE
+                        # fresh enclave generation: re-arm the monitor; its
+                        # counter shadows carry over, as the counters do
                         self.monitors.attach_mee(
                             tenant.mee, f"tenant{message.tee_id}"
                         )
@@ -382,8 +382,8 @@ class ChaosRunner(Stateful):
         """Attach a runtime invariant monitor (:mod:`repro.recovery`).
 
         Duck-typed on purpose: faults must not import the recovery layer.
-        The suite is re-attached to a tenant's fresh MEE on every restart so
-        its counter-monotonicity shadows reset with the enclave generation.
+        The suite is re-attached to a tenant's fresh MEE on every restart,
+        and its counter-monotonicity shadows span the enclave generations.
         """
         self.monitors = suite
         self.ftl.invariant_monitor = suite

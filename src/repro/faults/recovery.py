@@ -130,15 +130,9 @@ class EnclaveIntegrityGuard:
         tenant.abort_message = None
         if replay:
             # lines_written preserves first-write order; the journal holds the
-            # last committed payload per line (last-write-wins epoch). The
-            # batched commit path recomputes each dirty tree path once for
-            # the whole epoch — byte-identical to per-line replay.
-            tenant.mee.write_lines(
-                [
-                    (page, line, tenant.journal[(page, line)])
-                    for page, line in tenant.lines_written
-                ]
-            )
+            # last committed payload per line (last-write-wins epoch)
+            for page, line in tenant.lines_written:
+                tenant.mee.write_line(page, line, tenant.journal[(page, line)])
         else:
             tenant.lines_written = []
             tenant.journal = {}

@@ -18,7 +18,7 @@ The monitor catalog (see docs/RECOVERY.md):
   (:meth:`MonitorSuite.after_mee_commit`);
 - **counter-monotonic** — encryption counters only move forward, checked
   against a shadow copy per (enclave, page, line) on both the functional
-  and the timing MEE;
+  and the timing MEE, across a tenant's enclave generations;
 - **ftl-mapping** — mapping bijectivity, media state, OOB agreement and
   valid-page accounting after every GC pass, wear-level migration and
   power-loss rebuild (:meth:`MonitorSuite.after_ftl_step`, delegating to
@@ -89,14 +89,13 @@ class MonitorSuite:
     def attach_mee(self, mee: Any, label: str) -> None:
         """Arm the Merkle/counter monitors on an MEE (functional or timing).
 
-        Re-attaching under the same label — e.g. after a tenant restart
-        provisions a fresh enclave generation — resets that label's counter
-        shadows, because the new MEE legitimately starts counting from zero.
+        Re-attaching under the same label, as a tenant restart does with its
+        fresh enclave generation, keeps that label's counter shadows: the new
+        MEE continues its predecessor's counters one major up, so across
+        generations too a counter only moves forward.
         """
         mee.invariant_monitor = self
         mee.invariant_label = label
-        for key in [k for k in self._counter_shadow if k[0] == label]:
-            del self._counter_shadow[key]
 
     def reset_shadows(self) -> None:
         """Forget all shadow state (call after restoring from a snapshot)."""
@@ -137,13 +136,13 @@ class MonitorSuite:
             mee.verify_counter_block(page)
         except IntegrityError as exc:
             self._fail("merkle-root", label, str(exc))
-        self._check_counter(label, page, line, mee.counter_pair(page, line))
+        self._check_counter(label, page, line, mee.counters.pair(page, line))
 
     def after_timing_mee_write(self, mee: Any, page: int, line: int) -> None:
         """Timing MEE: (major, minor) counters only move forward."""
         label = getattr(mee, "invariant_label", "mee-timing")
         self.stats.invariant_checks += 1
-        self._check_counter(label, page, line, mee.counter_of(page, line, readonly=False))
+        self._check_counter(label, page, line, mee.counters.pair(page, line))
 
     def _check_counter(
         self, label: str, page: int, line: int, pair: Tuple[int, int]

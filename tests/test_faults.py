@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.core.config import IceClaveConfig
@@ -327,6 +328,54 @@ class TestEnclaveContainment:
         guard = self._guard()
         with pytest.raises(ValueError):
             guard.restart(2)
+
+    def test_pair_from_before_a_restart_is_refused(self):
+        """A restarted tenant's counters continue one major up, so a pair
+        captured before the restart does not verify after it."""
+        guard = EnclaveIntegrityGuard()
+        guard.register(1, 2, b"k" * 16, b"m" * 16)
+        guard.write(1, 0, 0, b"v1-old")
+        old = guard.tenants[1].mee
+        stale = (old.dram_ciphertext[(0, 0)], old.dram_macs[(0, 0)])
+        guard.write(1, 0, 0, b"v2-new")
+        guard.write(1, 0, 1, b"other")
+        old.tamper_ciphertext(0, 1)
+        assert guard.read(1, 0, 1) is None  # the tenant aborts
+        guard.restart(1)
+        mee = guard.tenants[1].mee
+        assert mee.counters.pair(0, 0) == (1, 1)  # not (0, 1) again
+        mee.dram_ciphertext[(0, 0)], mee.dram_macs[(0, 0)] = stale
+        assert guard.read(1, 0, 0) is None
+        assert guard.live_tenants() == []
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3)), min_size=1, max_size=10),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_no_pair_of_one_generation_verifies_in_the_next(self, writes, restarts):
+        guard = EnclaveIntegrityGuard()
+        guard.register(1, 2, b"k" * 16, b"m" * 16)
+        for generation in range(restarts):
+            captured = []
+            for i, (page, line) in enumerate(writes):
+                guard.write(1, page, line, bytes([generation, i]) * 4)
+                mee = guard.tenants[1].mee
+                captured.append(
+                    (page, line, mee.dram_ciphertext[(page, line)], mee.dram_macs[(page, line)])
+                )
+            page, line = writes[0]
+            guard.tenants[1].mee.tamper_mac(page, line)
+            assert guard.read(1, page, line) is None
+            nxt = guard.restart(1).mee
+            for page, line, ciphertext, mac in captured:
+                kept = (nxt.dram_ciphertext[(page, line)], nxt.dram_macs[(page, line)])
+                nxt.dram_ciphertext[(page, line)], nxt.dram_macs[(page, line)] = ciphertext, mac
+                with pytest.raises(IntegrityError):
+                    nxt.read_line(page, line)
+                nxt.dram_ciphertext[(page, line)], nxt.dram_macs[(page, line)] = kept
+            for page, line in writes:
+                assert guard.read(1, page, line) is not None  # the replay round-trips
 
 
 class TestChaosDeterminism:

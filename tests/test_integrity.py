@@ -148,49 +148,15 @@ class TestSizing:
 
 
 MAC_KEY = bytes(range(16, 32))
-leaf_bytes = st.binary(min_size=1, max_size=12)
-batches = st.lists(
-    st.lists(st.tuples(st.integers(0, 63), leaf_bytes), min_size=0, max_size=20),
-    min_size=1,
-    max_size=6,
-)
 
 
 class TestIncrementalUpdate:
-    @given(batches)
-    @settings(max_examples=40, deadline=None)
-    def test_update_batch_identical_to_sequential_updates(self, update_batches):
-        """Random batched updates produce the same tree as per-leaf ones."""
-        leaves = [bytes([i]) * 4 for i in range(64)]
-        batched = BonsaiMerkleTree(MAC_KEY)
-        sequential = BonsaiMerkleTree(MAC_KEY)
-        batched.build(list(leaves))
-        sequential.build(list(leaves))
-        latest = dict(enumerate(leaves))
-        for batch in update_batches:
-            batched.update_batch(batch)
-            for index, leaf in batch:
-                sequential.update(index, leaf)
-                latest[index] = leaf
-            assert batched.root == sequential.root
-            assert batched.dram_nodes == sequential.dram_nodes
-            assert batched.updates == sequential.updates
-            for index in (0, 31, 63):
-                assert batched.verify(index, latest[index]) == sequential.verify(
-                    index, latest[index]
-                )
-
-    def test_batch_saves_node_writes_on_shared_paths(self):
-        tree = BonsaiMerkleTree(MAC_KEY)
-        tree.build([bytes([i]) for i in range(64)])
-        # 8 sibling leaves share every interior node on their paths
-        writes = tree.update_batch([(i, bytes([0x80 + i])) for i in range(8)])
-        assert writes == 8 + tree.depth  # one parent chain, not eight
-
     def test_tamper_detected_after_batched_update(self):
+        """A batch of per-leaf updates, then a tampered sibling node."""
         tree = BonsaiMerkleTree(MAC_KEY)
         tree.build([bytes([i]) for i in range(64)])
-        tree.update_batch([(i, bytes([0x40 + i])) for i in range(16)])
+        for i in range(16):
+            tree.update(i, bytes([0x40 + i]))
         # node (1, 0) sits on leaf 9's sibling set; verify recomputes leaf
         # 9's own path but trusts stored siblings, so this must be caught
         tree.corrupt_node(1, 0)
@@ -200,13 +166,18 @@ class TestIncrementalUpdate:
     def test_replayed_leaf_detected_after_batched_update(self):
         tree = BonsaiMerkleTree(MAC_KEY)
         tree.build([bytes([i]) for i in range(64)])
-        tree.update_batch([(5, b"new-epoch")])
+        tree.update(5, b"new-epoch")
         with pytest.raises(IntegrityError):
             tree.verify(5, bytes([5]))  # stale (replayed) leaf value
 
     def test_memo_stays_bounded(self):
+        """Update until more node digests were computed than the memo holds."""
         tree = BonsaiMerkleTree(MAC_KEY)
         tree.build([bytes([i]) for i in range(64)])
-        for round_no in range(50):
-            tree.update_batch([(i, bytes([round_no, i])) for i in range(0, 64, 3)])
+        round_no = 0
+        while tree.memo_misses <= integrity._MEMO_MAX:
+            for i in range(0, 64, 3):
+                tree.update(i, round_no.to_bytes(2, "big") + bytes([i]))
+            round_no += 1
         assert len(tree._memo) <= integrity._MEMO_MAX
+        assert len(tree._memo) < tree.memo_misses  # the memo was cleared

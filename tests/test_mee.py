@@ -99,7 +99,7 @@ class TestSchemes:
     def test_write_dirties_counter_state(self):
         mee = make_mee()
         mee.write(0, 0, readonly=False)
-        major, minor = mee.counter_of(0, 0, readonly=False)
+        major, minor = mee.counters.pair(0, 0)
         assert minor == 1
 
     def test_minor_overflow_reencrypts_page(self):
@@ -111,7 +111,7 @@ class TestSchemes:
         assert reencrypted
         assert mee.stats.minor_overflows == 1
         # counters reset; a fresh major
-        major, minor = mee.counter_of(0, 0, readonly=False)
+        major, minor = mee.counters.pair(0, 0)
         assert major == 1 and minor == 0
 
     def test_hybrid_promotion_on_write_to_readonly_page(self):
@@ -122,15 +122,15 @@ class TestSchemes:
         assert result.reencrypted_page
         assert mee.stats.permission_promotions == 1
         # the page now uses split counters
-        assert mee._uses_split_block(0, readonly=True)
+        assert 0 in mee.counters.split
 
     def test_make_readonly_demotes(self):
         mee = make_mee(EncryptionScheme.HYBRID)
         mee.write(0, 0, readonly=True)
-        old_major, _ = mee.counter_of(0, 0, readonly=False)
-        mee.make_readonly(0)
-        assert not mee._uses_split_block(0, readonly=True)
-        new_major, _ = mee.counter_of(0, 0, readonly=True)
+        old_major, _ = mee.counters.pair(0, 0)
+        mee.counters.make_readonly(0)
+        assert 0 not in mee.counters.split
+        new_major, _ = mee.counters.pair(0, 0)
         assert new_major == old_major + 1  # §4.4: incremented on copy-back
 
     def test_write_heavy_traffic_exceeds_read_heavy(self):
@@ -208,6 +208,34 @@ class TestFunctionalMee:
         with pytest.raises(IntegrityError):
             mee.read_line(0, 0)
 
+    def test_pair_spliced_onto_another_page_is_refused(self):
+        """The pad binds the page, and so must the MAC: the same line of two
+        pages at the same counter must not accept each other's pair."""
+        mee = FunctionalMee(4, b"k" * 16, b"m" * 16)
+        mee.write_line(0, 5, b"page-0" + bytes(10))
+        mee.write_line(1, 5, b"page-1" + bytes(10))
+        mee.dram_ciphertext[(1, 5)] = mee.dram_ciphertext[(0, 5)]
+        mee.dram_macs[(1, 5)] = mee.dram_macs[(0, 5)]
+        with pytest.raises(IntegrityError):
+            mee.read_line(1, 5)
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=12))
+    @settings(max_examples=30, deadline=None)
+    def test_pair_moved_to_any_other_line_is_refused(self, writes):
+        """Every written pair, planted on every other line of 4 pages x 4 lines."""
+        mee = FunctionalMee(4, b"k" * 16, b"m" * 16)
+        for i, (page, line) in enumerate(writes):
+            mee.write_line(page, line, bytes([i]) * 16)
+        ciphertext, macs = dict(mee.dram_ciphertext), dict(mee.dram_macs)
+        for source in set(writes):
+            for target in [(page, line) for page in range(4) for line in range(4)]:
+                if target == source:
+                    continue
+                mee.dram_ciphertext = {**ciphertext, target: ciphertext[source]}
+                mee.dram_macs = {**macs, target: macs[source]}
+                with pytest.raises(IntegrityError):
+                    mee.read_line(*target)
+
     def test_unwritten_line_raises(self):
         with pytest.raises(KeyError):
             self.make().read_line(0, 1)
@@ -216,23 +244,6 @@ class TestFunctionalMee:
         mee = self.make()
         with pytest.raises(ValueError):
             mee.write_line(8, 0, b"x")
-
-    def test_write_lines_identical_to_write_line_loop(self):
-        key, mac_key = bytes(range(16)), bytes(range(16, 32))
-        items = [
-            (page, line, bytes([page, line, rep]) * 3)
-            for rep in range(2)
-            for page in (0, 1, 3)
-            for line in (0, 2, 5)
-        ]
-        batched = FunctionalMee(4, key, mac_key)
-        sequential = FunctionalMee(4, key, mac_key)
-        batched.write_lines(list(items))
-        for page, line, plaintext in items:
-            sequential.write_line(page, line, plaintext)
-        assert batched.snapshot_state() == sequential.snapshot_state()
-        for page, line, _ in items:
-            assert batched.read_line(page, line) == sequential.read_line(page, line)
 
 
 def _replay_after(writes):
@@ -266,7 +277,7 @@ class TestMinorCounterOverflow:
     def test_stale_pair_is_refused_after_any_number_of_writes(self, writes):
         mee = _replay_after(writes)
         limit = IceClaveConfig().minor_counter_limit
-        assert mee.counter_pair(1, 3) == divmod(1 + writes, limit)
+        assert mee.counters.pair(1, 3) == divmod(1 + writes, limit)
 
     def test_overflow_does_not_launder_a_tampered_line(self):
         limit = IceClaveConfig().minor_counter_limit
@@ -302,9 +313,9 @@ class TestMinorCounterOverflow:
                 functional.write_line(page, line, bytes([page, line]) * 8)
                 for p in range(2):
                     for ln in range(3):
-                        assert functional.counter_pair(p, ln) == timing.counter_of(p, ln, False)
+                        assert functional.counters.pair(p, ln) == timing.counters.pair(p, ln)
         # a functional major moves only on overflow
-        majors = sum(functional.counter_pair(p, 0)[0] for p in range(2))
+        majors = sum(functional.counters.pair(p, 0)[0] for p in range(2))
         assert majors == timing.stats.minor_overflows
         for page, line, _ in runs:
             assert functional.read_line(page, line) == bytes([page, line]) * 8
@@ -317,5 +328,5 @@ class TestMinorCounterOverflow:
             timing.write(0, line, readonly=False)
             functional.write_line(0, line, b"%03d" % i)
         for line in (0, 1, 2):
-            assert functional.counter_pair(0, line) == timing.counter_of(0, line, False)
-        assert timing.stats.minor_overflows == functional.counter_pair(0, 0)[0] == 1
+            assert functional.counters.pair(0, line) == timing.counters.pair(0, line)
+        assert timing.stats.minor_overflows == functional.counters.pair(0, 0)[0] == 1

@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core import EncryptionScheme, IceClaveConfig
-from repro.core.mee import LINES_PER_PAGE, MemoryEncryptionEngine
+from repro.core.mee import LINES_PER_PAGE, CounterCore, MemoryEncryptionEngine
 
 
 def make_mee(scheme=EncryptionScheme.HYBRID, minor_bits=7):
@@ -34,7 +34,7 @@ class TestCounterInvariants:
                 mee.write(page, line, readonly=readonly)
             else:
                 mee.read(page, line, readonly=readonly)
-            major, minor = mee.counter_of(page, line, readonly=False)
+            major, minor = mee.counters.pair(page, line)
             key = (page, line)
             if key in last:
                 assert (major, minor) >= last[key] or major > last[key][0]
@@ -66,7 +66,7 @@ class TestCounterInvariants:
         limit = 1 << minor_bits
         for _ in range(limit):
             mee.write(0, line, readonly=False)
-        major, minor = mee.counter_of(0, line, readonly=False)
+        major, minor = mee.counters.pair(0, line)
         assert major == 1
         assert minor == 0
         assert mee.stats.minor_overflows == 1
@@ -80,11 +80,53 @@ class TestCounterInvariants:
         majors = []
         for _ in range(3):
             mee.write(page, 0, readonly=True)  # promote (re-encrypt)
-            majors.append(mee.counter_of(page, 0, readonly=False)[0])
-            mee.make_readonly(page)  # demote (copy back, increment)
-            majors.append(mee.counter_of(page, 0, readonly=True)[0])
+            majors.append(mee.counters.pair(page, 0)[0])
+            mee.counters.make_readonly(page)  # demote (copy back, increment)
+            majors.append(mee.counters.pair(page, 0)[0])
         assert majors == sorted(majors)
         assert majors[-1] > majors[0]
+
+    def test_demotion_does_not_rewind_a_line(self):
+        """A writable write to a demoted page starts from its major-only counter."""
+        mee = make_mee()
+        for _ in range(3):
+            mee.write(0, 0, readonly=False)
+        mee.counters.make_readonly(0)
+        mee.write(0, 0, readonly=True)  # a promotion
+        assert mee.counters.pair(0, 0) == (2, 1)
+        mee.counters.make_readonly(0)
+        assert mee.counters.pair(0, 0) == (3, 0)
+        mee.write(0, 0, readonly=False)
+        assert mee.counters.pair(0, 0) == (3, 1)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["write", "write-readonly", "make_readonly"]),
+                st.integers(0, 3),  # page
+                st.integers(0, 3),  # line
+            ),
+            max_size=80,
+        ),
+        st.integers(2, 4),  # minor counter bits: small, so re-keys happen
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_no_counter_rewinds(self, operations, minor_bits):
+        """Writes of either flag and demotions over 4 pages under HYBRID:
+        after every write the line's pair is above every pair it held, and
+        ``rekeys`` told beforehand whether the write would move the page."""
+        core = CounterCore(EncryptionScheme.HYBRID, 1 << minor_bits)
+        held = {(page, line): (0, 0) for page in range(4) for line in range(4)}
+        for op, page, line in operations:
+            if op == "make_readonly":
+                core.make_readonly(page)
+            else:
+                rekeys = core.rekeys(page, line)
+                _, rekeyed = core.bump(page, line, readonly=op == "write-readonly")
+                assert rekeyed == rekeys
+                assert core.pair(page, line) > held[(page, line)]
+            for key in held:
+                held[key] = max(held[key], core.pair(*key))
 
     @given(ops)
     @settings(max_examples=25, deadline=None)

@@ -281,9 +281,12 @@ class TestSnapshotFile:
 
 class TestPinnedCheckpoints:
     """Digests of two real checkpoints: a change to any component's payload
-    moves them, and they move only with a SNAPSHOT_VERSION bump."""
+    moves them. A change of layout moves them with a SNAPSHOT_VERSION bump;
+    a change of the bytes a component holds moves them alone, with a reason."""
 
-    CHAOS_PINNED = "238d1c11dffb5994f18e06eaffb2628e64e003da9eae136e707727a16372ae9e"
+    # Re-pinned from 238d1c11dffb… when tenant MACs began to bind the page:
+    # of the whole checkpoint only the 16 tenant MACs changed.
+    CHAOS_PINNED = "66df70079682fdf4973dbd7cc4ee19efbe4850753ff3a6114213c7a3321757ff"
     FLEET_PINNED = "6eddf0e814039eda12effb8bbecc4bb1f95c460b772edcedf1778cad2e16e94e"
 
     @classmethod
@@ -361,7 +364,7 @@ class TestComponentRoundTrips:
             twin.verify_counter_block(page)
             for line in range(3):
                 assert twin.read_line(page, line) == f"p{page}l{line}".encode()
-        assert twin.counter_pair(2, 1) == mee.counter_pair(2, 1)
+        assert twin.counters.pair(2, 1) == mee.counters.pair(2, 1)
 
     def test_breaker_board_round_trip(self):
         board = BreakerBoard()
@@ -469,22 +472,36 @@ class TestInvariantMonitors:
         assert exc.value.monitor == "counter-monotonic"
         assert exc.value.component == "tenant1"
 
-    def test_reattach_resets_counter_shadows(self):
+    def test_reattach_keeps_counter_shadows_across_a_restart(self):
         suite = MonitorSuite()
         mee = make_mee()
         suite.attach_mee(mee, "tenant1")
         mee.write_line(0, 0, b"old-generation")
-        fresh = make_mee()  # a restarted tenant starts counting from zero
+        fresh = mee.fresh()  # a restarted tenant counts on, one major up
         suite.attach_mee(fresh, "tenant1")
         fresh.write_line(0, 0, b"new-generation")  # must not trip
+        assert suite.stats.violations == 0
+
+    def test_counters_restarting_at_zero_trip_the_monitor(self):
+        """The check that catches a generation reusing its predecessor's counters."""
+        suite = MonitorSuite()
+        mee = make_mee()
+        suite.attach_mee(mee, "tenant1")
+        mee.write_line(0, 0, b"old-generation")
+        rewound = make_mee()  # same keys, every counter back at 0
+        suite.attach_mee(rewound, "tenant1")
+        with pytest.raises(InvariantViolation) as exc:
+            rewound.write_line(0, 0, b"new-generation")
+        assert exc.value.monitor == "counter-monotonic"
+        assert exc.value.component == "tenant1"
 
     def test_merkle_root_check_catches_counter_tampering(self):
         suite = MonitorSuite()
         mee = make_mee()
         suite.attach_mee(mee, "tenant1")
         mee.write_line(0, 0, b"payload")
-        mee._counters[0].minors[0] += 1  # diverge counters from the tree
-        mee._ser_cache.pop(0, None)
+        mee.counters.split[0].minors[0] += 1  # diverge counters from the tree
+        mee.counters._leaves.clear()
         with pytest.raises(InvariantViolation) as exc:
             suite.after_mee_commit(mee, 0, 0)
         assert exc.value.monitor == "merkle-root"
