@@ -92,6 +92,8 @@ def run_lint(args: argparse.Namespace) -> int:
         need_project=args.graph is not None,
     )
 
+    # a graph on stdout keeps stdout one JSON document: the report moves to stderr
+    out = sys.stdout
     if args.graph is not None:
         if result.project is None:
             print("error: --graph needs at least one parsable file",
@@ -100,6 +102,7 @@ def run_lint(args: argparse.Namespace) -> int:
         rendered = render_graph(result.project.index)
         if args.graph == "-":
             sys.stdout.write(rendered)
+            out = sys.stderr
         else:
             Path(args.graph).write_text(rendered, encoding="utf-8")
             print(f"call graph + layer DAG written to {args.graph}",
@@ -110,16 +113,17 @@ def run_lint(args: argparse.Namespace) -> int:
         fresh.save(baseline_path)
         print(
             f"baseline updated: {fresh.total()} finding(s) recorded "
-            f"in {baseline_path}"
+            f"in {baseline_path}",
+            file=out,
         )
         return 0
 
     if args.format == "json":
-        sys.stdout.write(render_json(result.findings, result.files_scanned))
+        out.write(render_json(result.findings, result.files_scanned))
     elif args.format == "sarif":
-        sys.stdout.write(render_sarif(result.findings, result.files_scanned))
+        out.write(render_sarif(result.findings, result.files_scanned))
     else:
-        print(render_text(result.findings, result.files_scanned, args.verbose))
+        print(render_text(result.findings, result.files_scanned, args.verbose), file=out)
     return result.exit_code
 
 

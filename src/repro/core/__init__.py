@@ -25,7 +25,7 @@ from repro.core.memory_protection import (
 )
 from repro.core.counter_cache import CounterCache
 from repro.core.integrity import BonsaiMerkleTree
-from repro.core.mee import EncryptionScheme, MemoryEncryptionEngine, MeeAccessResult
+from repro.core.mee import EncryptionScheme, MemoryEncryptionEngine
 from repro.core.cipher_engine import StreamCipherEngine
 from repro.core.tee import Tee, TeeState
 from repro.core.runtime import IceClaveRuntime
@@ -51,7 +51,6 @@ __all__ = [
     "BonsaiMerkleTree",
     "EncryptionScheme",
     "MemoryEncryptionEngine",
-    "MeeAccessResult",
     "StreamCipherEngine",
     "Tee",
     "TeeState",

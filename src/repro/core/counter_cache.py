@@ -2,24 +2,31 @@
 
 Caches encryption-counter blocks, MAC lines, and integrity-tree nodes.
 Write-back with dirty tracking: evicting a dirty line costs a memory write,
-which is part of the extra traffic Table 6 accounts. The victim's key is
-returned so the MEE can attribute the write-back to encryption vs
-verification traffic.
+which is part of the extra traffic Table 6 accounts. The timing MEE's replay
+loop fills and evicts lines itself and books each dirty victim's write-back
+as encryption or verification traffic.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, Optional, Tuple
+from typing import Hashable
 
 
 class CounterCache:
-    """Fully associative LRU cache over 64-byte metadata lines."""
+    """Fully associative LRU cache over 64-byte metadata lines.
+
+    ``lru`` maps each resident line's key to its dirty bit, least recently
+    used first. The timing MEE's replay loop drives it directly: a touch
+    moves the line to the most recently used end, a write sets its dirty
+    bit, and a fill into a full cache evicts the least recently used line.
+    The loop adds its hit, miss and eviction counts here when it returns.
+    """
 
     __slots__ = (
         "capacity_lines",
         "line_bytes",
-        "_lru",
+        "lru",
         "hits",
         "misses",
         "dirty_evictions",
@@ -31,47 +38,20 @@ class CounterCache:
             raise ValueError("cache smaller than one line")
         self.capacity_lines = capacity_bytes // line_bytes
         self.line_bytes = line_bytes
-        self._lru: OrderedDict[Hashable, bool] = OrderedDict()  # key -> dirty
+        self.lru: OrderedDict[Hashable, bool] = OrderedDict()  # key -> dirty
         self.hits = 0
         self.misses = 0
         self.dirty_evictions = 0
         self.clean_evictions = 0
 
-    def access(self, key: Hashable, dirty: bool = False) -> Tuple[bool, Optional[Hashable]]:
-        """Touch a metadata line.
-
-        Returns ``(hit, dirty_victim_key)``: whether the line was resident,
-        and — when the fill evicted a dirty line — that victim's key (the
-        caller charges its write-back). ``dirty_victim_key`` is None when
-        nothing dirty was evicted.
-        """
-        dirty_victim = None
-        lru = self._lru
-        if key in lru:
-            self.hits += 1
-            lru.move_to_end(key)
-            if dirty:
-                lru[key] = True
-            return True, dirty_victim
-        self.misses += 1
-        if len(lru) >= self.capacity_lines:
-            victim_key, victim_dirty = lru.popitem(last=False)
-            if victim_dirty:
-                self.dirty_evictions += 1
-                dirty_victim = victim_key
-            else:
-                self.clean_evictions += 1
-        lru[key] = dirty
-        return False, dirty_victim
-
     def contains(self, key: Hashable) -> bool:
-        return key in self._lru
+        return key in self.lru
 
     def flush(self) -> int:
         """Drop everything; returns how many dirty lines needed write-back."""
-        dirty = sum(1 for d in self._lru.values() if d)
+        dirty = sum(1 for d in self.lru.values() if d)
         self.dirty_evictions += dirty
-        self._lru.clear()
+        self.lru.clear()
         return dirty
 
     @property

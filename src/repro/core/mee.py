@@ -47,57 +47,6 @@ class EncryptionScheme(Enum):
     HYBRID = "hybrid"
 
 
-class MeeAccessResult:
-    """Cost of one protected memory access.
-
-    A slotted plain class (not a dataclass): one is allocated per protected
-    DRAM access, which makes construction cost part of the simulator's
-    innermost loop.
-    """
-
-    __slots__ = (
-        "latency",
-        "counter_hit",
-        "counter_read_lines",
-        "counter_write_lines",
-        "reencrypt_lines",
-        "mac_read_lines",
-        "mac_write_lines",
-        "tree_read_lines",
-        "tree_write_lines",
-        "reencrypted_page",
-    )
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        """Re-initialize in place (scratch reuse on the replay path)."""
-        self.latency = 0.0
-        self.counter_hit = True
-        self.counter_read_lines = 0.0  # encryption traffic (reads)
-        self.counter_write_lines = 0.0  # encryption traffic (write-backs)
-        self.reencrypt_lines = 0.0  # encryption traffic (page re-encryption)
-        self.mac_read_lines = 0.0  # verification traffic
-        self.mac_write_lines = 0.0
-        self.tree_read_lines = 0.0
-        self.tree_write_lines = 0.0
-        self.reencrypted_page = False
-
-    @property
-    def encryption_lines(self) -> float:
-        return self.counter_read_lines + self.counter_write_lines + self.reencrypt_lines
-
-    @property
-    def verification_lines(self) -> float:
-        return (
-            self.mac_read_lines
-            + self.mac_write_lines
-            + self.tree_read_lines
-            + self.tree_write_lines
-        )
-
-
 @dataclass
 class _SplitBlock:
     major: int = 0
@@ -256,6 +205,19 @@ class MeeStats:
         )
 
 
+# Counter-cache keys are ints. The low two bits hold the line's kind, the
+# next six its tree level (0 for a counter or MAC line; a Bonsai tree over
+# any real DRAM is far shallower than 64 levels), the rest its index within
+# that kind and level. Only this module builds or reads them.
+_SPLIT = 0  # a split-counter block, or a node of the split tree
+_MAJOR = 1  # a major-counter block, or a node of the major tree
+_MAC = 2  # a MAC line: the MACs of 8 data lines
+_KIND_MASK = 3
+_LEVEL_SHIFT = 2
+_INDEX_SHIFT = 8
+_MAC_LINES_PER_PAGE = LINES_PER_PAGE // MACS_PER_LINE
+
+
 class MemoryEncryptionEngine:
     """Counter management, counter-cache simulation, and cost accounting."""
 
@@ -273,8 +235,6 @@ class MemoryEncryptionEngine:
         self.cache = CounterCache(config.counter_cache_bytes, config.cache_line_bytes)
         self.counters = CounterCore(scheme, config.minor_counter_limit)
         self.stats = MeeStats()
-        # runtime invariant monitor (repro.recovery); None = disabled
-        self.invariant_monitor = None
         self.split_tree_depth, self.major_tree_depth = self.tree_depths(config)
 
     @classmethod
@@ -301,296 +261,241 @@ class MemoryEncryptionEngine:
             depth += 1
         return depth
 
-    # -- tree walk simulation ----------------------------------------------------
-
-    def _tree_walk(
-        self, kind: str, leaf_index: int, depth: int, dirty: bool
-    ) -> Tuple[float, float, float]:
-        """Walk a counter's tree path through the cache.
-
-        Returns (read_lines, writeback_lines, serialized_levels). The walk
-        stops at the first cached (already verified) node on reads; updates
-        touch the whole path and dirty it.
-        """
-        reads = 0.0
-        writebacks = 0.0
-        serialized = 0.0
-        index = leaf_index
-        cache_access = self.cache.access
-        for level in range(1, depth + 1):
-            index //= TREE_ARITY
-            hit, victim = cache_access((kind, level, index), dirty=dirty)
-            if victim is not None:
-                writebacks += 1
-            if hit and not dirty:
-                break
-            if not hit:
-                reads += 1
-                serialized += 1
-        return reads, writebacks, serialized
-
-    def _is_counter_key(self, key) -> bool:
-        return isinstance(key, tuple) and isinstance(key[0], str) and key[0].startswith("ctr")
-
-    def _charge_victim(self, victim, result: MeeAccessResult) -> None:
-        if victim is None:
-            return
-        if self._is_counter_key(victim):
-            result.counter_write_lines += 1
-        elif victim[0] == "mac":
-            result.mac_write_lines += 1
-        else:
-            result.tree_write_lines += 1
-
-    # -- the two access paths ------------------------------------------------------
-
-    def read(self, page: int, line: int = 0, readonly: bool = True) -> MeeAccessResult:
-        """Account one protected cache-line read from DRAM.
-
-        On a counter-cache hit the OTP is precomputed and the MAC check is
-        pipelined with data use, so nothing lands on the critical path; a
-        miss serializes the counter fetch, the uncached tree walk, and the
-        OTP generation.
-        """
-        if not 0 <= line < LINES_PER_PAGE:
-            raise ValueError(f"line {line} out of range [0, {LINES_PER_PAGE})")
-        result = MeeAccessResult()
-        stats = self.stats
-        stats.data_reads += 1
-        scheme = self.scheme
-        if scheme is EncryptionScheme.NONE:
-            return result
-
-        # Inlined counter-line choice and stats booking: this method runs
-        # once per protected DRAM access (``replay`` inlines it again), so the
-        # common (hybrid, read-only, counter-hit) path avoids helper calls.
-        if scheme is EncryptionScheme.SPLIT_COUNTER:
-            use_split = True
-        else:
-            # HYBRID: read-only pages use major blocks unless already promoted
-            use_split = (not readonly) or page in self.counters.split
-        if use_split:
-            key = ("ctr-s", page)
-        else:
-            key = ("ctr-m", page // MAJOR_COUNTERS_PER_BLOCK)
-        hit, victim = self.cache.access(key)
-        if victim is not None:
-            self._charge_victim(victim, result)
-        result.counter_hit = hit
-        enc_latency = self.config.aes_delay  # OTP generation (pipelined on hits)
-        # §4.4: under the hybrid scheme, read-only pages never change, so
-        # their reads skip per-line MAC verification (the counter path is
-        # still authenticated on a miss). SC-64 verifies every access.
-        # ``use_split`` is False exactly on that skip path (NONE returned
-        # early, and SPLIT_COUNTER always splits).
-        verify_latency = self.mac_compute_time if use_split else 0.0
-        if hit:
-            critical = 0.0
-        else:
-            # serialized: fetch counter, authenticate the uncached tree path,
-            # then generate the OTP before the data can be decrypted
-            result.counter_read_lines += 1
-            if use_split:
-                depth = self.split_tree_depth
-            else:
-                depth = self.major_tree_depth
-            t_reads, t_wb, serialized = self._tree_walk(key[0], key[1], depth, dirty=False)
-            result.tree_read_lines += t_reads
-            result.tree_write_lines += t_wb
-            enc_latency += self.dram_latency * (1 + serialized) + self.config.aes_delay
-            verify_latency += self.mac_compute_time * serialized
-            critical = enc_latency
-        # The per-line data MAC rides in the DRAM spare area alongside the
-        # data burst, so reads pay MAC *compute* but no extra fetch traffic
-        # (this is what keeps read-side verification traffic at the ~2%
-        # Table 6 reports).
-        result.latency = enc_latency + verify_latency
-        stats.encryption_lines += (
-            result.counter_read_lines + result.counter_write_lines + result.reencrypt_lines
-        )
-        stats.verification_lines += (
-            result.mac_read_lines
-            + result.mac_write_lines
-            + result.tree_read_lines
-            + result.tree_write_lines
-        )
-        stats.encryption_latency_total += enc_latency
-        stats.encryption_ops += 1
-        if use_split:
-            stats.verification_latency_total += verify_latency
-            stats.verification_ops += 1
-        stats.critical_latency_total += critical
-        return result
-
-    def write(self, page: int, line: int = 0, readonly: bool = False) -> MeeAccessResult:
-        """Account one protected cache-line write back to DRAM.
-
-        ``readonly`` describes the page's *current* permission: writing a
-        read-only page under HYBRID triggers the dynamic permission change
-        of §4.4 (major counter promoted into the split tree, page
-        re-encrypted).
-        """
-        if not 0 <= line < LINES_PER_PAGE:
-            raise ValueError(f"line {line} out of range [0, {LINES_PER_PAGE})")
-        result = MeeAccessResult()
-        stats = self.stats
-        stats.data_writes += 1
-        scheme = self.scheme
-        if scheme is EncryptionScheme.NONE:
-            return result
-
-        enc_latency = self.config.aes_delay  # encrypt the outgoing line
-        verify_latency = self.mac_compute_time  # fresh MAC over the line
-
-        promoted, rekeyed = self.counters.bump(page, line, readonly)
-        if promoted:
-            stats.permission_promotions += 1
-            enc_latency += self._reencrypt_page(result)
-        if rekeyed:  # minor overflow: the page moved to a fresh major
-            stats.minor_overflows += 1
-            enc_latency += self._reencrypt_page(result)
-
-        cache_access = self.cache.access
-        hit, victim = cache_access(("ctr-s", page), dirty=True)
-        if victim is not None:
-            self._charge_victim(victim, result)
-        result.counter_hit = hit
-        if not hit:
-            result.counter_read_lines += 1  # fetch-for-ownership of the block
-            enc_latency += self.dram_latency
-
-        # the write dirties the tree path (BMT update) and the MAC line
-        t_reads, t_wb, _ = self._tree_walk("ctr-s", page, self.split_tree_depth, dirty=True)
-        result.tree_read_lines += t_reads
-        result.tree_write_lines += t_wb
-        mac_hit, mac_victim = cache_access(("mac", page, line // MACS_PER_LINE), dirty=True)
-        if mac_victim is not None:
-            self._charge_victim(mac_victim, result)
-        if not mac_hit:
-            result.mac_read_lines += 1
-
-        result.latency = enc_latency + verify_latency
-        # writes drain through the write buffer; only page re-encryption
-        # storms stall the pipeline (stats booked inline, as in ``read``)
-        critical = self._reencrypt_stall if result.reencrypted_page else 0.0
-        stats.encryption_lines += (
-            result.counter_read_lines + result.counter_write_lines + result.reencrypt_lines
-        )
-        stats.verification_lines += (
-            result.mac_read_lines
-            + result.mac_write_lines
-            + result.tree_read_lines
-            + result.tree_write_lines
-        )
-        stats.encryption_latency_total += enc_latency
-        stats.encryption_ops += 1
-        stats.verification_latency_total += verify_latency
-        stats.verification_ops += 1
-        stats.critical_latency_total += critical
-        monitor = self.invariant_monitor
-        if monitor is not None:
-            monitor.after_timing_mee_write(self, page, line)
-        return result
-
     def replay(self, events: "List[Tuple[int, int, bool, bool]]") -> None:
-        """Replay ``(page, line, is_write, readonly)`` events in bulk.
+        """Account ``(page, line, is_write, readonly)`` events, in order.
 
-        Bit-identical in stats to calling :meth:`read`/:meth:`write` per
-        event, but the dominant case — a counter-cache *hit* on a read —
-        runs without allocating a :class:`MeeAccessResult` at all. That is
-        sound because a hit never evicts (the cache only returns victims on
-        fills), so every per-access traffic field would be 0.0, and adding
-        0.0 to the non-negative stats accumulators is a bitwise no-op.
+        ``readonly`` is the page's current permission. A read whose counter
+        line is cached has its OTP precomputed and its MAC check pipelined
+        with data use, so nothing lands on the critical path; a miss
+        serializes the counter fetch, the uncached part of the tree walk
+        (which stops at the first cached, already verified node) and the OTP
+        generation. Under HYBRID a read-only page shares a major-counter
+        line with 7 others, and its reads skip the per-line MAC check
+        (§4.4); SC-64 verifies every access. The per-line data MAC rides in
+        the DRAM spare area with the data, so a read pays MAC compute but no
+        extra fetch (this is what keeps read-side verification traffic at
+        the ~2% Table 6 reports).
+
+        A write bumps the line's counter in :attr:`counters`. A write to a
+        read-only page under HYBRID promotes the page (§4.4), and a minor
+        overflow re-keys it; either re-encrypts all 64 lines, which streams
+        through the AES pipeline and is the only write cost that stalls it
+        (writes drain through the write buffer). The write then dirties the
+        page's counter line, its whole tree path and its MAC line.
+
+        State carries across calls. Counts are kept in locals and folded
+        into :attr:`stats` and :attr:`cache` when the call returns, or when a
+        line outside the page raises ``ValueError`` (the events before it
+        stay counted). Float totals are summed in event order, so they are
+        bit-identical to booking each access on its own.
         """
         stats = self.stats
-        scheme = self.scheme
-        if scheme is EncryptionScheme.NONE:
-            for _page, _line, is_write, _readonly in events:
+        if self.scheme is EncryptionScheme.NONE:
+            for _page, line, is_write, _readonly in events:
+                if not 0 <= line < LINES_PER_PAGE:
+                    raise ValueError(f"line {line} out of range [0, {LINES_PER_PAGE})")
                 if is_write:
                     stats.data_writes += 1
                 else:
                     stats.data_reads += 1
             return
+        cache = self.cache
+        lru = cache.lru
+        move_to_end = lru.move_to_end
+        get = lru.get
+        popitem = lru.popitem
+        capacity = cache.capacity_lines
         split = self.counters.split
-        cache_access = self.cache.access
-        config = self.config
+        bump = self.counters.bump
+        hybrid = self.scheme is EncryptionScheme.HYBRID
+        aes = self.config.aes_delay
         mac_time = self.mac_compute_time
-        hybrid = scheme is EncryptionScheme.HYBRID
-        # scratch record for the miss path: hoisted out of the loop and
-        # reset in place, so even misses stop allocating. It never escapes
-        # (its fields are folded into the run stats below).
-        scratch = MeeAccessResult()
-        for page, line, is_write, readonly in events:
-            if is_write:
-                self.write(page, line, readonly=readonly)
-                continue
-            if not 0 <= line < LINES_PER_PAGE:
-                raise ValueError(f"line {line} out of range [0, {LINES_PER_PAGE})")
-            stats.data_reads += 1
-            if hybrid:
-                use_split = (not readonly) or page in split
-            else:
-                use_split = True
-            if use_split:
-                key = ("ctr-s", page)
-            else:
-                key = ("ctr-m", page // MAJOR_COUNTERS_PER_BLOCK)
-            hit, victim = cache_access(key)
-            if hit:
-                # fast path: no traffic, nothing serialized, no allocation
-                stats.encryption_latency_total += config.aes_delay
-                stats.encryption_ops += 1
-                if use_split:
-                    stats.verification_latency_total += mac_time
-                    stats.verification_ops += 1
-                continue
-            # miss path: mirror read()'s accounting exactly
-            result = scratch
-            result.reset()
-            if victim is not None:
-                self._charge_victim(victim, result)
-            result.counter_hit = False
-            enc_latency = config.aes_delay
-            verify_latency = mac_time if use_split else 0.0
-            result.counter_read_lines += 1
-            depth = self.split_tree_depth if use_split else self.major_tree_depth
-            t_reads, t_wb, serialized = self._tree_walk(key[0], key[1], depth, dirty=False)
-            result.tree_read_lines += t_reads
-            result.tree_write_lines += t_wb
-            enc_latency += self.dram_latency * (1 + serialized) + config.aes_delay
-            verify_latency += mac_time * serialized
-            result.latency = enc_latency + verify_latency
-            stats.encryption_lines += (
-                result.counter_read_lines
-                + result.counter_write_lines
-                + result.reencrypt_lines
-            )
-            stats.verification_lines += (
-                result.mac_read_lines
-                + result.mac_write_lines
-                + result.tree_read_lines
-                + result.tree_write_lines
-            )
-            stats.encryption_latency_total += enc_latency
-            stats.encryption_ops += 1
-            if use_split:
-                stats.verification_latency_total += verify_latency
-                stats.verification_ops += 1
-            stats.critical_latency_total += enc_latency
+        dram = self.dram_latency
+        reencrypt_latency = LINES_PER_PAGE * aes
+        reencrypt_stall = LINES_PER_PAGE * (aes + dram)
+        reencrypt_lines = 2 * LINES_PER_PAGE  # read + write every line
+        # a tree walk's node keys less their index, one per level, leaf upwards
+        split_walk, major_walk = (
+            [level << _LEVEL_SHIFT | kind for level in range(1, depth + 1)]
+            for kind, depth in ((_SPLIT, self.split_tree_depth), (_MAJOR, self.major_tree_depth))
+        )
+        reads = writes = split_reads = 0
+        hits = misses = dirty_evictions = clean_evictions = 0
+        promotions = overflows = 0
+        encryption_lines = stats.encryption_lines
+        verification_lines = stats.verification_lines
+        encryption_total = stats.encryption_latency_total
+        verification_total = stats.verification_latency_total
+        critical_total = stats.critical_latency_total
+        try:
+            for page, line, is_write, readonly in events:
+                if not 0 <= line < LINES_PER_PAGE:
+                    raise ValueError(f"line {line} out of range [0, {LINES_PER_PAGE})")
+                if not is_write:
+                    reads += 1
+                    # HYBRID: a read-only page uses its major-counter line
+                    # unless a write has promoted it
+                    use_split = not (hybrid and readonly) or page in split
+                    if use_split:
+                        leaf = page
+                        key = leaf << _INDEX_SHIFT | _SPLIT
+                    else:
+                        leaf = page // MAJOR_COUNTERS_PER_BLOCK
+                        key = leaf << _INDEX_SHIFT | _MAJOR
+                    if key in lru:
+                        hits += 1
+                        move_to_end(key)
+                        encryption_total += aes
+                        if use_split:
+                            split_reads += 1
+                            verification_total += mac_time
+                        continue
+                    misses += 1
+                    counter_wb = mac_wb = tree_wb = fetched = 0
+                    if len(lru) >= capacity:
+                        victim, victim_dirty = popitem(False)
+                        if victim_dirty:
+                            dirty_evictions += 1
+                            # classed by the evicting access, not its own kind (ROADMAP: fidelity)
+                            if victim & _KIND_MASK == _MAC:
+                                mac_wb = 1
+                            else:
+                                counter_wb = 1
+                        else:
+                            clean_evictions += 1
+                    lru[key] = False
+                    for tag in split_walk if use_split else major_walk:
+                        leaf //= TREE_ARITY
+                        node = leaf << _INDEX_SHIFT | tag
+                        if node in lru:
+                            hits += 1
+                            move_to_end(node)
+                            break
+                        misses += 1
+                        if len(lru) >= capacity:
+                            if popitem(False)[1]:
+                                dirty_evictions += 1
+                                tree_wb += 1
+                            else:
+                                clean_evictions += 1
+                        lru[node] = False
+                        fetched += 1
+                    encryption_lines += 1 + counter_wb
+                    verification_lines += mac_wb + fetched + tree_wb
+                    # fetch the counter and each uncached node in turn, then
+                    # generate the OTP before the data can be decrypted
+                    latency = aes + (dram * (1 + fetched) + aes)
+                    encryption_total += latency
+                    if use_split:
+                        split_reads += 1
+                        verification_total += mac_time + mac_time * fetched
+                    critical_total += latency
+                    continue
 
-    # -- helpers ----------------------------------------------------------------
-
-    @property
-    def _reencrypt_stall(self) -> float:
-        return LINES_PER_PAGE * (self.config.aes_delay + self.dram_latency)
-
-    def _reencrypt_page(self, result: MeeAccessResult) -> float:
-        """Re-encrypt all 64 lines of a page under a fresh counter."""
-        result.reencrypt_lines += 2 * LINES_PER_PAGE  # read + write every line
-        result.reencrypted_page = True
-        self.stats.reencryptions += 1
-        # the re-encryption streams through the AES pipeline
-        return LINES_PER_PAGE * self.config.aes_delay
+                writes += 1
+                latency = aes
+                reencrypted = 0
+                promoted, rekeyed = bump(page, line, readonly)
+                if promoted:
+                    promotions += 1
+                    reencrypted += reencrypt_lines
+                    latency += reencrypt_latency
+                if rekeyed:
+                    overflows += 1
+                    reencrypted += reencrypt_lines
+                    latency += reencrypt_latency
+                counter_read = counter_wb = mac_read = mac_wb = tree_read = tree_wb = 0
+                # counter line, fetched for ownership on a miss; then the
+                # page's tree path and its MAC line. Each touch dirties its
+                # line and moves it to the most recently used end.
+                key = page << _INDEX_SHIFT | _SPLIT
+                dirty = get(key)
+                if dirty is None:
+                    misses += 1
+                    counter_read = 1
+                    latency += dram
+                    if len(lru) >= capacity:
+                        victim, victim_dirty = popitem(False)
+                        if victim_dirty:
+                            dirty_evictions += 1
+                            if victim & _KIND_MASK == _MAC:
+                                mac_wb = 1
+                            else:
+                                counter_wb = 1
+                        else:
+                            clean_evictions += 1
+                    lru[key] = True
+                else:
+                    hits += 1
+                    move_to_end(key)
+                    if not dirty:
+                        lru[key] = True
+                leaf = page
+                for tag in split_walk:
+                    leaf //= TREE_ARITY
+                    node = leaf << _INDEX_SHIFT | tag
+                    dirty = get(node)
+                    if dirty is None:
+                        misses += 1
+                        tree_read += 1
+                        if len(lru) >= capacity:
+                            if popitem(False)[1]:
+                                dirty_evictions += 1
+                                tree_wb += 1
+                            else:
+                                clean_evictions += 1
+                        lru[node] = True
+                    else:
+                        hits += 1
+                        move_to_end(node)
+                        if not dirty:
+                            lru[node] = True
+                key = (
+                    (page * _MAC_LINES_PER_PAGE + line // MACS_PER_LINE) << _INDEX_SHIFT | _MAC
+                )
+                dirty = get(key)
+                if dirty is None:
+                    misses += 1
+                    mac_read = 1
+                    if len(lru) >= capacity:
+                        victim, victim_dirty = popitem(False)
+                        if victim_dirty:
+                            dirty_evictions += 1
+                            if victim & _KIND_MASK == _MAC:
+                                mac_wb += 1
+                            else:
+                                counter_wb += 1
+                        else:
+                            clean_evictions += 1
+                    lru[key] = True
+                else:
+                    hits += 1
+                    move_to_end(key)
+                    if not dirty:
+                        lru[key] = True
+                if reencrypted:
+                    critical_total += reencrypt_stall
+                encryption_lines += counter_read + counter_wb + reencrypted
+                verification_lines += mac_read + mac_wb + tree_read + tree_wb
+                encryption_total += latency
+                verification_total += mac_time
+        finally:
+            stats.data_reads += reads
+            stats.data_writes += writes
+            stats.encryption_ops += reads + writes
+            stats.verification_ops += split_reads + writes
+            stats.permission_promotions += promotions
+            stats.minor_overflows += overflows
+            stats.reencryptions += promotions + overflows
+            stats.encryption_lines = encryption_lines
+            stats.verification_lines = verification_lines
+            stats.encryption_latency_total = encryption_total
+            stats.verification_latency_total = verification_total
+            stats.critical_latency_total = critical_total
+            cache.hits += hits
+            cache.misses += misses
+            cache.dirty_evictions += dirty_evictions
+            cache.clean_evictions += clean_evictions
 
     # -- aggregates -----------------------------------------------------------------
 

@@ -67,8 +67,9 @@ class ChaosReport(Record):
     nvme_statuses: Dict[str, int] = field(default_factory=dict)
     ftl_counters: Dict[str, int] = field(default_factory=dict)
     # the FTL's reads per flash block after the last op (the counts live in
-    # SSD DRAM, so they restart at each power-loss rebuild): the one field
-    # that shows which LPAs the run read
+    # SSD DRAM, so they restart at each power-loss rebuild, and an erase ends
+    # its block's count): the one field that moves with which LPAs the run
+    # read, as far as the blocks read have not been erased since
     block_reads: Dict[int, int] = field(default_factory=dict)
     invariant_violations: int = 0
     event_log: List[str] = field(default_factory=list)

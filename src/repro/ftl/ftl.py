@@ -507,6 +507,9 @@ class Ftl(Stateful):
             cost.gc = gc_total
             self.stats.gc_relocations += gc_total.pages_relocated
             self.stats.gc_erases += gc_total.blocks_erased
+            # an erase ends a block's read disturb, as a refresh does
+            for block in gc_total.victims:
+                self._block_read_counts.pop(block, None)
             if monitor is not None:
                 monitor.after_ftl_step(self, "gc")
 
@@ -516,6 +519,7 @@ class Ftl(Stateful):
             cost.page_programs += wl.pages_moved
             cost.block_erases += wl.migrations
             self.stats.wl_migrations += wl.migrations
+            self._block_read_counts.pop(wl.block, None)
             if monitor is not None:
                 monitor.after_ftl_step(self, "wear_level")
         return cost
@@ -531,5 +535,6 @@ class Ftl(Stateful):
         return len(self.mapping) / self.logical_pages
 
     def block_read_counts(self) -> Dict[int, int]:
-        """Reads per block since the last power-loss rebuild or refresh (a copy)."""
+        """Reads per block since its last erase (by GC, wear leveling or a
+        refresh) or the last power-loss rebuild (a copy)."""
         return dict(self._block_read_counts)

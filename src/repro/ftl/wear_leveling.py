@@ -23,6 +23,7 @@ from repro.sim.state import Stateful
 class WearLevelResult:
     migrations: int = 0
     pages_moved: int = 0
+    block: Optional[int] = None  # the block migrated and erased, if any
 
 
 class WearLeveler(Stateful):
@@ -113,6 +114,7 @@ class WearLeveler(Stateful):
             moved += 1
         self.chip.erase(cold)
         self.allocator.release_block(cold)
+        result.block = cold
         result.migrations = 1
         result.pages_moved = moved
         self.total_migrations += 1

@@ -25,7 +25,7 @@ plus a handful of sampled events, not a per-line Python loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.crypto.prng import XorShift64
 
@@ -128,35 +128,41 @@ class TraceRecorder:
 
     # -- internal ---------------------------------------------------------------
 
-    def _sample_slots(self, count: int) -> List[int]:
-        """Offsets (within a run of ``count`` DRAM accesses) to sample.
+    def _bursts(self, count: int) -> List[Tuple[int, int]]:
+        """``(start, stop)`` offsets, within a run of ``count`` DRAM accesses,
+        of the sampled bursts.
 
         Sampling happens in *bursts* of ``burst_length`` consecutive
-        accesses out of every ``burst_length * sample_every`` — one access
+        accesses out of every ``burst_length * sample_every``: one access
         in ``sample_every`` overall, but with intra-burst spatial locality
         preserved, which the MEE's counter-coverage behaviour depends on.
+        The bursts together hold at most the room left under
+        ``max_samples``; the last one may be cut short by it.
         """
-        period = self.burst_length * self.sample_every
+        burst = self.burst_length
+        period = burst * self.sample_every
         room = self.max_samples - len(self.trace.events)
-        if room <= 0:
-            self._tick += count
-            return []
-        slots = []
-        offset = self._tick % period
+        bursts = []
         pos = 0
-        while pos < count and len(slots) < room:
-            in_period = (offset + pos) % period
-            if in_period < self.burst_length:
-                slots.append(pos)
-                pos += 1
+        in_period = self._tick % period
+        while pos < count and room > 0:
+            if in_period < burst:
+                stop = min(count, pos + burst - in_period, pos + room)
+                bursts.append((pos, stop))
+                room -= stop - pos
+                in_period += stop - pos
+                pos = stop
             else:
                 pos += period - in_period  # jump to the next burst start
+                in_period = 0
         self._tick += count
-        return slots
+        return bursts
 
-    @staticmethod
-    def _page_line(region_base: int, line_index: int) -> Tuple[int, int]:
-        return region_base + line_index // LINES_PER_PAGE, line_index % LINES_PER_PAGE
+    def _record(self, region: int, lines: Iterable[int], is_write: bool, readonly: bool) -> None:
+        """Append one burst's events, given its line indices within ``region``."""
+        self.trace.events.extend([
+            (region + i // LINES_PER_PAGE, i % LINES_PER_PAGE, is_write, readonly) for i in lines
+        ])
 
     # -- operator-facing API --------------------------------------------------------
 
@@ -168,9 +174,9 @@ class TraceRecorder:
         lines = max(1, int(nbytes) // LINE_BYTES)
         self.trace.cpu_reads += lines
         self.trace.dram_reads += lines
-        for offset in self._sample_slots(lines):
-            page, line = self._page_line(INPUT_REGION_PAGE, self._input_cursor + offset)
-            self.trace.events.append((page, line, False, True))
+        cursor = self._input_cursor
+        for start, stop in self._bursts(lines):
+            self._record(INPUT_REGION_PAGE, range(cursor + start, cursor + stop), False, True)
         self._input_cursor += lines
 
     def read_workset(
@@ -229,19 +235,19 @@ class TraceRecorder:
             else:
                 self.trace.dram_reads += dram_count
         region = INPUT_REGION_PAGE if readonly else WORKSET_REGION_PAGE
-        for _ in self._sample_slots(dram_count):
-            idx = self._rng.next_below(lines)
-            page, line = self._page_line(region, idx)
-            self.trace.events.append((page, line, is_write, readonly))
+        next_below = self._rng.next_below
+        for start, stop in self._bursts(dram_count):
+            drawn = [next_below(lines) for _ in range(start, stop)]
+            self._record(region, drawn, is_write, readonly)
 
     def write_output(self, nbytes: int) -> None:
         """Sequential writes of results/intermediate data."""
         lines = max(1, int(nbytes) // LINE_BYTES)
         self.trace.cpu_writes += lines
         self.trace.dram_writes += lines
-        for offset in self._sample_slots(lines):
-            page, line = self._page_line(OUTPUT_REGION_PAGE, self._output_cursor + offset)
-            self.trace.events.append((page, line, True, False))
+        cursor = self._output_cursor
+        for start, stop in self._bursts(lines):
+            self._record(OUTPUT_REGION_PAGE, range(cursor + start, cursor + stop), True, False)
         self._output_cursor += lines
 
     def finish(self) -> AccessTrace:

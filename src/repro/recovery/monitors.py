@@ -17,8 +17,8 @@ The monitor catalog (see docs/RECOVERY.md):
   block still verifies against the on-chip Merkle root
   (:meth:`MonitorSuite.after_mee_commit`);
 - **counter-monotonic** — encryption counters only move forward, checked
-  against a shadow copy per (enclave, page, line) on both the functional
-  and the timing MEE, across a tenant's enclave generations;
+  against a shadow copy per (enclave, page, line) after every functional-MEE
+  commit, across a tenant's enclave generations;
 - **ftl-mapping** — mapping bijectivity, media state, OOB agreement and
   valid-page accounting after every GC pass, wear-level migration and
   power-loss rebuild (:meth:`MonitorSuite.after_ftl_step`, delegating to
@@ -87,7 +87,7 @@ class MonitorSuite:
         ftl.invariant_monitor = self
 
     def attach_mee(self, mee: Any, label: str) -> None:
-        """Arm the Merkle/counter monitors on an MEE (functional or timing).
+        """Arm the Merkle/counter monitors on a tenant's functional MEE.
 
         Re-attaching under the same label, as a tenant restart does with its
         fresh enclave generation, keeps that label's counter shadows: the new
@@ -136,12 +136,6 @@ class MonitorSuite:
             mee.verify_counter_block(page)
         except IntegrityError as exc:
             self._fail("merkle-root", label, str(exc))
-        self._check_counter(label, page, line, mee.counters.pair(page, line))
-
-    def after_timing_mee_write(self, mee: Any, page: int, line: int) -> None:
-        """Timing MEE: (major, minor) counters only move forward."""
-        label = getattr(mee, "invariant_label", "mee-timing")
-        self.stats.invariant_checks += 1
         self._check_counter(label, page, line, mee.counters.pair(page, line))
 
     def _check_counter(

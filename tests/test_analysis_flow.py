@@ -215,6 +215,18 @@ class TestGraphExport:
         ]
         assert "repro.core.fixture_flow_tcb.stretch" in callers
 
+    def test_cli_graph_to_stdout_is_one_document(self, capsys):
+        """With ``--graph -`` stdout is the graph alone; the findings
+        report goes to stderr."""
+        code = lint_main(
+            [str(FIXTURES), "--no-baseline", "--root", str(FIXTURES), "--graph", "-"]
+        )
+        assert code == 1  # the fixtures carry findings
+        captured = capsys.readouterr()
+        graph = json.loads(captured.out)
+        assert "key_tcb" in graph
+        assert "finding(s)" in captured.err
+
 
     def test_container_receivers_take_no_same_name_edge(self):
         result = analyze_paths(

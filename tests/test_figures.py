@@ -33,6 +33,7 @@ from repro.platform.schemes import (
 )
 from repro.query.trace import subsample_events
 from repro.workloads import workload_by_name
+from tests.mee_reference import ReferenceMee, per_access
 
 SUBSET = ("filter", "tpch-q1", "tpcc")
 
@@ -52,13 +53,6 @@ def replay_events():
     """A short TPC-C trace: reads and writes, read-only and writable pages."""
     return workload_by_name("tpcc", seed=11).run().trace.events[:8000]
 
-
-def per_access(mee, events):
-    """Drive ``mee`` one event at a time through ``read()``/``write()``: the
-    per-access path ``replay`` is checked against."""
-    for page, line, is_write, readonly in events:
-        (mee.write if is_write else mee.read)(page, line, readonly=readonly)
-    return mee.stats
 
 
 class TestSeriesBuilders:
@@ -233,10 +227,9 @@ class TestReplayReuse:
             assert repr(traffic[name]) == repr(expected)
             # every default trace fits the sample limit, so the per-access
             # path over its first ``mee_sample_limit`` events agrees too
-            stats = per_access(
-                MemoryEncryptionEngine(config.iceclave, EncryptionScheme.HYBRID),
-                profile.trace.events[:config.mee_sample_limit],
-            )
+            reference = ReferenceMee(config.iceclave, EncryptionScheme.HYBRID)
+            per_access(reference, profile.trace.events[:config.mee_sample_limit])
+            stats = reference.stats
             per_event = (stats.encryption_extra_traffic(), stats.verification_extra_traffic())
             assert repr(traffic[name]) == repr(per_event)
 
@@ -244,7 +237,7 @@ class TestReplayReuse:
         """Table 5's replayed latencies equal a HYBRID engine driven per access."""
         table5_profiles = {n: workload_by_name(n).run() for n in TABLE5_WORKLOADS}
         measured = table5_overhead_sources(table5_profiles, config)
-        mee = MemoryEncryptionEngine(config=config.iceclave, scheme=EncryptionScheme.HYBRID)
+        mee = ReferenceMee(config=config.iceclave, scheme=EncryptionScheme.HYBRID)
         for name in TABLE5_WORKLOADS:
             per_access(mee, table5_profiles[name].trace.events[:TABLE5_PREFIX])
         assert repr(measured["memory_encryption"]) == repr(mee.stats.mean_encryption_latency())

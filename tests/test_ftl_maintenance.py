@@ -1,4 +1,5 @@
-"""Tests for FTL maintenance machinery: read-disturb refresh."""
+"""Tests for FTL maintenance machinery: read-disturb refresh, and the GC and
+wear-leveling erases that end a block's read count."""
 
 import pytest
 
@@ -72,3 +73,48 @@ class TestReadDisturb:
         with pytest.raises(ValueError):
             Ftl(geo, chip=FlashChip(geo), read_disturb_threshold=0)
 
+
+
+class TestEraseEndsReadDisturb:
+    """A block erased by GC or by wear leveling starts its read-disturb
+    count afresh, as a refreshed block does."""
+
+    def make_ftl(self, wear_threshold=16):
+        geo = tiny_geometry()
+        chip = FlashChip(geo, store_data=True)
+        return Ftl(geo, chip=chip, wear_threshold=wear_threshold)
+
+    def test_gc_erase_drops_the_read_count(self):
+        ftl = self.make_ftl()
+        for lpa in range(16):
+            ftl.write(lpa, b"first")  # fills both planes' first blocks
+        block = ftl.geometry.block_of(ftl.translate(0))
+        for _ in range(3):
+            ftl.read(0)
+        assert ftl.block_read_counts()[block] == 3
+        erased = []
+        for i in range(200):
+            cost = ftl.write(i % 16, b"overwrite")  # invalidates the whole block
+            if cost.gc is not None:
+                erased.extend(cost.gc.victims)
+            if block in erased:
+                break
+        assert block in erased
+        assert ftl.block_read_counts().get(block, 0) == 0
+
+    def test_wear_leveling_erase_drops_the_read_count(self):
+        ftl = self.make_ftl(wear_threshold=1)
+        for lpa in range(8):
+            ftl.write(lpa, b"cold")  # a block of cold data that never changes
+        cold_ppa = ftl.translate(0)
+        block = ftl.geometry.block_of(cold_ppa)
+        for _ in range(3):
+            ftl.read(0)
+        migrations = ftl.stats.wl_migrations
+        for i in range(400):
+            cost = ftl.write(8 + i % 4, b"hot")  # wears the other blocks
+            if ftl.translate(0) != cold_ppa:
+                break
+        assert ftl.stats.wl_migrations > migrations
+        assert cost.gc is None or block not in cost.gc.victims  # moved by leveling
+        assert ftl.block_read_counts().get(block, 0) == 0

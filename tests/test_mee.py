@@ -5,46 +5,43 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import CounterCache, EncryptionScheme, IceClaveConfig, IntegrityError
 from repro.core.functional_mee import FunctionalMee
-from repro.core.mee import (
-    LINES_PER_PAGE,
-    MAJOR_COUNTERS_PER_BLOCK,
-    MemoryEncryptionEngine,
-)
+from repro.core.mee import LINES_PER_PAGE, MAJOR_COUNTERS_PER_BLOCK
+from tests.mee_reference import ReferenceMee, cache_access
 
 
 def make_mee(scheme=EncryptionScheme.HYBRID, cache_kib=128):
     config = IceClaveConfig(counter_cache_bytes=cache_kib * 1024)
-    return MemoryEncryptionEngine(config=config, scheme=scheme)
+    return ReferenceMee(config=config, scheme=scheme)
 
 
 class TestCounterCache:
     def test_hit_miss(self):
         cache = CounterCache(1024)
-        hit, _ = cache.access("a")
+        hit, _ = cache_access(cache, "a")
         assert not hit
-        hit, _ = cache.access("a")
+        hit, _ = cache_access(cache, "a")
         assert hit
 
     def test_dirty_eviction_returns_victim(self):
         cache = CounterCache(2 * 64)  # 2 lines
-        cache.access("a", dirty=True)
-        cache.access("b")
-        _, victim = cache.access("c")  # evicts dirty "a"
+        cache_access(cache, "a", dirty=True)
+        cache_access(cache, "b")
+        _, victim = cache_access(cache, "c")  # evicts dirty "a"
         assert victim == "a"
         assert cache.dirty_evictions == 1
 
     def test_clean_eviction_returns_none(self):
         cache = CounterCache(2 * 64)
-        cache.access("a")
-        cache.access("b")
-        _, victim = cache.access("c")
+        cache_access(cache, "a")
+        cache_access(cache, "b")
+        _, victim = cache_access(cache, "c")
         assert victim is None
         assert cache.clean_evictions == 1
 
     def test_flush_counts_dirty(self):
         cache = CounterCache(1024)
-        cache.access("a", dirty=True)
-        cache.access("b")
+        cache_access(cache, "a", dirty=True)
+        cache_access(cache, "b")
         assert cache.flush() == 1
 
     def test_too_small_rejected(self):
@@ -305,7 +302,7 @@ class TestMinorCounterOverflow:
         """One write sequence (runs of writes to one line), both engines:
         equal (major, minor) on every line after every write, and equal
         overflow counts."""
-        timing = MemoryEncryptionEngine(scheme=EncryptionScheme.SPLIT_COUNTER)
+        timing = ReferenceMee(scheme=EncryptionScheme.SPLIT_COUNTER)
         functional = FunctionalMee(2, b"k" * 16, b"m" * 16)
         for page, line, count in runs:
             for _ in range(count):
@@ -321,7 +318,7 @@ class TestMinorCounterOverflow:
             assert functional.read_line(page, line) == bytes([page, line]) * 8
 
     def test_counters_match_the_timing_engine_at_full_width(self):
-        timing = MemoryEncryptionEngine(scheme=EncryptionScheme.SPLIT_COUNTER)
+        timing = ReferenceMee(scheme=EncryptionScheme.SPLIT_COUNTER)
         functional = FunctionalMee(1, b"k" * 16, b"m" * 16)
         for i in range(300):
             line = 0 if i % 3 else 1

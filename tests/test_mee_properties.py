@@ -1,14 +1,19 @@
-"""Property-based tests for MEE counter-state invariants."""
+"""Property-based tests for MEE counter-state invariants, and the engine's
+replay against the per-access reference."""
 
-from hypothesis import given, settings, strategies as st
+import struct
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import EncryptionScheme, IceClaveConfig
 from repro.core.mee import LINES_PER_PAGE, CounterCore, MemoryEncryptionEngine
+from tests.mee_reference import ReferenceMee, per_access
 
 
 def make_mee(scheme=EncryptionScheme.HYBRID, minor_bits=7):
     config = IceClaveConfig(minor_counter_bits=minor_bits)
-    return MemoryEncryptionEngine(config=config, scheme=scheme)
+    return ReferenceMee(config=config, scheme=scheme)
 
 
 ops = st.lists(
@@ -137,3 +142,69 @@ class TestCounterInvariants:
             assert result.latency == 0.0
             assert result.encryption_lines == 0.0
             assert result.verification_lines == 0.0
+
+
+@st.composite
+def replay_calls(draw):
+    """Batches of events over at most 8 pages, each with the pages to make
+    read-only after it. A batch mixes single accesses of either permission
+    (a write to a read-only page promotes it), scans of a few lines of one
+    page (repeat reads of a counter line), and runs of writes to one line
+    long enough to overflow its minor counter. Few pages make shared
+    counter lines and re-fetches common."""
+    page = st.integers(0, draw(st.integers(1, 8)) - 1)
+    line = st.integers(0, LINES_PER_PAGE - 1)
+    access = st.tuples(page, line, st.booleans(), st.booleans()).map(lambda event: [event])
+    scan = st.tuples(page, st.booleans(), st.integers(2, 8)).map(
+        lambda scan: [(scan[0], line, False, scan[1]) for line in range(scan[2])]
+    )
+    run = st.tuples(page, line, st.integers(128, 200)).map(
+        lambda run: [(run[0], run[1], True, False)] * run[2]
+    )
+    batch = st.lists(st.one_of(access, access, scan, scan, run), max_size=24).map(
+        lambda parts: [event for part in parts for event in part]
+    )
+    return draw(st.lists(st.tuples(batch, st.lists(page, max_size=2)), max_size=4))
+
+
+class TestReplayMatchesReference:
+    @pytest.mark.parametrize("scheme", list(EncryptionScheme))
+    @given(
+        # counter-cache lines: at 1-8 every kind of line is evicted dirty and
+        # clean; a read's lines (counter + tree path) stay resident from 8 up
+        st.integers(1, 8) | st.sampled_from([16, 64, 2048]),
+        replay_calls(),
+    )
+    # a repeat read under the other permission uses the other counter line
+    @example(2048, [([(0, 0, False, True), (0, 1, False, True), (0, 2, False, False)], [])])
+    # a write between two reads of a page evicts the page's counter line
+    @example(8, [([(0, 0, False, False), (0, 1, False, False), (1, 0, True, False),
+                   (0, 2, False, False)], [])])
+    # a write hit on a clean tree node dirties it; the next read evicts it
+    @example(8, [([(0, 0, False, False), (0, 0, True, False), (64, 0, False, False)], [])])
+    @settings(max_examples=80, deadline=None)
+    def test_replay_equals_the_per_access_reference(self, scheme, cache_lines, calls):
+        """``replay`` over several calls, with pages made read-only between
+        them, books every statistic bit for bit as the reference does one
+        access at a time, and leaves every counter where it leaves it."""
+        config = IceClaveConfig(counter_cache_bytes=cache_lines * 64)
+        engine = MemoryEncryptionEngine(config=config, scheme=scheme)
+        reference = ReferenceMee(config=config, scheme=scheme)
+        touched = set()
+        for batch, demoted in calls:
+            engine.replay(batch)
+            per_access(reference, batch)
+            for page in demoted:
+                engine.counters.make_readonly(page)
+                reference.counters.make_readonly(page)
+            touched.update((page, line) for page, line, _, _ in batch)
+            for name, value in vars(reference.stats).items():
+                other = getattr(engine.stats, name)
+                if isinstance(value, float):
+                    assert struct.pack("d", value) == struct.pack("d", other), name
+                else:
+                    assert value == other, name
+            for name in ("hits", "misses", "dirty_evictions", "clean_evictions"):
+                assert getattr(engine.cache, name) == getattr(reference.cache, name), name
+            for page, line in touched:
+                assert engine.counters.pair(page, line) == reference.counters.pair(page, line)

@@ -3,8 +3,8 @@ cancel-compaction bound, and the memo registry.
 
 The load-bearing property is *byte-identity*: the parallel runner must
 produce exactly the same results as the serial path (same fingerprints,
-same CSV bytes), and the MEE bulk replay must be bit-identical to calling
-read()/write() per event. Everything else — speed — is perfbench's job,
+same CSV bytes), and the MEE replay must be bit-identical to the per-access
+reference engine in ``tests/mee_reference.py``. Everything else — speed — is perfbench's job,
 not the test suite's.
 """
 
@@ -22,11 +22,13 @@ from repro.perf.parallel import (
 )
 from repro.perf.profiler import profile_run
 from repro.platform.config import PlatformConfig
+from repro.platform.figures import WORKLOAD_ORDER
 from repro.platform.schemes import SCHEMES
 from repro.query.trace import subsample_events
 from repro.sim.engine import _COMPACT_MIN_QUEUE, Engine
 from repro.sim.stats import memo_cache_stats
 from repro.workloads import workload_by_name
+from tests.mee_reference import ReferenceMee, per_access
 
 
 # -- parallel runner: bit-determinism -----------------------------------------
@@ -97,46 +99,56 @@ class TestRunResultFingerprint:
 # -- MEE bulk replay ----------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def table4_events():
+    """Each Table-4 workload's MEE sample, as the platform replays it."""
+    limit = PlatformConfig().mee_sample_limit
+    return {
+        name: subsample_events(workload_by_name(name).run().trace.events, limit)
+        for name in WORKLOAD_ORDER
+    }
+
+
 class TestMeeReplay:
     @pytest.mark.parametrize(
         "scheme",
         [EncryptionScheme.NONE, EncryptionScheme.SPLIT_COUNTER, EncryptionScheme.HYBRID],
     )
-    def test_replay_bit_identical_to_per_call_loop(self, scheme):
+    def test_replay_bit_identical_to_per_call_loop(self, scheme, table4_events):
         config = PlatformConfig()
-        events = subsample_events(
-            workload_by_name("tpcc").run().trace.events, config.mee_sample_limit
-        )
-        assert events, "trace must not be empty"
-        loop = MemoryEncryptionEngine(
-            config=config.iceclave, scheme=scheme,
-            dram_latency=config.isc_core.dram_latency_s,
-        )
-        for page, line, is_write, readonly in events:
-            if is_write:
-                loop.write(page, line, readonly=readonly)
-            else:
-                loop.read(page, line, readonly=readonly)
-        bulk = MemoryEncryptionEngine(
-            config=config.iceclave, scheme=scheme,
-            dram_latency=config.isc_core.dram_latency_s,
-        )
-        bulk.replay(events)
-        for key, value in vars(loop.stats).items():
-            other = vars(bulk.stats)[key]
-            if isinstance(value, float):
-                # bitwise, not approx: replay must not reorder float adds
-                assert struct.pack("d", value) == struct.pack("d", other), key
-            else:
-                assert value == other, key
-        assert (loop.cache.hits, loop.cache.misses) == (bulk.cache.hits, bulk.cache.misses)
-        assert loop.cache.dirty_evictions == bulk.cache.dirty_evictions
+        for workload in WORKLOAD_ORDER:
+            events = table4_events[workload]
+            assert events, f"{workload}: trace must not be empty"
+            loop = ReferenceMee(
+                config=config.iceclave, scheme=scheme,
+                dram_latency=config.isc_core.dram_latency_s,
+            )
+            per_access(loop, events)
+            bulk = MemoryEncryptionEngine(
+                config=config.iceclave, scheme=scheme,
+                dram_latency=config.isc_core.dram_latency_s,
+            )
+            bulk.replay(events)
+            for key, value in vars(loop.stats).items():
+                other = vars(bulk.stats)[key]
+                if isinstance(value, float):
+                    # bitwise, not approx: replay must not reorder float adds
+                    assert struct.pack("d", value) == struct.pack("d", other), (workload, key)
+                else:
+                    assert value == other, (workload, key)
+            cache, bulk_cache = loop.cache, bulk.cache
+            assert (cache.hits, cache.misses) == (bulk_cache.hits, bulk_cache.misses), workload
+            assert cache.dirty_evictions == bulk_cache.dirty_evictions, workload
+            assert cache.clean_evictions == bulk_cache.clean_evictions, workload
 
     def test_replay_rejects_bad_line(self):
         config = PlatformConfig()
-        mee = MemoryEncryptionEngine(config=config.iceclave)
-        with pytest.raises(ValueError):
-            mee.replay([(0, 10_000, False, True)])
+        for scheme in EncryptionScheme:
+            mee = MemoryEncryptionEngine(config=config.iceclave, scheme=scheme)
+            with pytest.raises(ValueError):
+                mee.replay([(0, 0, False, True), (0, 10_000, True, False)])
+            assert mee.stats.data_reads == 1, scheme  # the events before it stay counted
+            assert mee.stats.data_writes == 0, scheme
 
 
 # -- engine: cancel compaction ------------------------------------------------

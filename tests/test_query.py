@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.query.operators import (
     OpStats,
@@ -13,7 +13,14 @@ from repro.query.operators import (
     scan,
 )
 from repro.query.table import Table
-from repro.query.trace import TraceRecorder
+from repro.query.trace import (
+    INPUT_REGION_PAGE,
+    LINE_BYTES,
+    LINES_PER_PAGE,
+    OUTPUT_REGION_PAGE,
+    WORKSET_REGION_PAGE,
+    TraceRecorder,
+)
 
 
 def make_table(n=100, seed=3):
@@ -202,6 +209,125 @@ class TestTraceRecorder:
             TraceRecorder(sample_every=0)
         with pytest.raises(ValueError):
             TraceRecorder().read_workset(100, 10, hot_fraction=1.0)
+
+
+class SlotRecorder(TraceRecorder):
+    """The recorder as it sampled one slot at a time: the reference that
+    burst-wise sampling must reproduce event for event."""
+
+    def _sample_slots(self, count):
+        period = self.burst_length * self.sample_every
+        room = self.max_samples - len(self.trace.events)
+        if room <= 0:
+            self._tick += count
+            return []
+        slots = []
+        offset = self._tick % period
+        pos = 0
+        while pos < count and len(slots) < room:
+            in_period = (offset + pos) % period
+            if in_period < self.burst_length:
+                slots.append(pos)
+                pos += 1
+            else:
+                pos += period - in_period  # jump to the next burst start
+        self._tick += count
+        return slots
+
+    @staticmethod
+    def _page_line(region_base, line_index):
+        return region_base + line_index // LINES_PER_PAGE, line_index % LINES_PER_PAGE
+
+    def read_input(self, nbytes):
+        lines = max(1, int(nbytes) // LINE_BYTES)
+        self.trace.cpu_reads += lines
+        self.trace.dram_reads += lines
+        for offset in self._sample_slots(lines):
+            page, line = self._page_line(INPUT_REGION_PAGE, self._input_cursor + offset)
+            self.trace.events.append((page, line, False, True))
+        self._input_cursor += lines
+
+    def _workset(self, working_set_bytes, count, hot_fraction, is_write, readonly=False):
+        if count <= 0:
+            return
+        if not 0.0 <= hot_fraction < 1.0:
+            raise ValueError("hot_fraction must lie in [0, 1)")
+        lines = max(1, int(working_set_bytes) // LINE_BYTES)
+        if is_write:
+            self.trace.cpu_writes += count
+        else:
+            self.trace.cpu_reads += count
+        ws_bytes = lines * LINE_BYTES
+        if ws_bytes <= self.cache_filter_bytes:
+            dram_count = min(count, lines)
+            if is_write:
+                self.trace.fixed_dram_writes += dram_count
+            else:
+                self.trace.fixed_dram_reads += dram_count
+        else:
+            miss_fraction = (1.0 - hot_fraction) * (
+                1.0 - self.cache_filter_bytes / ws_bytes
+            )
+            dram_count = max(1, int(count * miss_fraction))
+            if is_write:
+                self.trace.dram_writes += dram_count
+            else:
+                self.trace.dram_reads += dram_count
+        region = INPUT_REGION_PAGE if readonly else WORKSET_REGION_PAGE
+        for _ in self._sample_slots(dram_count):
+            idx = self._rng.next_below(lines)
+            page, line = self._page_line(region, idx)
+            self.trace.events.append((page, line, is_write, readonly))
+
+    def write_output(self, nbytes):
+        lines = max(1, int(nbytes) // LINE_BYTES)
+        self.trace.cpu_writes += lines
+        self.trace.dram_writes += lines
+        for offset in self._sample_slots(lines):
+            page, line = self._page_line(OUTPUT_REGION_PAGE, self._output_cursor + offset)
+            self.trace.events.append((page, line, True, False))
+        self._output_cursor += lines
+
+
+recorder_calls = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["read_input", "write_output"]), st.integers(0, 64 * 300)),
+        st.tuples(
+            st.sampled_from(["read_workset", "write_workset"]),
+            st.integers(0, 64 * 64),  # working-set bytes, either side of the filter
+            st.integers(0, 300),  # count
+            st.sampled_from([0.0, 0.5, 0.9]),  # hot fraction
+            st.booleans(),  # readonly (reads only)
+        ),
+    ),
+    max_size=25,
+)
+
+
+class TestBurstSampling:
+    @given(
+        st.integers(1, 8),  # sample_every
+        st.integers(1, 16),  # burst_length
+        st.integers(0, 400),  # max_samples: small enough to cut a burst
+        recorder_calls,
+    )
+    @example(2, 4, 6, [("read_input", 64 * 20)])  # the cap cuts the second burst
+    @settings(max_examples=80, deadline=None)
+    def test_bursts_equal_the_per_slot_reference(self, every, burst, cap, calls):
+        recorders = [
+            cls(sample_every=every, burst_length=burst, max_samples=cap,
+                cache_filter_bytes=64 * 16, seed=5)
+            for cls in (TraceRecorder, SlotRecorder)
+        ]
+        for call in calls:
+            for rec in recorders:
+                if call[0] == "read_workset":
+                    rec.read_workset(call[1], call[2], call[3], readonly=call[4])
+                elif call[0] == "write_workset":
+                    rec.write_workset(call[1], call[2], call[3])
+                else:
+                    getattr(rec, call[0])(call[1])
+        assert recorders[0].finish() == recorders[1].finish()
 
 
 class TestSortLimit:
