@@ -16,8 +16,8 @@ cannot guarantee as the codebase grows:
 On top of the per-module rules, :mod:`repro.analysis.flow` runs a
 whole-program pass — project symbol table, call graph, and a taint
 fixpoint — powering the interprocedural rule families (secret-escape
-reachability, async await-atomicity races, §4.5 exception containment,
-and layer-DAG drift). See docs/ANALYSIS.md, "Interprocedural rules".
+reachability, §4.5 exception containment, and layer-DAG drift). See
+docs/ANALYSIS.md, "Interprocedural rules".
 
 The package is deliberately dependency-free (stdlib ``ast`` only) so the
 checker itself stays outside the simulator's import graph and can never
@@ -29,7 +29,7 @@ Entry point: ``python -m repro lint [paths]`` (see :mod:`repro.analysis.cli`).
 from __future__ import annotations
 
 from repro.analysis.finding import Finding, FindingStatus
-from repro.analysis.registry import ProjectRule, Rule, all_rules, rule_by_id
+from repro.analysis.registry import ProjectRule, Rule, all_rules
 from repro.analysis.runner import AnalysisResult, analyze_paths
 
 __all__ = [
@@ -40,5 +40,4 @@ __all__ = [
     "Rule",
     "all_rules",
     "analyze_paths",
-    "rule_by_id",
 ]

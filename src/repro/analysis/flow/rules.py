@@ -3,12 +3,13 @@
 Three whole-program rules, all anchored back to concrete file/line findings
 so waivers and the baseline work unchanged:
 
-- ``flow-secret-escape``: a value *provably derived* from key material
-  (taint fixpoint, not name matching) reaches a telemetry sink — directly
-  or through a call whose summary says the parameter escapes;
-- ``flow-exception-containment``: a broad except inside the enclave
-  dispatch packages must re-raise or (transitively) reach the §4.5
-  ThrowOutTEE abort path, otherwise it swallows a detected attack;
+- ``flow-secret-escape``: a value derived from key material (a key-minting
+  call, or a read of a secret-shaped name, followed through the taint
+  fixpoint) reaches a telemetry sink — directly or through a call whose
+  summary says the parameter escapes;
+- ``flow-exception-containment``: a broad except anywhere must re-raise or
+  (transitively) reach the §4.5 ThrowOutTEE abort path, otherwise it
+  swallows a detected attack;
 - ``flow-layer-drift``: the documented ``LAYER_ALLOWED`` DAG is diffed
   against the *observed* import graph; a granted edge no import uses is
   stale trust that silently widens the TCB.
@@ -17,7 +18,7 @@ so waivers and the baseline work unchanged:
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, Iterator, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, Optional, Set
 
 from repro.analysis.context import dotted_source
 from repro.analysis.finding import Finding
@@ -28,7 +29,7 @@ from repro.analysis.flow.summaries import (
     iter_source_events,
 )
 from repro.analysis.flow.symbols import FunctionInfo, ProjectIndex
-from repro.analysis.rules.security import LAYER_ALLOWED, _secret_names
+from repro.analysis.rules.security import LAYER_ALLOWED
 
 
 def _describe_origins(origins: Iterator[str]) -> str:
@@ -44,21 +45,19 @@ class FlowSecretEscapeRule(ProjectRule):
     family = "flow"
     summary = "value derived from key material reaches a telemetry sink"
     rationale = (
-        "§4.4/§7: `sec-telemetry-leak` only matches key-shaped *names*; a "
-        "secret renamed once, returned from a helper, or passed through a "
-        "parameter is invisible to it. The taint fixpoint follows the value "
-        "through assignments, calls, containers and returns, so the finding "
-        "is a real reachability claim: this expression's bytes derive from "
-        "derive_kek/unwrap_key/keystream output."
+        "§4.4/§7: the MEE's guarantee dies if keys or keystream leak through "
+        "output we built ourselves — event logs, stats, CSV exporters are "
+        "attacker-readable. A secret starts at derive_kek/keystream output "
+        "or at any read of a secret-shaped name (aes_key, channel_key, otp, "
+        "...); the taint fixpoint follows it through renames, assignments, "
+        "calls, containers and returns, so a secret renamed once, returned "
+        "from a helper or passed through a parameter still reaches the sink "
+        "in the finding."
     )
 
     def check_project(self, project: Any) -> Iterator[Finding]:
         flow: FlowAnalysis = project.flow
         for fn, event in iter_source_events(flow):
-            if " via " not in event.sink and self._name_heuristic_covers(event.node):
-                # sec-telemetry-leak already reports this exact sink; one
-                # finding per leak keeps reports and fixtures unambiguous
-                continue
             origins = _describe_origins(iter(event.origins))
             yield fn.ctx.finding(
                 self.id,
@@ -67,23 +66,6 @@ class FlowSecretEscapeRule(ProjectRule):
                 f"and reaches telemetry sink {event.sink}; seal or drop the "
                 "value before it leaves the TCB",
             )
-
-    @staticmethod
-    def _name_heuristic_covers(node: ast.AST) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        for arg in [*node.args, *(kw.value for kw in node.keywords)]:
-            for _name in _secret_names(arg):
-                return True
-        return False
-
-
-# packages whose dispatch paths sit inside / in front of the enclave
-_CONTAINMENT_PREFIXES: Tuple[str, ...] = (
-    "repro.core.",
-    "repro.host.",
-    "repro.serve.",
-)
 
 
 def _broad_handler(handler: ast.ExceptHandler) -> Optional[str]:
@@ -103,26 +85,25 @@ def _broad_handler(handler: ast.ExceptHandler) -> Optional[str]:
 
 @register
 class FlowExceptionContainmentRule(ProjectRule):
-    """Broad excepts in enclave dispatch must reach the §4.5 abort path."""
+    """A broad except must re-raise or reach the §4.5 abort path."""
 
     id = "flow-exception-containment"
     family = "flow"
-    summary = "broad except in enclave dispatch that never reaches ThrowOutTEE"
+    summary = "broad except that neither re-raises nor reaches ThrowOutTEE"
     rationale = (
         "§4.5: any in-enclave fault must surface as ThrowOutTEE/TeeAbort so "
-        "the host can destroy the enclave; `sec-broad-except` flags the "
-        "*syntax*, this rule checks the *semantics* — a broad handler is "
-        "acceptable exactly when every path through it re-raises or calls "
-        "something the call-graph fixpoint proves reaches the abort helper."
+        "the host can destroy the enclave, and a broad `except` can swallow "
+        "IntegrityError/TeeAbort and turn a detected attack into a handled "
+        "error. A broad handler is acceptable exactly when it re-raises or "
+        "calls something the call-graph fixpoint proves reaches the abort "
+        "helper, so the intentional §4.5 catch-alls need no waiver."
     )
 
     def check_project(self, project: Any) -> Iterator[Finding]:
         index: ProjectIndex = project.index
         flow: FlowAnalysis = project.flow
-        for fn in index.sorted_functions():
-            if not fn.module.startswith(_CONTAINMENT_PREFIXES):
-                continue
-            for node in ast.walk(fn.node):
+        for fn in index.units():
+            for node in fn.walk():
                 if not isinstance(node, ast.ExceptHandler):
                     continue
                 broad = _broad_handler(node)

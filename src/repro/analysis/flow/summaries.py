@@ -20,9 +20,15 @@ callees and stops when nothing grows. Within a body the evaluator is a
 small abstract interpreter over an environment mapping variable names (and
 ``self.attr`` paths) to *origin sets* — ``param:<i>`` for values derived
 from a parameter, ``source:<what>`` for values derived from real key
-material. Class attributes assigned a source-tainted value anywhere become
-secret attributes of that class, seeding every other method (this is how a
-key renamed into ``self._seal_key`` once stays tracked everywhere).
+material: the output of a key-minting call, or any read of a secret-shaped
+name or attribute (``SECRET_NAMES``). Class attributes assigned a
+source-tainted value anywhere become secret attributes of that class,
+seeding every other method (this is how a key renamed into
+``self._seal_key`` once stays tracked everywhere).
+
+Every def is a unit, nested ones included, and so is each module's code
+outside its defs (with its class bodies), evaluated like a function that
+nothing calls. A lambda's body is evaluated where the lambda stands.
 
 Declassification: in this codebase ciphertext is always produced by XOR
 against a fresh keystream (counter-mode MEE, Trivium, the serve channel),
@@ -38,8 +44,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.context import dotted_source
-from repro.analysis.flow.symbols import FunctionInfo, FunctionNode, ProjectIndex
-from repro.analysis.rules.security import KEY_NAMES
+from repro.analysis.flow.symbols import FunctionInfo, ProjectIndex
+from repro.analysis.rules.security import SECRET_NAMES
 
 Origins = FrozenSet[str]
 _EMPTY: Origins = frozenset()
@@ -50,8 +56,6 @@ _EMPTY: Origins = frozenset()
 SECRET_SOURCE_QNAMES: FrozenSet[str] = frozenset(
     {
         "repro.core.key_management.derive_kek",
-        "repro.core.key_management.unwrap_key",
-        "repro.core.key_management._stream",
         "repro.serve.session._keystream",
     }
 )
@@ -64,10 +68,6 @@ SECRET_CLASS_QNAMES: FrozenSet[str] = frozenset(
 )
 # methods that emit keystream/plaintext from a secret-bearing receiver
 SECRET_METHODS: FrozenSet[str] = frozenset({"keystream"})
-# parameters with these names are key material by declaration
-SECRET_PARAM_NAMES: FrozenSet[str] = KEY_NAMES | frozenset(
-    {"kek", "keystream", "device_secret", "data_key"}
-)
 
 # taint survives `.hex()` / `.decode()` style re-encodings of the same bytes
 _PROPAGATING_METHODS: FrozenSet[str] = frozenset(
@@ -82,6 +82,9 @@ _STOPPER_ROOTS: FrozenSet[str] = frozenset(
 _STOPPER_METHODS: FrozenSet[str] = frozenset(
     {"digest", "hexdigest", "verify", "compare_digest"}
 )
+
+# syntax nodes that hold no expression: operators, contexts, import names
+_NO_PARTS = (ast.expr_context, ast.boolop, ast.operator, ast.unaryop, ast.cmpop, ast.alias)
 
 # the §4.5 abort surface: ThrowOutTEE and the per-layer abort helpers
 ABORT_CALL_NAMES: FrozenSet[str] = frozenset({"throw_out_tee"})
@@ -112,10 +115,22 @@ class FunctionSummary:
 
 
 def _is_telemetry_sink(func: ast.expr) -> Optional[str]:
-    # one definition of "telemetry sink" for the whole suite
-    from repro.analysis.rules.security import _is_telemetry_sink as impl
-
-    return impl(func)
+    """Sink description if `func` is print/logging/log-append/csv-write."""
+    dotted = dotted_source(func)
+    if dotted == "print":
+        return "print()"
+    parts = dotted.split(".")
+    leaf = parts[-1]
+    if parts[0] in ("logging", "logger", "log") and leaf in (
+        "debug", "info", "warning", "error", "critical", "exception", "log",
+    ):
+        return f"{dotted}()"
+    if leaf in ("append", "write", "writerow", "writerows", "info", "debug",
+                "warning", "error"):
+        owner = ".".join(parts[:-1]).lower()
+        if "log" in owner or "writer" in owner or "csv" in owner:
+            return f"{dotted}()"
+    return None
 
 
 def _label_of(expr: ast.expr) -> str:
@@ -152,14 +167,8 @@ class _Evaluator:
 
     def _seed_params(self) -> None:
         offset = 1 if self.fn.is_method else 0
-        for idx, name in enumerate(self.fn.params):
-            origins: Set[str] = set()
-            if idx >= offset:
-                origins.add(f"param:{idx}")
-            if name in SECRET_PARAM_NAMES:
-                origins.add(f"source:param `{name}`")
-            if origins:
-                self.env[name] = frozenset(origins)
+        for idx, name in enumerate(self.fn.params[offset:], start=offset):
+            self.env[name] = frozenset({f"param:{idx}"})
 
     def _self_attr_origins(self, dotted: str) -> Origins:
         """Seed ``self.attr`` reads from the class's known secret attrs."""
@@ -201,16 +210,6 @@ class _Evaluator:
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
                 self.return_origins = self.return_origins | self._eval(stmt.value)
-        elif isinstance(stmt, ast.Expr):
-            self._eval(stmt.value)
-        elif isinstance(stmt, (ast.If,)):
-            self._eval(stmt.test)
-            for sub in [*stmt.body, *stmt.orelse]:
-                self._exec(sub)
-        elif isinstance(stmt, (ast.While,)):
-            self._eval(stmt.test)
-            for sub in [*stmt.body, *stmt.orelse]:
-                self._exec(sub)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             self._bind(stmt.target, self._eval(stmt.iter))
             for sub in [*stmt.body, *stmt.orelse]:
@@ -222,33 +221,38 @@ class _Evaluator:
                     self._bind(item.optional_vars, origins)
             for sub in stmt.body:
                 self._exec(sub)
-        elif isinstance(stmt, ast.Try):
-            for sub in stmt.body:
-                self._exec(sub)
-            for handler in stmt.handlers:
-                for sub in handler.body:
-                    self._exec(sub)
-            for sub in [*stmt.orelse, *stmt.finalbody]:
-                self._exec(sub)
-        elif isinstance(stmt, ast.Raise):
-            if stmt.exc is not None:
-                self._eval(stmt.exc)
-        elif isinstance(stmt, ast.Assert):
-            self._eval(stmt.test)
-            if stmt.msg is not None:
-                self._eval(stmt.msg)
         elif isinstance(stmt, ast.Delete):
             for target in stmt.targets:
                 key = dotted_source(target)
                 if key:
                     self.env.pop(key, None)
-        # nested defs/classes are out of scope for the summary
+        else:
+            self._exec_parts(stmt)
+
+    def _exec_parts(self, node: ast.AST) -> None:
+        """Every expression and block of ``node`` in source order (``if``,
+        ``try``, ``match``, a class body, ...). A nested def's body is a unit
+        of its own: only its decorators, defaults and annotations run here."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.expr):
+                self._eval(child)
+            elif isinstance(child, ast.stmt):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    self._exec(child)
+            elif not isinstance(child, _NO_PARTS):
+                self._exec_parts(child)
+
+    def _read(self, key: str) -> Origins:
+        """Reading ``key`` (``x`` or ``a.b``): its bound taint, a secret
+        ``self`` attribute's, and a source if the name is secret-shaped."""
+        origins = self.env.get(key, _EMPTY) | self._self_attr_origins(key)
+        if key.rsplit(".", 1)[-1] in SECRET_NAMES:
+            origins = origins | frozenset({f"source:name `{key}`"})
+        return origins
 
     def _read_target(self, target: ast.expr) -> Origins:
         key = dotted_source(target)
-        if key:
-            return self.env.get(key, _EMPTY) | self._self_attr_origins(key)
-        return _EMPTY
+        return self._read(key) if key else _EMPTY
 
     def _bind(self, target: ast.expr, origins: Origins) -> None:
         if isinstance(target, (ast.Tuple, ast.List)):
@@ -283,12 +287,14 @@ class _Evaluator:
     # -- expressions ---------------------------------------------------------
 
     def _eval(self, expr: ast.expr) -> Origins:
+        if isinstance(expr, ast.Constant):
+            return _EMPTY
         if isinstance(expr, ast.Name):
-            return self.env.get(expr.id, _EMPTY)
+            return self._read(expr.id)
         if isinstance(expr, ast.Attribute):
             dotted = dotted_source(expr)
             if dotted:
-                return self.env.get(dotted, _EMPTY) | self._self_attr_origins(dotted)
+                return self._read(dotted)
             return self._eval(expr.value)
         if isinstance(expr, ast.Call):
             return self._eval_call(expr)
@@ -300,31 +306,11 @@ class _Evaluator:
                 self._eval(expr.right)
                 return _EMPTY
             return self._eval(expr.left) | self._eval(expr.right)
-        if isinstance(expr, ast.BoolOp):
-            out: Origins = _EMPTY
-            for value in expr.values:
-                out = out | self._eval(value)
-            return out
-        if isinstance(expr, ast.UnaryOp):
-            return self._eval(expr.operand)
         if isinstance(expr, ast.Compare):
             self._eval(expr.left)
             for comparator in expr.comparators:
                 self._eval(comparator)
             return _EMPTY  # a boolean is not the secret
-        if isinstance(expr, (ast.List, ast.Tuple, ast.Set)):
-            out = _EMPTY
-            for elt in expr.elts:
-                out = out | self._eval(elt)
-            return out
-        if isinstance(expr, ast.Dict):
-            out = _EMPTY
-            for key in expr.keys:
-                if key is not None:
-                    out = out | self._eval(key)
-            for value in expr.values:
-                out = out | self._eval(value)
-            return out
         if isinstance(expr, ast.Subscript):
             out = self._eval(expr.value)
             self._eval(expr.slice)
@@ -337,17 +323,6 @@ class _Evaluator:
         if isinstance(expr, ast.IfExp):
             self._eval(expr.test)
             return self._eval(expr.body) | self._eval(expr.orelse)
-        if isinstance(expr, ast.JoinedStr):
-            out = _EMPTY
-            for value in expr.values:
-                out = out | self._eval(value)
-            return out
-        if isinstance(expr, ast.FormattedValue):
-            return self._eval(expr.value)
-        if isinstance(expr, ast.Await):
-            return self._eval(expr.value)
-        if isinstance(expr, ast.Starred):
-            return self._eval(expr.value)
         if isinstance(expr, ast.NamedExpr):
             origins = self._eval(expr.value)
             self._bind(expr.target, origins)
@@ -358,7 +333,15 @@ class _Evaluator:
             keys = self._eval_comprehension(expr.key, expr.generators)
             values = self._eval_comprehension(expr.value, expr.generators)
             return keys | values
-        return _EMPTY
+        # displays, boolean and unary operators, f-strings, await, yield,
+        # a lambda's body, ...: the value carries every part's taint
+        out: Origins = _EMPTY
+        for child in ast.iter_child_nodes(expr):
+            if isinstance(child, ast.expr):
+                out = out | self._eval(child)
+            elif not isinstance(child, _NO_PARTS):
+                self._exec_parts(child)
+        return out
 
     def _eval_comprehension(
         self, elt: ast.expr, generators: List[ast.comprehension]
@@ -391,6 +374,13 @@ class _Evaluator:
         dotted = dotted_source(call.func)
         parts = dotted.split(".") if dotted else []
         result: Origins = _EMPTY
+        # the callee expression runs first: a receiver, or a call that
+        # returns the callee (`make(print(k))()`)
+        receiver = _EMPTY
+        if isinstance(call.func, ast.Attribute):
+            receiver = self._eval(call.func.value)
+        elif not dotted:
+            self._eval(call.func)
 
         sink = _is_telemetry_sink(call.func) if dotted else None
         if sink is not None:
@@ -423,13 +413,10 @@ class _Evaluator:
             return _EMPTY
         if len(parts) >= 2 and parts[-1] in _STOPPER_METHODS:
             return _EMPTY
-        receiver = _EMPTY
-        if isinstance(call.func, ast.Attribute):
-            receiver = self._eval(call.func.value)
-            if receiver and parts and parts[-1] in _PROPAGATING_METHODS:
-                result = result | receiver
-            if receiver and parts and parts[-1] in SECRET_METHODS:
-                result = result | receiver
+        if receiver and parts and parts[-1] in _PROPAGATING_METHODS:
+            result = result | receiver
+        if receiver and parts and parts[-1] in SECRET_METHODS:
+            result = result | receiver
         for _, origins, _expr in args:
             result = result | origins
         return result
@@ -502,34 +489,21 @@ class _Evaluator:
 # -- abort reachability ------------------------------------------------------
 
 
-def _raises_abort(node: FunctionNode) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Raise) and sub.exc is not None:
-            exc = sub.exc
-            name = ""
-            if isinstance(exc, ast.Call):
-                name = dotted_source(exc.func).split(".")[-1]
-            else:
-                name = dotted_source(exc).split(".")[-1]
-            if name in ABORT_EXC_NAMES:
-                return True
-    return False
-
-
-def _calls_abort(
-    fn: FunctionInfo,
-    index: ProjectIndex,
-    summaries: Dict[str, FunctionSummary],
-) -> bool:
-    for call in index.iter_calls(fn):
-        leaf = dotted_source(call.func).split(".")[-1]
-        if leaf in ABORT_CALL_NAMES:
-            return True
-        for qname in index.resolve_call(fn, call):
-            summary = summaries.get(qname)
-            if summary is not None and summary.reaches_abort:
-                return True
-    return False
+def _abort_facts(fn: FunctionInfo, index: ProjectIndex) -> Tuple[bool, Tuple[str, ...]]:
+    """What the body alone says about the §4.5 abort path, in one walk:
+    whether it is the helper, raises TeeAbort or calls the helper by name,
+    and every resolved callee. Syntax does not change between fixpoint
+    rounds."""
+    direct = fn.name in ABORT_CALL_NAMES
+    callees: List[str] = []
+    for node in fn.walk():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            direct = direct or dotted_source(exc).split(".")[-1] in ABORT_EXC_NAMES
+        elif isinstance(node, ast.Call):
+            direct = direct or dotted_source(node.func).split(".")[-1] in ABORT_CALL_NAMES
+            callees.extend(index.resolve_call(fn, node))
+    return direct, tuple(callees)
 
 
 # -- the fixpoint ------------------------------------------------------------
@@ -540,6 +514,7 @@ def _summarize_once(
     index: ProjectIndex,
     summaries: Dict[str, FunctionSummary],
     secret_attrs: Dict[str, Set[str]],
+    abort_facts: Tuple[bool, Tuple[str, ...]],
 ) -> Tuple[FunctionSummary, Set[Tuple[str, str]], List[SinkEvent]]:
     evaluator = _Evaluator(fn, index, summaries, secret_attrs)
     evaluator.run()
@@ -557,10 +532,9 @@ def _summarize_once(
             if origin.startswith("param:"):
                 idx = int(origin.split(":", 1)[1])
                 sink_params.setdefault(idx, event.sink)
-    reaches = (
-        fn.name in ABORT_CALL_NAMES
-        or _raises_abort(fn.node)
-        or _calls_abort(fn, index, summaries)
+    direct, callees = abort_facts
+    reaches = direct or any(
+        summaries[qname].reaches_abort for qname in callees if qname in summaries
     )
     summary = FunctionSummary(
         returns_secret=returns_secret,
@@ -578,20 +552,21 @@ class FlowAnalysis:
     index: ProjectIndex
     summaries: Dict[str, FunctionSummary] = field(default_factory=dict)
     secret_attrs: Dict[str, Set[str]] = field(default_factory=dict)
-    # per-function sink events from the final pass, for the reporting rules
+    # per-unit sink events from the final pass, for the reporting rules
     events: Dict[str, List[SinkEvent]] = field(default_factory=dict)
 
 
 def analyze_project(index: ProjectIndex, max_rounds: int = 12) -> FlowAnalysis:
     """Run the summary fixpoint to convergence (monotone, so it halts)."""
     state = FlowAnalysis(index=index)
-    functions = index.sorted_functions()
-    state.summaries = {fn.qname: FunctionSummary() for fn in functions}
+    units = index.units()
+    state.summaries = {fn.qname: FunctionSummary() for fn in units}
+    abort_facts = {fn.qname: _abort_facts(fn, index) for fn in units}
     for _ in range(max_rounds):
         changed = False
-        for fn in functions:
+        for fn in units:
             summary, attr_updates, events = _summarize_once(
-                fn, index, state.summaries, state.secret_attrs
+                fn, index, state.summaries, state.secret_attrs, abort_facts[fn.qname]
             )
             if summary != state.summaries[fn.qname]:
                 state.summaries[fn.qname] = summary
@@ -609,9 +584,8 @@ def analyze_project(index: ProjectIndex, max_rounds: int = 12) -> FlowAnalysis:
 
 def iter_source_events(state: FlowAnalysis) -> Iterator[Tuple[FunctionInfo, SinkEvent]]:
     """Sink events whose value provably derives from real key material."""
-    for qname in sorted(state.events):
-        fn = state.index.functions[qname]
-        for event in state.events[qname]:
+    for fn in state.index.units():
+        for event in state.events.get(fn.qname, ()):
             if any(o.startswith("source:") for o in event.origins):
                 yield fn, event
 
@@ -623,7 +597,6 @@ __all__ = [
     "FunctionSummary",
     "SECRET_CLASS_QNAMES",
     "SECRET_METHODS",
-    "SECRET_PARAM_NAMES",
     "SECRET_SOURCE_QNAMES",
     "SinkEvent",
     "analyze_project",

@@ -6,7 +6,10 @@ run from the already-parsed :class:`~repro.analysis.context.ModuleContext`
 objects and answers three questions the interprocedural rules need:
 
 - which functions exist, and under what qualified name
-  (``repro.serve.session.SecureChannel.seal``);
+  (``repro.serve.session.SecureChannel.seal``; a def nested in a function is
+  ``outer.<locals>.inner``, as in Python's ``__qualname__``), plus each
+  module's code outside them as one more unit
+  (``repro.serve.session.<module>``);
 - what does a given ``ast.Call`` inside a given function resolve to
   (import aliases, ``self.method``, module-level names, and — as a
   deliberately over-approximate fallback — any method of the same name
@@ -23,12 +26,16 @@ reports (the determinism bar the rest of the repo holds itself to).
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.context import ModuleContext, dotted_source
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+ScopeNode = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # `x.meth(...)` on an object of unknown type matches every method named
 # `meth`; past this many candidates the name is too generic to be a useful
@@ -49,13 +56,14 @@ _CONTAINER_DISPLAYS = (
 
 @dataclass
 class FunctionInfo:
-    """One function or method, anchored to its module context."""
+    """One function or method, or one module's own code, anchored to its
+    module context."""
 
     qname: str  # "repro.serve.session.SecureChannel.seal"
     module: str  # dotted module name
-    name: str  # bare name ("seal")
+    name: str  # bare name ("seal"; "<module>" for a module's own code)
     class_qname: Optional[str]  # "repro.serve.session.SecureChannel" or None
-    node: FunctionNode
+    node: Union[FunctionNode, ast.Module]
     ctx: ModuleContext
     params: Tuple[str, ...] = ()  # positional params, `self`/`cls` included
     # names and `self.X` attributes every binding in the function makes a
@@ -73,6 +81,22 @@ class FunctionInfo:
             return self.params[0]
         return None
 
+    def walk(self) -> Iterator[ast.AST]:
+        """Every node of this unit's own code, breadth first like ``ast.walk``.
+
+        A class body runs in the unit that defines it. A nested def's body
+        is a unit of its own, so only the def's decorators, defaults and
+        annotations are walked here.
+        """
+        todo: deque[ast.AST] = deque(self.node.body)
+        while todo:
+            node = todo.popleft()
+            yield node
+            children: Iterator[ast.AST] = ast.iter_child_nodes(node)
+            if isinstance(node, _DEFS):
+                children = (c for c in children if not isinstance(c, ast.stmt))
+            todo.extend(children)
+
 
 @dataclass
 class ClassInfo:
@@ -86,12 +110,10 @@ class ClassInfo:
 
 @dataclass
 class ModuleInfo:
-    """Per-module symbol state: import aliases and top-level definitions."""
+    """Per-module symbol state: import aliases, top-level defs among them."""
 
     ctx: ModuleContext
     aliases: Dict[str, str] = field(default_factory=dict)  # local -> dotted
-    functions: List[str] = field(default_factory=list)  # fn qnames, def order
-    classes: List[str] = field(default_factory=list)  # class qnames
 
     @property
     def module(self) -> str:
@@ -162,6 +184,17 @@ def _container_bindings(node: FunctionNode) -> FrozenSet[str]:
     return frozenset(containers - others)
 
 
+def _nested_scopes(node: ast.AST) -> Iterator[ScopeNode]:
+    """The defs and classes in ``node``'s own code, in source order: at any
+    statement depth (under ``if``, ``try``, ``match``, ...), but not inside
+    another def or class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, _SCOPES):
+            yield child
+        elif not isinstance(child, ast.expr):  # no expression holds a def
+            yield from _nested_scopes(child)
+
+
 def _resolve_relative(module: str, level: int, target: Optional[str]) -> str:
     """Resolve a ``from ..x import y`` module reference to a dotted name."""
     parts = module.split(".")
@@ -179,6 +212,8 @@ class ProjectIndex:
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
+        # module key -> the module's code outside every function
+        self.module_bodies: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         # bare method name -> sorted fn qnames (the unknown-receiver fallback)
         self.methods_by_name: Dict[str, List[str]] = {}
@@ -224,10 +259,15 @@ class ProjectIndex:
                         continue
                     local = alias.asname or alias.name
                     info.aliases[local] = f"{source}.{alias.name}" if source else alias.name
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._index_function(ctx, info, stmt, class_qname=None)
-            elif isinstance(stmt, ast.ClassDef):
-                self._index_class(ctx, info, stmt)
+        self._index_scope(ctx, info, ctx.tree, key, cls=None)
+        self.module_bodies[key] = FunctionInfo(
+            qname=f"{key}.<module>",
+            module=key,
+            name="<module>",
+            class_qname=None,
+            node=ctx.tree,
+            ctx=ctx,
+        )
         # layer edges come from EVERY import in the module, including lazy
         # function-level ones — sec-layering sees those too, so an edge used
         # only inside a function must still count as "observed"
@@ -260,51 +300,55 @@ class ProjectIndex:
             edge = (from_pkg, to_pkg)
             self.package_edges[edge] = self.package_edges.get(edge, 0) + 1
 
-    def _index_function(
+    def _index_scope(
         self,
         ctx: ModuleContext,
         info: ModuleInfo,
-        node: FunctionNode,
-        class_qname: Optional[str],
+        node: ast.AST,
+        prefix: str,
+        cls: Optional[ClassInfo],
     ) -> None:
+        """Index the defs and classes in ``node``'s own code under ``prefix``
+        (the module, the class, or ``<function>.<locals>``), then theirs."""
         key = self._module_key(ctx)
-        if class_qname is None:
-            qname = f"{key}.{node.name}"
-            info.aliases.setdefault(node.name, qname)
-            info.functions.append(qname)
-        else:
-            qname = f"{class_qname}.{node.name}"
-        self.functions[qname] = FunctionInfo(
-            qname=qname,
-            module=key,
-            name=node.name,
-            class_qname=class_qname,
-            node=node,
-            ctx=ctx,
-            params=_params_of(node),
-            containers=_container_bindings(node),
-        )
-        if class_qname is not None and not node.name.startswith("__"):
-            self.methods_by_name.setdefault(node.name, []).append(qname)
-
-    def _index_class(
-        self, ctx: ModuleContext, info: ModuleInfo, node: ast.ClassDef
-    ) -> None:
-        key = self._module_key(ctx)
-        qname = f"{key}.{node.name}"
-        cls_info = ClassInfo(qname=qname, module=key, name=node.name)
-        self.classes[qname] = cls_info
-        info.aliases.setdefault(node.name, qname)
-        info.classes.append(qname)
-        for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._index_function(ctx, info, stmt, class_qname=qname)
-                cls_info.methods[stmt.name] = f"{qname}.{stmt.name}"
+        for child in _nested_scopes(node):
+            qname = f"{prefix}.{child.name}"
+            if qname in self.functions or qname in self.classes:
+                # bound twice (a property and its setter, one def per branch
+                # of an `if`): every body stays a unit of its own
+                qname = f"{qname}@{child.lineno}"
+            if isinstance(child, ast.ClassDef):
+                nested = ClassInfo(qname=qname, module=key, name=child.name)
+                self.classes[qname] = nested
+                self._index_scope(ctx, info, child, qname, cls=nested)
+            else:
+                self.functions[qname] = FunctionInfo(
+                    qname=qname,
+                    module=key,
+                    name=child.name,
+                    class_qname=cls.qname if cls is not None else None,
+                    node=child,
+                    ctx=ctx,
+                    params=_params_of(child),
+                    containers=_container_bindings(child),
+                )
+                if cls is not None:
+                    cls.methods[child.name] = qname
+                    if not child.name.startswith("__"):
+                        self.methods_by_name.setdefault(child.name, []).append(qname)
+                self._index_scope(ctx, info, child, f"{qname}.<locals>", cls=None)
+            if node is ctx.tree:
+                info.aliases.setdefault(child.name, qname)
 
     # -- queries -------------------------------------------------------------
 
     def sorted_functions(self) -> List[FunctionInfo]:
         return [self.functions[q] for q in sorted(self.functions)]
+
+    def units(self) -> List[FunctionInfo]:
+        """Every function, then every module's own code, each in qname order."""
+        bodies = [self.module_bodies[key] for key in sorted(self.module_bodies)]
+        return self.sorted_functions() + bodies
 
     def module_of(self, fn: FunctionInfo) -> Optional[ModuleInfo]:
         return self.modules.get(fn.module)
@@ -340,6 +384,17 @@ class ProjectIndex:
             if len(parts) == 3 and init and f"{init.self_name}.{parts[1]}" in init.containers:
                 return ()
             return self._by_method_name(parts[-1])
+        if len(parts) == 1:
+            # a def nested in this function or an enclosing one shadows the
+            # module's names
+            scope = fn.qname
+            while True:
+                local = f"{scope}.<locals>.{dotted}"
+                if local in self.functions:
+                    return (local,)
+                if ".<locals>." not in scope:
+                    break
+                scope = scope.rsplit(".<locals>.", 1)[0]
         info = self.module_of(fn)
         resolved = self._resolve_dotted(info, parts)
         if resolved:
@@ -393,7 +448,7 @@ class ProjectIndex:
         return ()
 
     def iter_calls(self, fn: FunctionInfo) -> Iterator[ast.Call]:
-        for node in ast.walk(fn.node):
+        for node in fn.walk():
             if isinstance(node, ast.Call):
                 yield node
 

@@ -67,11 +67,6 @@ def all_rules() -> List[Rule]:
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
 
 
-def rule_by_id(rule_id: str) -> Rule:
-    _load_builtin_rules()
-    return _REGISTRY[rule_id]
-
-
 _LOADED = False
 
 
@@ -84,14 +79,12 @@ def _load_builtin_rules() -> None:
     from repro.analysis.flow import rules as flow_rules  # noqa: F401
     from repro.analysis.rules import (  # noqa: F401
         determinism,
-        fleet,
         perf,
         recovery,
         resilience,
-        search,
         security,
         simtime,
     )
 
 
-__all__ = ["ProjectRule", "Rule", "all_rules", "register", "rule_by_id"]
+__all__ = ["ProjectRule", "Rule", "all_rules", "register"]

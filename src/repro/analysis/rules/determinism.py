@@ -3,15 +3,17 @@
 Every simulator run must be a pure function of (configuration, seed): the
 CLI proves it dynamically by fingerprinting chaos runs, the figures pipeline
 relies on it for reproducibility, and PR 1's recovery tests replay fault
-plans byte-for-byte. These rules keep the three classic leaks out:
-ambient randomness, wall-clock reads, and iteration orders that depend on
-object identity or hash seeds.
+plans byte-for-byte. These rules keep the classic leaks out: ambient
+randomness, wall-clock reads, iteration orders that depend on object
+identity or hash seeds, and seeded paths (fleet placement, search
+mutation) that draw from no seed.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Tuple
+import re
+from typing import Dict, FrozenSet, Iterator, Set, Tuple
 
 from repro.analysis.context import ModuleContext, dotted_source, parent_of
 from repro.analysis.finding import Finding
@@ -287,9 +289,99 @@ class UnorderedIterationRule(Rule):
                 )
 
 
+# package -> (functions that must be replayable from a seed, the names
+# that show one); a property getter reports state and is exempt
+_SEEDED_PATHS: Dict[str, Tuple[re.Pattern[str], FrozenSet[str]]] = {
+    # fleet placement: shard routing, rebalance, rebuild
+    "fleet": (
+        re.compile(r"route|rebalance|rebuild", re.IGNORECASE),
+        frozenset({"now", "clock", "engine", "rng", "prng", "seed"}),
+    ),
+    # search genome operators: mutation, recombination, sampling
+    "search": (
+        re.compile(r"mutate|crossover|sample|select|breed", re.IGNORECASE),
+        frozenset({"rng", "prng"}),
+    ),
+}
+
+
+def _referenced_names(node: ast.FunctionDef) -> Set[str]:
+    """Every parameter, name and attribute the function mentions."""
+    names: Set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.arg):
+            names.add(sub.arg)
+    return names
+
+
+def _is_property(node: ast.FunctionDef) -> bool:
+    return any(
+        dotted_source(decorator).split(".")[-1] in ("property", "cached_property")
+        for decorator in node.decorator_list
+    )
+
+
+@register
+class UnseededPathRule(Rule):
+    """Fleet placement and search operators draw only from the run's seed."""
+
+    id = "det-unseeded-path"
+    family = "determinism"
+    summary = "seeded path (fleet placement, search operator) without a seed"
+    rationale = (
+        "Bit-determinism of the fleet fingerprint and of search-corpus "
+        "replay: replica placement and every genome mutation must be a pure "
+        "function of (seed, sim time). Builtin hash() folds in "
+        "PYTHONHASHSEED, an unseeded XorShift64() draws from the shared "
+        "default stream, and a route/rebalance/rebuild or "
+        "mutate/crossover/sample/select/breed function that names no "
+        "seeded PRNG or sim clock is ambient by construction."
+    )
+    node_types = (ast.Call, ast.FunctionDef)
+
+    def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
+        path = _SEEDED_PATHS.get(ctx.package)
+        if path is None:
+            return
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "hash":
+                yield ctx.finding(
+                    self.id,
+                    node,
+                    "builtin hash() depends on PYTHONHASHSEED; mix keys with "
+                    "a seeded function (repro.fleet.topology.seeded_mix)",
+                )
+            elif node.func.id == "XorShift64" and not node.args and not node.keywords:
+                yield ctx.finding(
+                    self.id,
+                    node,
+                    "XorShift64() without an explicit seed draws from the "
+                    "shared default stream; thread the run's PRNG or derive "
+                    "a seed from the run seed",
+                )
+        elif isinstance(node, ast.FunctionDef):
+            pattern, tokens = path
+            if not pattern.search(node.name) or _is_property(node):
+                return
+            if _referenced_names(node) & tokens:
+                return
+            yield ctx.finding(
+                self.id,
+                node,
+                f"`{node.name}` references no seeded PRNG or sim clock "
+                f"(expected one of: {', '.join(sorted(tokens))}); it must be "
+                "replayable from the run seed",
+            )
+
+
 __all__: Tuple[str, ...] = (
     "IdOrderingRule",
     "ImportRandomRule",
     "UnorderedIterationRule",
+    "UnseededPathRule",
     "WallClockRule",
 )

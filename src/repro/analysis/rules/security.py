@@ -8,18 +8,20 @@ pin that argument into the import graph and the AST:
 - the layering rule keeps low-level device models from reaching up into
   host/orchestration code (an Elasticlave-style boundary blur);
 - the key-containment rule keeps raw cipher primitives and key-shaped
-  state inside the sanctioned modules;
+  state inside the sanctioned modules, and key names out of the stats
+  module;
 - the boundary rule forces page payloads to cross flash<->DRAM through the
-  Ftl/MEE path rather than raw `*.chip` pokes;
-- the telemetry rule keeps key material out of logs, stats and exporters;
-- the broad-except rule stops `except Exception` from swallowing
-  IntegrityError/TeeAbort and masking a detected attack.
+  Ftl/MEE path rather than raw `*.chip` pokes.
+
+Whether a secret reaches a log, or a broad except swallows a detected
+attack, is a question about values and call paths: the flow rules
+(:mod:`repro.analysis.flow.rules`) answer it.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, Tuple
 
 from repro.analysis.context import ModuleContext, dotted_source
 from repro.analysis.finding import Finding
@@ -157,7 +159,7 @@ KEY_TCB_MODULES: FrozenSet[str] = frozenset(
         "repro.core.attestation",
         "repro.core.integrity",
         # the serve session layer derives, holds and uses per-session keys
-        # (SecureChannel seal/open); it is the ONLY serve module allowed to
+        # (SecureChannel seal/open), the only serve module that holds them
         "repro.serve.session",
     }
 )
@@ -167,6 +169,7 @@ _PRIMITIVE_MODULES = (
     "repro.crypto.trivium_fast",
 )
 _PRIMITIVE_NAMES = frozenset({"AES128", "Mac", "TriviumFast"})
+# key-shaped names: storing one outside the key TCB is a finding
 KEY_NAMES: FrozenSet[str] = frozenset(
     {
         "aes_key",
@@ -177,8 +180,20 @@ KEY_NAMES: FrozenSet[str] = frozenset(
         "private_key",
         "secret_key",
         "key_material",
+        # the serve handshake's derivation vocabulary
+        "channel_key",
+        "handshake_key",
+        "derived_key",
+        "kek",
     }
 )
+# every secret-shaped name: reading one is a `flow-secret-escape` taint
+# source, and the stats module may not name one at all
+SECRET_NAMES: FrozenSet[str] = KEY_NAMES | frozenset(
+    {"keystream", "device_secret", "data_key", "otp", "pad", "plaintext_key"}
+)
+# pure telemetry: every counter in it ends up in reports and exports
+_STATS_MODULE = "repro.sim.stats"
 
 
 def _in_key_tcb(ctx: ModuleContext) -> bool:
@@ -200,11 +215,13 @@ class KeyContainmentRule(Rule):
     summary = "raw key material / cipher primitive outside the key TCB"
     rationale = (
         "§4.4 MEE + §5 cipher engine: only the MEE, cipher-engine, FDE, "
-        "key-management and boot/attestation modules may hold keys or "
-        "instantiate AES/MAC/Trivium; key state sprayed across the tree is "
-        "unauditable and ends up in logs and snapshots."
+        "key-management, boot/attestation and serve-session modules may "
+        "hold keys or instantiate AES/MAC/Trivium; key state sprayed across "
+        "the tree is unauditable and ends up in logs and snapshots, and "
+        "repro.sim.stats, whose counters are all exported, may not name "
+        "key material at all."
     )
-    node_types = (ast.Import, ast.ImportFrom, ast.Call, ast.Assign, ast.AnnAssign)
+    node_types = (ast.Import, ast.ImportFrom, ast.Call, ast.Name, ast.Attribute)
 
     def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
         if _in_key_tcb(ctx):
@@ -220,28 +237,25 @@ class KeyContainmentRule(Rule):
                     f"direct construction of cipher primitive `{name}` "
                     "outside the key TCB; use the MEE/cipher-engine APIs",
                 )
-        else:  # Assign / AnnAssign: storing key-shaped state
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target in targets:
-                label = self._key_label(target)
-                if label is not None:
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            label = dotted_source(node) or name
+            if ctx.module == _STATS_MODULE:
+                if name in SECRET_NAMES:
                     yield ctx.finding(
                         self.id,
                         node,
-                        f"key material `{label}` stored outside the key TCB "
-                        "(repro.core.functional_mee / cipher_engine / "
-                        "key_management); hold a handle, not the key",
+                        f"`{label}` named inside telemetry module {ctx.module}; "
+                        "stats must never hold key material",
                     )
-
-    @staticmethod
-    def _key_label(target: ast.expr) -> Optional[str]:
-        if isinstance(target, ast.Name) and target.id in KEY_NAMES:
-            return target.id
-        if isinstance(target, ast.Attribute) and target.attr in KEY_NAMES:
-            return dotted_source(target) or target.attr
-        return None
+            elif isinstance(node.ctx, ast.Store) and name in KEY_NAMES:
+                yield ctx.finding(
+                    self.id,
+                    node,
+                    f"key material `{label}` stored outside the key TCB "
+                    "(repro.core.functional_mee / cipher_engine / "
+                    "key_management); hold a handle, not the key",
+                )
 
     def _check_import(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
         modules = []
@@ -299,203 +313,12 @@ class BoundaryBypassRule(Rule):
             )
 
 
-_TELEMETRY_SECRETS = KEY_NAMES | frozenset({"otp", "keystream", "pad", "plaintext_key"})
-_TELEMETRY_MODULES = frozenset({"repro.sim.stats"})
-
-
-def _is_telemetry_sink(func: ast.expr) -> Optional[str]:
-    """Sink description if `func` is print/logging/log-append/csv-write."""
-    dotted = dotted_source(func)
-    if dotted == "print":
-        return "print()"
-    parts = dotted.split(".")
-    leaf = parts[-1]
-    if parts[0] in ("logging", "logger", "log") and leaf in (
-        "debug", "info", "warning", "error", "critical", "exception", "log",
-    ):
-        return f"{dotted}()"
-    if leaf in ("append", "write", "writerow", "writerows", "info", "debug",
-                "warning", "error"):
-        owner = ".".join(parts[:-1]).lower()
-        if "log" in owner or "writer" in owner or "csv" in owner:
-            return f"{dotted}()"
-    return None
-
-
-def _secret_names(node: ast.AST) -> Iterator[str]:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and sub.id in _TELEMETRY_SECRETS:
-            yield sub.id
-        elif isinstance(sub, ast.Attribute) and sub.attr in _TELEMETRY_SECRETS:
-            yield dotted_source(sub) or sub.attr
-
-
-@register
-class TelemetryLeakRule(Rule):
-    """Key/counter material must never reach logs, stats, or exporters."""
-
-    id = "sec-telemetry-leak"
-    family = "security-flow"
-    summary = "key-shaped value flows into a log/stats/CSV sink"
-    rationale = (
-        "§4.4/§7: the MEE's guarantee dies if keys or keystream leak "
-        "through side channels we built ourselves — event logs, "
-        "sim/stats.py counters, CSV exporters are attacker-readable output."
-    )
-    node_types = (ast.Call, ast.Name, ast.Attribute)
-
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
-        if isinstance(node, ast.Call):
-            sink = _is_telemetry_sink(node.func)
-            if sink is None:
-                return
-            leaked = set()
-            for arg in [*node.args, *(kw.value for kw in node.keywords)]:
-                leaked.update(_secret_names(arg))
-            for name in sorted(leaked):
-                yield ctx.finding(
-                    self.id,
-                    node,
-                    f"`{name}` flows into telemetry sink {sink}; key "
-                    "material must never reach logs/stats/exports",
-                )
-        elif ctx.module in _TELEMETRY_MODULES:
-            # stats is pure telemetry: referencing key material at all is a leak
-            if isinstance(node, ast.Name) and node.id in _TELEMETRY_SECRETS:
-                yield ctx.finding(
-                    self.id, node,
-                    f"`{node.id}` referenced inside telemetry module "
-                    f"{ctx.module}",
-                )
-
-
-@register
-class BroadExceptRule(Rule):
-    """`except Exception` can swallow IntegrityError/TeeAbort: name types."""
-
-    id = "sec-broad-except"
-    family = "security-flow"
-    summary = "broad `except Exception` / bare except"
-    rationale = (
-        "§4.5 ThrowOutTEE: tamper detection only works if IntegrityError "
-        "and TeeAbort propagate to the abort path; a broad except silently "
-        "converts a detected attack into a handled 'error'. Catch the "
-        "concrete fault types (the three intentional §4.5 program-fault "
-        "catches carry justified `repro: allow` waivers)."
-    )
-    node_types = (ast.ExceptHandler,)
-
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
-        assert isinstance(node, ast.ExceptHandler)
-        broad = self._broad_name(node.type)
-        if broad is None:
-            return
-        yield ctx.finding(
-            self.id,
-            node,
-            f"{broad} can swallow IntegrityError/TeeAbort; catch the "
-            "concrete fault/recovery error types",
-        )
-
-    @staticmethod
-    def _broad_name(type_node: Optional[ast.expr]) -> Optional[str]:
-        if type_node is None:
-            return "bare `except:`"
-        names = []
-        if isinstance(type_node, ast.Tuple):
-            names = [dotted_source(e) for e in type_node.elts]
-        else:
-            names = [dotted_source(type_node)]
-        for name in names:
-            if name in ("Exception", "BaseException"):
-                return f"`except {name}`"
-        return None
-
-
-# Session-key-shaped names the serve layer may only hold inside its
-# session module (superset of the serve-specific derivation vocabulary;
-# the generic KEY_NAMES rule already covers `session_key` repo-wide).
-_SERVE_KEY_NAMES: FrozenSet[str] = frozenset(
-    {"session_key", "channel_key", "kek", "handshake_key", "derived_key"}
-)
-_SERVE_KEY_TCB: FrozenSet[str] = frozenset({"repro.serve.session"})
-
-
-@register
-class ServeSessionKeyLeakRule(Rule):
-    """Per-session keys stay inside repro.serve.session."""
-
-    id = "serve-session-key-leak"
-    family = "security-flow"
-    summary = "session key material escapes repro.serve.session"
-    rationale = (
-        "The serving handshake derives one key per attested session; the "
-        "whole point of the SecureChannel abstraction is that the service, "
-        "load generator and lab only ever see sealed envelopes. A "
-        "session-key-shaped value stored or logged elsewhere in the serve "
-        "layer would put tenant keys in reach of request handlers, SLO "
-        "ledgers and event logs — exactly the multi-tenant isolation the "
-        "attestation gate exists to provide."
-    )
-    node_types = (ast.Call, ast.Assign, ast.AnnAssign)
-
-    def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
-        if ctx.package != "serve" or ctx.module in _SERVE_KEY_TCB:
-            return
-        if isinstance(node, ast.Call):
-            sink = _is_telemetry_sink(node.func)
-            if sink is None:
-                return
-            leaked = set()
-            for arg in [*node.args, *(kw.value for kw in node.keywords)]:
-                for sub in ast.walk(arg):
-                    if isinstance(sub, ast.Name) and sub.id in _SERVE_KEY_NAMES:
-                        leaked.add(sub.id)
-                    elif (
-                        isinstance(sub, ast.Attribute)
-                        and sub.attr in _SERVE_KEY_NAMES
-                    ):
-                        leaked.add(dotted_source(sub) or sub.attr)
-            for name in sorted(leaked):
-                yield ctx.finding(
-                    self.id,
-                    node,
-                    f"session key `{name}` flows into telemetry sink {sink} "
-                    "outside repro.serve.session; tenants' channel keys "
-                    "must never reach logs or exports",
-                )
-        else:  # Assign / AnnAssign
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target in targets:
-                label = self._key_label(target)
-                if label is not None:
-                    yield ctx.finding(
-                        self.id,
-                        node,
-                        f"session key material `{label}` stored outside "
-                        "repro.serve.session; hold a ClientSession / "
-                        "SecureChannel handle, not the key",
-                    )
-
-    @staticmethod
-    def _key_label(target: ast.expr) -> Optional[str]:
-        if isinstance(target, ast.Name) and target.id in _SERVE_KEY_NAMES:
-            return target.id
-        if isinstance(target, ast.Attribute) and target.attr in _SERVE_KEY_NAMES:
-            return dotted_source(target) or target.attr
-        return None
-
-
 __all__: Tuple[str, ...] = (
     "BoundaryBypassRule",
-    "BroadExceptRule",
     "KeyContainmentRule",
     "LayeringRule",
-    "ServeSessionKeyLeakRule",
-    "TelemetryLeakRule",
     "LAYER_ALLOWED",
     "KEY_TCB_MODULES",
     "KEY_NAMES",
+    "SECRET_NAMES",
 )

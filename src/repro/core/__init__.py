@@ -32,7 +32,7 @@ from repro.core.runtime import IceClaveRuntime
 from repro.core.scheduler import TeeScheduler
 from repro.core.attestation import AttestationDevice, AttestationVerifier, Quote
 from repro.core.secure_boot import BootRom, VendorSigner
-from repro.core.key_management import derive_kek, unwrap_key, wrap_key
+from repro.core.key_management import derive_kek
 from repro.core.fde import FdeEngine
 
 __all__ = [
@@ -62,7 +62,5 @@ __all__ = [
     "BootRom",
     "VendorSigner",
     "derive_kek",
-    "unwrap_key",
-    "wrap_key",
     "FdeEngine",
 ]

@@ -8,6 +8,7 @@ the analyzer's key TCB; the timing model holds no keys.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Tuple
 
 from repro.core.config import IceClaveConfig
@@ -57,15 +58,17 @@ class FunctionalMee(Stateful):
         """A new engine over the same pages and keys, one generation on.
 
         An aborted enclave restarts on it, so its owner never holds the raw
-        keys. It carries over no DRAM contents or invariant monitor. Its
-        counters continue this engine's, every page moved to a fresh major
-        (the overflow re-key, applied to every page), so no counter a MAC
-        bound in one generation recurs in the next, and no pad is reused.
+        keys. It shares the cipher and MAC, not the DRAM contents or invariant
+        monitor. Its counters continue this engine's, every page moved to a
+        fresh major (the overflow re-key, applied to every page), so no counter
+        a MAC bound in one generation recurs in the next, and no pad is reused.
         """
-        engine = FunctionalMee(self.pages, *self._keys)
-        engine.counters.restore_state(self.counters.snapshot_state())
-        engine.counters.rekey_all()
+        engine = copy.copy(self)
+        engine.counters = self.counters.next_generation()
+        engine.tree = BonsaiMerkleTree(self._keys[1], arity=TREE_ARITY)
         engine.tree.build([engine.counters.leaf(p) for p in range(self.pages)])
+        engine.dram_ciphertext, engine.dram_macs = {}, {}
+        engine.invariant_monitor = None
         return engine
 
     def _otp(self, page: int, line: int, nbytes: int) -> bytes:

@@ -129,11 +129,12 @@ class CounterCore:
             self.major[page] = block.major + 1
             self._leaves.pop(page, None)
 
-    def rekey_all(self) -> None:
-        """Move every split page to a fresh major: the overflow re-key, page by page."""
-        for block in self.split.values():
-            block.rekey()
-        self._leaves.clear()
+    def next_generation(self) -> "CounterCore":
+        """A new core with every split page at a fresh major: the overflow
+        re-key, page by page, applied to a copy."""
+        core = CounterCore(self.scheme, self.limit)
+        core.split = {page: _SplitBlock(block.major + 1) for page, block in self.split.items()}
+        return core
 
     def leaf(self, page: int) -> bytes:
         """A page's Bonsai leaf: its split block's major, then its minors."""

@@ -161,7 +161,6 @@ class IceClaveRuntime:
             )
         try:
             return self.ftl.translate(lpa, tee_id=tee.eid)
-        # repro: allow[sec-broad-except] -- §4.5 ThrowOutTEE: every translation failure aborts the TEE
         except Exception as exc:
             self.throw_out_tee(tee, f"access control violated: {exc}")
             raise TeeAbort(tee.eid, str(exc)) from exc

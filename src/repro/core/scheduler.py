@@ -116,7 +116,6 @@ class TeeScheduler:
                 outcome.completed[task.tee.eid] = result
                 task.finished = True
                 return
-            # repro: allow[sec-broad-except] -- §4.5 case 3: program fault -> ThrowOutTEE
             except Exception as exc:
                 self._abort(task, f"in-storage program exception: {exc}", outcome)
                 return

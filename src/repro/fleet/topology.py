@@ -9,7 +9,7 @@ the lost replicas.
 
 Determinism: ring points and key points come from a seeded xorshift64*
 mix, never from builtin ``hash()`` (whose value depends on
-``PYTHONHASHSEED``) — the `fleet-unseeded-topology` lint rule pins this.
+``PYTHONHASHSEED``) — the `det-unseeded-path` lint rule pins this.
 The whole topology is a pure function of (seed, device set), so snapshots
 only need to record membership, not the ring itself.
 """

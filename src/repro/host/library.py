@@ -99,7 +99,6 @@ class IceClaveLibrary:
         try:
             tee.result = program(tee)
             tee.state = TeeState.COMPLETED
-        # repro: allow[sec-broad-except] -- §4.5 case 3: any program exception must abort the TEE
         except Exception as exc:
             self._runtime.throw_out_tee(tee, f"in-storage program exception: {exc}")
             raise

@@ -12,7 +12,7 @@ content-fingerprinted ``search-corpus/v3`` file (``python -m repro search``).
 
 Everything is a pure function of the campaign seed: one threaded
 :class:`~repro.crypto.prng.XorShift64` drives every mutation and sample
-(the ``search-unseeded-randomness`` lint rule enforces this), evaluations
+(the ``det-unseeded-path`` lint rule enforces this), evaluations
 are memoized by genome fingerprint, and the budget counts *simulated*
 operations, never wall-clock — so two identical invocations produce
 byte-identical corpora.

@@ -10,7 +10,7 @@ One :class:`SearchEngine` run is a pure function of ``(seed, config)``:
    (:mod:`repro.search.shrink`).
 
 All randomness flows through one threaded
-:class:`~repro.crypto.prng.XorShift64` — the ``search-unseeded-randomness``
+:class:`~repro.crypto.prng.XorShift64` — the ``det-unseeded-path``
 lint rule keeps it that way — and every evaluation is memoized by genome
 fingerprint, so duplicates cost nothing and two runs with the same seed
 produce byte-identical corpora.

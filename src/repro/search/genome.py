@@ -16,7 +16,7 @@ experiment against an existing stack:
 Everything round-trips through canonical JSON and is content-fingerprinted,
 so corpora deduplicate by genome identity and replay exactly. All mutation
 and crossover draws come from the caller's threaded seeded PRNG — the
-``search-unseeded-randomness`` lint rule enforces that no operator here
+``det-unseeded-path`` lint rule enforces that no operator here
 creates its own entropy.
 """
 

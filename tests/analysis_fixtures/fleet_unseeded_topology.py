@@ -1,5 +1,5 @@
 # analysis-module: repro.fleet.badtopo
-"""Fixture: trips fleet-unseeded-topology exactly once.
+"""Fixture: trips det-unseeded-path exactly once.
 
 ``route_read`` takes a seeded ``rng`` (so the topology-path check stays
 quiet), but places the key with builtin ``hash()`` — whose value folds in

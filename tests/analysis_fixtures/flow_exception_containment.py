@@ -1,5 +1,5 @@
 # analysis-module: repro.core.fixture_dispatch
-"""Fixture: flow-exception-containment must fire (and sec-broad-except too).
+"""Fixture: flow-exception-containment must fire exactly once.
 
 The broad handler converts a detected in-enclave fault into `False` —
 IntegrityError/TeeAbort never reach the §4.5 abort path.

@@ -23,7 +23,6 @@ def dispatch(job) -> bool:
     try:
         job.run()
         return True
-    # repro: allow[sec-broad-except] -- fixture: §4.5 program-fault catch, routed to throw_out_tee
     except Exception as err:
         escalate(err)
         return False

@@ -1,8 +1,8 @@
 # analysis-module: repro.core.fixture_flow_leak
 """Fixture: flow-secret-escape must fire exactly once.
 
-The rename defeats `sec-telemetry-leak`'s name heuristic — only the taint
-fixpoint can still see that `material` IS the session key.
+`material` is not a secret-shaped name: only the taint fixpoint sees that
+it IS the session key, read one line above.
 """
 
 

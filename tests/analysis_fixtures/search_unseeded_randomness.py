@@ -1,5 +1,5 @@
 # analysis-module: repro.search.badmut
-"""Fixture: trips search-unseeded-randomness exactly once.
+"""Fixture: trips det-unseeded-path exactly once.
 
 ``mutate_seed`` does reference an ``rng`` (so the stochastic-path check
 stays quiet), but it builds that PRNG fresh with ``XorShift64()`` — the

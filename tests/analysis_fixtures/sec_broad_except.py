@@ -1,4 +1,4 @@
-"""Fixture: sec-broad-except must fire exactly once."""
+"""Fixture: flow-exception-containment must fire exactly once."""
 
 
 def swallow(action) -> bool:

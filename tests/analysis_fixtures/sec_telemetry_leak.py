@@ -1,4 +1,4 @@
-"""Fixture: sec-telemetry-leak must fire exactly once."""
+"""Fixture: flow-secret-escape must fire exactly once, on the print."""
 
 
 def debug_dump(aes_key: bytes) -> None:

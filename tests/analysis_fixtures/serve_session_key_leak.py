@@ -1,9 +1,9 @@
 # analysis-module: repro.serve.fixture_frontend
-"""Fixture: serve-session-key-leak must fire exactly once.
+"""Fixture: flow-secret-escape must fire exactly once.
 
-`channel_key` is serve-layer key vocabulary only (not in the repo-wide
-KEY_NAMES set), so printing it outside repro.serve.session trips the
-serve rule and nothing else.
+`channel_key` is serve-handshake key vocabulary: a read of it is a taint
+source, so printing it outside repro.serve.session is a leak. Nothing
+stores it, so sec-key-containment stays quiet.
 """
 
 

@@ -486,7 +486,7 @@ class TestFleetRecovery:
         assert stats.oracle_points_passed == 3
 
 
-# -- the fleet-unseeded-topology lint rule -------------------------------------
+# -- the det-unseeded-path lint rule in repro.fleet ----------------------------
 
 
 class TestUnseededTopologyRule:
@@ -503,7 +503,7 @@ class TestUnseededTopologyRule:
             "def place(key, rng, devices):\n"
             "    return devices[hash(key) % len(devices)]\n",
         )
-        assert [f.rule for f in result.findings] == ["fleet-unseeded-topology"]
+        assert [f.rule for f in result.findings] == ["det-unseeded-path"]
 
     def test_unseeded_xorshift_flagged(self, tmp_path):
         result = self.scan(
@@ -513,7 +513,7 @@ class TestUnseededTopologyRule:
             "    rng = XorShift64()\n"
             "    return devices[rng.next_below(len(devices))]\n",
         )
-        assert [f.rule for f in result.findings] == ["fleet-unseeded-topology"]
+        assert [f.rule for f in result.findings] == ["det-unseeded-path"]
 
     def test_topology_path_without_clock_or_rng_flagged(self, tmp_path):
         result = self.scan(
@@ -521,7 +521,7 @@ class TestUnseededTopologyRule:
             "def rebalance_ring(devices):\n"
             "    return devices[0]\n",
         )
-        assert [f.rule for f in result.findings] == ["fleet-unseeded-topology"]
+        assert [f.rule for f in result.findings] == ["det-unseeded-path"]
 
     def test_seeded_topology_path_is_clean(self, tmp_path):
         result = self.scan(
@@ -543,7 +543,7 @@ class TestUnseededTopologyRule:
             "    return devices[hash(devices[0]) % len(devices)]\n"
         )
         result = analyze_paths([victim], root=tmp_path)
-        assert "fleet-unseeded-topology" not in [f.rule for f in result.findings]
+        assert "det-unseeded-path" not in [f.rule for f in result.findings]
 
 
 # -- CLI -----------------------------------------------------------------------

@@ -1,15 +1,8 @@
-"""Tests for the user→TEE key-wrapping flow."""
+"""Tests for the user→TEE session key derivation."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.core.key_management import (
-    KeyWrapError,
-    WrappedKey,
-    derive_kek,
-    unwrap_key,
-    wrap_key,
-)
+from repro.core.key_management import derive_kek
 
 SECRET = b"vendor-provisioned-secret!"
 MEASUREMENT = b"m" * 16
@@ -38,41 +31,3 @@ class TestKekDerivation:
             derive_kek(b"short", MEASUREMENT, NONCE)
         with pytest.raises(ValueError):
             derive_kek(SECRET, MEASUREMENT, b"tiny")
-
-
-class TestWrapUnwrap:
-    def test_roundtrip(self):
-        kek = derive_kek(SECRET, MEASUREMENT, NONCE)
-        wrapped = wrap_key(kek, b"users-data-key-16")
-        assert unwrap_key(kek, wrapped) == b"users-data-key-16"
-
-    def test_ciphertext_hides_key(self):
-        kek = derive_kek(SECRET, MEASUREMENT, NONCE)
-        wrapped = wrap_key(kek, b"users-data-key-16")
-        assert wrapped.ciphertext != b"users-data-key-16"
-
-    def test_wrong_kek_cannot_unwrap(self):
-        """The end-to-end property: a trojaned TEE never sees the key."""
-        user_kek = derive_kek(SECRET, MEASUREMENT, NONCE)
-        trojan_kek = derive_kek(SECRET, b"trojan-measuremen", NONCE)
-        wrapped = wrap_key(user_kek, b"users-data-key-16")
-        with pytest.raises(KeyWrapError):
-            unwrap_key(trojan_kek, wrapped)
-
-    def test_tampered_blob_detected(self):
-        kek = derive_kek(SECRET, MEASUREMENT, NONCE)
-        wrapped = wrap_key(kek, b"users-data-key-16")
-        flipped = bytes([wrapped.ciphertext[0] ^ 1]) + wrapped.ciphertext[1:]
-        with pytest.raises(KeyWrapError):
-            unwrap_key(kek, WrappedKey(ciphertext=flipped, tag=wrapped.tag))
-
-    def test_empty_key_rejected(self):
-        kek = derive_kek(SECRET, MEASUREMENT, NONCE)
-        with pytest.raises(ValueError):
-            wrap_key(kek, b"")
-
-    @given(st.binary(min_size=1, max_size=64))
-    @settings(max_examples=25, deadline=None)
-    def test_roundtrip_property(self, data_key):
-        kek = derive_kek(SECRET, MEASUREMENT, NONCE)
-        assert unwrap_key(kek, wrap_key(kek, data_key)) == data_key

@@ -3,7 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CounterCache, EncryptionScheme, IceClaveConfig, IntegrityError
+from repro.core import (
+    BonsaiMerkleTree,
+    CounterCache,
+    EncryptionScheme,
+    IceClaveConfig,
+    IntegrityError,
+)
 from repro.core.functional_mee import FunctionalMee
 from repro.core.mee import LINES_PER_PAGE, MAJOR_COUNTERS_PER_BLOCK
 from tests.mee_reference import ReferenceMee, cache_access
@@ -236,6 +242,25 @@ class TestFunctionalMee:
     def test_unwritten_line_raises(self):
         with pytest.raises(KeyError):
             self.make().read_line(0, 1)
+
+    def test_fresh_builds_its_tree_once(self, monkeypatch):
+        """A restarted generation hashes its counters into one tree, once."""
+        mee = self.make()
+        mee.write_line(2, 7, b"x" * 16)
+        builds = []
+        build = BonsaiMerkleTree.build
+
+        def counting(tree, leaves):
+            builds.append(len(leaves))
+            build(tree, leaves)
+
+        monkeypatch.setattr(BonsaiMerkleTree, "build", counting)
+        fresh = mee.fresh()
+        assert builds == [8]
+        assert fresh.counters.pair(2, 7) == (1, 0)  # one major on, minors restart
+        assert fresh.written_lines() == [] and fresh.invariant_monitor is None
+        fresh.write_line(2, 7, b"y" * 16)
+        assert fresh.read_line(2, 7) == b"y" * 16
 
     def test_bounds(self):
         mee = self.make()
