@@ -27,8 +27,8 @@ def test_ablation_gc_watermark(benchmark):
             ftl = Ftl(geometry, chip=FlashChip(geometry), gc_watermark=watermark)
             churn(ftl, geometry.total_pages * 4)
             out[watermark] = (
-                ftl.gc.write_amplification(ftl.stats.host_writes),
-                ftl.gc.total_erases,
+                ftl.stats.write_amplification(ftl.stats.host_writes),
+                ftl.stats.gc_erases,
             )
         return out
 
@@ -56,7 +56,7 @@ def test_ablation_wear_threshold(benchmark):
             ftl = Ftl(geometry, chip=FlashChip(geometry), wear_threshold=threshold)
             churn(ftl, geometry.total_pages * 6)
             lo, hi, mean = ftl.wear_leveler.wear_stats()
-            out[threshold] = (hi - lo, ftl.wear_leveler.total_migrations, mean)
+            out[threshold] = (hi - lo, ftl.stats.wl_migrations, mean)
         return out
 
     results = run_once(benchmark, experiment)

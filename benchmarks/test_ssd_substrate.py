@@ -54,7 +54,7 @@ def test_ssd_substrate_trace_shapes(benchmark):
                 ssd.mean_write_latency(),
                 ssd.p99_style_max_write(),
                 ssd.write_amplification(),
-                ssd.ftl.gc.total_erases,
+                ssd.ftl.stats.gc_erases,
             )
         return out
 

@@ -32,15 +32,15 @@ def main() -> None:
                                           length=geometry.total_pages * 2)):
         ssd.write(lpa, data=b"hot update")
     ssd.run_to_completion()
-    print(f"  GC erased {ssd.ftl.gc.total_erases} blocks, relocated "
-          f"{ssd.ftl.gc.total_relocations} live pages")
+    print(f"  GC erased {ssd.ftl.stats.gc_erases} blocks, relocated "
+          f"{ssd.ftl.stats.gc_relocations} live pages")
     print(f"  write amplification now {ssd.write_amplification():.2f}")
     print(f"  mean write {ssd.mean_write_latency()*1e6:.0f} us, worst (GC pause) "
           f"{ssd.p99_style_max_write()*1e6:.0f} us")
 
     lo, hi, mean = ssd.ftl.wear_leveler.wear_stats()
     print(f"  wear: min={lo} max={hi} mean={mean:.1f} "
-          f"({ssd.ftl.wear_leveler.total_migrations} leveling migrations)")
+          f"({ssd.ftl.stats.wl_migrations} leveling migrations)")
 
     print("\n== the data survived all of it ==")
     intact = sum(

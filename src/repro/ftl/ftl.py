@@ -5,6 +5,11 @@ here are functional (they mutate chip/mapping state synchronously) and
 return an :class:`FtlOpCost` describing the physical flash operations each
 logical operation triggered, so the timing layer can charge them on the
 discrete-event device.
+
+Garbage collection, wear leveling and read-disturb refresh differ only in
+which block they pick; all three hand it to :meth:`Ftl._reclaim`, the one
+path that moves pages, erases a block and writes the mapping table, and
+:class:`FtlStats` is the one count of their work.
 """
 
 from __future__ import annotations
@@ -12,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.flash.chip import FlashChip
+from repro.flash.chip import FlashChip, PageState
 from repro.flash.ecc import EccModel, EccUncorrectableError, ReadRetryPolicy
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.gc import GarbageCollector, GcResult
+from repro.ftl.gc import FaultHook, GarbageCollector, GcResult
 from repro.ftl.mapping import MappingTable, PUBLIC_ID
 from repro.ftl.page_allocator import OutOfSpaceError, PageAllocator
 from repro.ftl.wear_leveling import WearLeveler
@@ -100,6 +105,12 @@ class FtlStats(Stateful):
     wl_migrations: int = 0
     disturb_refreshes: int = 0
 
+    def write_amplification(self, host_writes: int) -> float:
+        """WA = (host + GC-relocated) / host writes."""
+        if host_writes <= 0:
+            return 1.0
+        return (host_writes + self.gc_relocations) / host_writes
+
 
 class Ftl(Stateful):
     """Page-level FTL with greedy GC and static wear leveling."""
@@ -108,8 +119,6 @@ class Ftl(Stateful):
         "chip",
         "mapping",
         "allocator",
-        "gc",
-        "wear_leveler",
         "stats",
         "_block_read_counts",
         "recovery_scan_latency_per_page",
@@ -136,12 +145,10 @@ class Ftl(Stateful):
         self.logical_pages = int(geometry.total_pages * (1.0 - overprovision))
         self.mapping = MappingTable(self.logical_pages)
         self.allocator = PageAllocator(geometry, self.chip)
-        self.gc = GarbageCollector(
-            geometry, self.chip, self.mapping, self.allocator, gc_watermark
-        )
-        self.wear_leveler = WearLeveler(
-            geometry, self.chip, self.mapping, self.allocator, wear_threshold
-        )
+        # the collectors choose blocks; only _reclaim moves pages and writes
+        # the mapping, and the FTL hands it to them per call
+        self.gc = GarbageCollector(geometry, self.chip, self.allocator, gc_watermark)
+        self.wear_leveler = WearLeveler(geometry, self.chip, self.allocator, wear_threshold)
         self.read_disturb_threshold = read_disturb_threshold
         self._block_read_counts: dict = {}
         self.stats = FtlStats()
@@ -202,9 +209,16 @@ class Ftl(Stateful):
         if self.ecc is not None:
             self._decode_read(lpa, ppa, block, cost)
         self.stats.host_reads += 1
-        self._block_read_counts[block] = self._block_read_counts.get(block, 0) + 1
-        if self._block_read_counts[block] >= self.read_disturb_threshold:
-            moved = self._refresh_block(block)
+        counts = self._block_read_counts
+        reads = counts.get(block, 0) + 1
+        if reads < self.read_disturb_threshold:
+            counts[block] = reads
+        elif self.allocator.is_active_block(block):
+            counts[block] = 0  # never refresh the block being filled
+        else:
+            # read-disturb refresh
+            moved = len(self._reclaim(block))
+            self.stats.disturb_refreshes += 1
             cost.page_reads += moved
             cost.page_programs += moved
             cost.block_erases += 1
@@ -312,8 +326,6 @@ class Ftl(Stateful):
         (power-loss rebuild raises :class:`MappingIntegrityError`, the
         invariant monitors raise ``InvariantViolation``).
         """
-        from repro.flash.chip import PageState
-
         problems: List[str] = []
         mapped_ppas: Dict[int, int] = {}
         for lpa, entry in self.mapping.items():
@@ -382,8 +394,6 @@ class Ftl(Stateful):
         report = RecoveryReport()
         self._block_read_counts.clear()
         self.mapping.clear()
-        from repro.flash.chip import PageState
-
         best: Dict[int, Tuple[int, int, int]] = {}  # lpa -> (seq, ppa, owner)
         stale: List[int] = []
         for block in range(self.geometry.total_blocks):
@@ -430,36 +440,46 @@ class Ftl(Stateful):
             self.reliability.added_latency_s += report.scan_latency
         return report
 
-    def _refresh_block(self, block: int) -> int:
-        """Read-disturb refresh: rewrite valid pages, erase the block."""
-        if self.allocator.is_active_block(block):
-            self._block_read_counts[block] = 0
-            return 0  # never refresh the block being filled
-        moved = 0
-        from repro.flash.chip import PageState
+    def _reclaim(
+        self, block: int, fault_hook: Optional[FaultHook] = None
+    ) -> List[Tuple[int, int]]:
+        """Move a block's valid pages to fresh pages, erase it and free it.
 
-        for ppa in self.chip.pages_of_block(block):
-            if self.chip.page_state(ppa) is not PageState.VALID:
+        The FTL's one block reclaim: garbage collection, wear leveling and
+        read-disturb refresh each choose a block and hand it here. The erase
+        ends the block's read-disturb count. GC passes its ``fault_hook``,
+        which is called with ``"gc_mid_relocate"`` while both copies of a
+        page are VALID. Returns the ``(old_ppa, new_ppa)`` of every page
+        moved.
+        """
+        chip = self.chip
+        moves: List[Tuple[int, int]] = []
+        for ppa in chip.pages_of_block(block):
+            if chip.page_state(ppa) is not PageState.VALID:
                 continue
             lpa = self.mapping.lpa_of_ppa(ppa)
-            data = self.chip.read(ppa)
+            data = chip.read(ppa)
+            # allocate on a different plane if this one is exhausted
             new_ppa = self.allocator.allocate()
-            old_oob = self.chip.oob_of(ppa)
-            self.chip.program(
+            old_oob = chip.oob_of(ppa)
+            chip.program(
                 new_ppa,
-                data if self.chip.store_data else None,
+                data if chip.store_data else None,
                 lpa=lpa,
                 owner=old_oob.owner if old_oob is not None else PUBLIC_ID,
             )
-            self.chip.invalidate(ppa)
+            if fault_hook is not None:
+                # a power cut here leaves a duplicate that recovery must
+                # resolve by sequence number
+                fault_hook("gc_mid_relocate")
+            chip.invalidate(ppa)
             if lpa is not None:
                 self.mapping.update(lpa, new_ppa)
-            moved += 1
-        self.chip.erase(block)
+            moves.append((ppa, new_ppa))
+        chip.erase(block)
         self.allocator.release_block(block)
-        self._block_read_counts[block] = 0
-        self.stats.disturb_refreshes += 1
-        return moved
+        self._block_read_counts.pop(block, None)
+        return moves
 
     def read_data(self, lpa: int, tee_id: int = PUBLIC_ID) -> Optional[bytes]:
         """Functional read returning stored bytes (functional mode only)."""
@@ -495,31 +515,27 @@ class Ftl(Stateful):
         cost.ppa = new_ppa
         self.stats.host_writes += 1
 
-        gc_total = GcResult()
         plane = self.geometry.plane_index(new_ppa)
-        if self.gc.needs_gc(plane):
-            gc_total.merge(self.gc.collect_plane(plane))
         monitor = self.invariant_monitor
-        if gc_total.blocks_erased:
-            cost.page_reads += gc_total.pages_relocated
-            cost.page_programs += gc_total.pages_relocated
-            cost.block_erases += gc_total.blocks_erased
-            cost.gc = gc_total
-            self.stats.gc_relocations += gc_total.pages_relocated
-            self.stats.gc_erases += gc_total.blocks_erased
-            # an erase ends a block's read disturb, as a refresh does
-            for block in gc_total.victims:
-                self._block_read_counts.pop(block, None)
-            if monitor is not None:
-                monitor.after_ftl_step(self, "gc")
+        if self.gc.needs_gc(plane):
+            gc = self.gc.collect_plane(plane, self._reclaim)
+            if gc.victims:
+                relocated = len(gc.relocated)
+                cost.page_reads += relocated
+                cost.page_programs += relocated
+                cost.block_erases += len(gc.victims)
+                cost.gc = gc
+                self.stats.gc_relocations += relocated
+                self.stats.gc_erases += len(gc.victims)
+                if monitor is not None:
+                    monitor.after_ftl_step(self, "gc")
 
-        wl = self.wear_leveler.level()
-        if wl.migrations:
-            cost.page_reads += wl.pages_moved
-            cost.page_programs += wl.pages_moved
-            cost.block_erases += wl.migrations
-            self.stats.wl_migrations += wl.migrations
-            self._block_read_counts.pop(wl.block, None)
+        moved = self.wear_leveler.level(self._reclaim)
+        if moved is not None:
+            cost.page_reads += moved
+            cost.page_programs += moved
+            cost.block_erases += 1
+            self.stats.wl_migrations += 1
             if monitor is not None:
                 monitor.after_ftl_step(self, "wear_level")
         return cost
@@ -535,6 +551,6 @@ class Ftl(Stateful):
         return len(self.mapping) / self.logical_pages
 
     def block_read_counts(self) -> Dict[int, int]:
-        """Reads per block since its last erase (by GC, wear leveling or a
-        refresh) or the last power-loss rebuild (a copy)."""
+        """Reads per block since its last erase (by :meth:`_reclaim`) or the
+        last power-loss rebuild (a copy)."""
         return dict(self._block_read_counts)

@@ -157,4 +157,4 @@ class SsdSystem:
 
     def write_amplification(self) -> float:
         """Physical writes per host write since the system was created."""
-        return self.ftl.gc.write_amplification(self.stats.writes_issued)
+        return self.ftl.stats.write_amplification(self.stats.writes_issued)

@@ -9,34 +9,21 @@ so the cold block (young, rarely erased) re-enters circulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.flash.chip import FlashChip, PageState
+from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.mapping import MappingTable
+from repro.ftl.gc import Reclaim
 from repro.ftl.page_allocator import PageAllocator
-from repro.sim.state import Stateful
 
 
-@dataclass
-class WearLevelResult:
-    migrations: int = 0
-    pages_moved: int = 0
-    block: Optional[int] = None  # the block migrated and erased, if any
-
-
-class WearLeveler(Stateful):
+class WearLeveler:
     """Threshold-based static wear leveling."""
-
-    # counters only: chip, mapping and allocator are snapshotted by their owner
-    STATE = ("total_migrations",)
 
     def __init__(
         self,
         geometry: FlashGeometry,
         chip: FlashChip,
-        mapping: MappingTable,
         allocator: PageAllocator,
         threshold: int = 16,
     ) -> None:
@@ -44,10 +31,8 @@ class WearLeveler(Stateful):
             raise ValueError("threshold must be >= 1")
         self.geometry = geometry
         self.chip = chip
-        self.mapping = mapping
         self.allocator = allocator
         self.threshold = threshold
-        self.total_migrations = 0
 
     def wear_stats(self) -> Tuple[int, int, float]:
         """(min, max, mean) wear over all blocks (unworn blocks count as 0)."""
@@ -81,41 +66,18 @@ class WearLeveler(Stateful):
                 best = block
         return best
 
-    def level(self) -> WearLevelResult:
-        """Perform one leveling pass if the wear gap exceeds the threshold.
+    def level(self, reclaim: Reclaim) -> Optional[int]:
+        """Level one block if the wear gap exceeds the threshold.
 
-        Migrates the coldest occupied block's valid pages to fresh pages and
-        erases it, bringing it back into the free pool where (being young)
-        the wear-aware allocator will favour it.
+        Hands the coldest occupied block to ``reclaim`` (the FTL's block
+        reclaim, passed per call), which migrates its valid pages to fresh
+        pages and erases it, bringing it back into the free pool where
+        (being young) the wear-aware allocator will favour it. Returns the
+        pages moved, or None if no block was leveled.
         """
-        result = WearLevelResult()
         if not self.needs_leveling():
-            return result
+            return None
         cold = self.coldest_occupied_block()
         if cold is None:
-            return result
-        moved = 0
-        for ppa in self.chip.pages_of_block(cold):
-            if self.chip.page_state(ppa) is not PageState.VALID:
-                continue
-            lpa = self.mapping.lpa_of_ppa(ppa)
-            data = self.chip.read(ppa)
-            new_ppa = self.allocator.allocate()
-            old_oob = self.chip.oob_of(ppa)
-            self.chip.program(
-                new_ppa,
-                data if self.chip.store_data else None,
-                lpa=lpa,
-                owner=old_oob.owner if old_oob is not None else 0,
-            )
-            self.chip.invalidate(ppa)
-            if lpa is not None:
-                self.mapping.update(lpa, new_ppa)
-            moved += 1
-        self.chip.erase(cold)
-        self.allocator.release_block(cold)
-        result.block = cold
-        result.migrations = 1
-        result.pages_moved = moved
-        self.total_migrations += 1
-        return result
+            return None
+        return len(reclaim(cold))

@@ -43,7 +43,7 @@ from typing import Any, Dict, List
 from repro.sim.state import canonical_fingerprint, decode_canonical, encode_canonical
 
 #: Bump on any change to a participating ``snapshot_state()`` payload shape.
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 _FORMAT_MARKER = "repro-snapshot"
 _HEX_DIGEST = re.compile(rb"[0-9a-f]{64}")

@@ -198,7 +198,7 @@ class TestFtl:
         # hammer a small logical range so most pages become invalid
         for i in range(geo.total_pages * 2):
             ftl.write(i % 4)
-        assert ftl.gc.total_erases > 0
+        assert ftl.stats.gc_erases > 0
         assert ftl.allocator.total_free_blocks() > 0
         # all four logical pages still translate
         for lpa in range(4):
@@ -219,7 +219,7 @@ class TestFtl:
         geo, ftl = self.make_ftl()
         for i in range(geo.total_pages * 2):
             ftl.write(i % 8)
-        wa = ftl.gc.write_amplification(ftl.stats.host_writes)
+        wa = ftl.stats.write_amplification(ftl.stats.host_writes)
         assert wa >= 1.0
 
     def test_permission_checked_read(self):

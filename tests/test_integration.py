@@ -138,7 +138,7 @@ class TestFigure9Workflow:
         geo = ssd.ftl.geometry
         for i in range(geo.total_pages * 2):
             ssd.ftl.write(4 + (i % 6), b"churn")
-        assert ssd.ftl.gc.total_erases > 0
+        assert ssd.ftl.stats.gc_erases > 0
         after = [ssd.runtime.read_mapping_entry(handle.tee, lpa) for lpa in range(4)]
         # data still readable and correct through the new PPAs
         for lpa, ppa in enumerate(after):

@@ -162,13 +162,13 @@ class TestSnapshotFile:
     # Pinned format regression: this digest only moves when the canonical
     # encoding or the fingerprinted envelope changes — both of which
     # require a SNAPSHOT_VERSION bump (docs/RECOVERY.md).
-    PINNED = "52207a4049de890ee0b25e17564148707f32f96be25c6e49c500b77d4943a75c"
+    PINNED = "fe62aff03023dae0e4b81ccbdd8ea69ff2f39be8076887cc8783709100ad283b"
 
     def _snap(self):
         return Snapshot(kind="format-regression", meta={"seed": 7}, state=self.STATE)
 
     def test_format_fingerprint_is_pinned(self):
-        assert SNAPSHOT_VERSION == 3
+        assert SNAPSHOT_VERSION == 4
         assert self._snap().fingerprint() == self.PINNED
 
     def test_round_trip(self, tmp_path):
@@ -198,6 +198,13 @@ class TestSnapshotFile:
     def test_version_2_files_are_refused(self, tmp_path):
         path = tmp_path / "t.snap"
         save_snapshot(Snapshot(kind="x", state={"a": 1}, version=2), path)
+        with pytest.raises(SnapshotVersionError):
+            load_snapshot(path)
+
+    def test_version_3_files_are_refused(self, tmp_path):
+        """Version 3 checkpoints carried the FTL's collector counters."""
+        path = tmp_path / "t.snap"
+        save_snapshot(Snapshot(kind="x", state={"a": 1}, version=3), path)
         with pytest.raises(SnapshotVersionError):
             load_snapshot(path)
 
@@ -288,8 +295,11 @@ class TestPinnedCheckpoints:
     # of the whole checkpoint only the 16 tenant MACs changed. Re-pinned from
     # 66df70079682… when GC and wear-leveling erases began to drop their
     # blocks' read-disturb counts: only the FTL's block read counts changed.
-    CHAOS_PINNED = "3feb2e9f6177fd38ef6a6b768684c2e983d9e71c724f71a6d12c9195faf0d447"
-    FLEET_PINNED = "6eddf0e814039eda12effb8bbecc4bb1f95c460b772edcedf1778cad2e16e94e"
+    # Both re-pinned with version 4 (from 3feb2e9f6177… and 6eddf0e81403…),
+    # when FtlStats became the one count of GC and leveling work: besides
+    # the version, only the FTL's ``gc`` and ``wear_leveler`` entries left.
+    CHAOS_PINNED = "7faafd00452eba29d33afbf98436207228efdef0f817d891cd00ec0ee96f0b24"
+    FLEET_PINNED = "9136f8b695ff28bc496f38d2387c928b49a5877eaeedeb197f815eeecfd04c9a"
 
     @classmethod
     def setup_class(cls):
@@ -297,14 +307,14 @@ class TestPinnedCheckpoints:
         cls.chaos.run_until(1500)
 
     def test_chaos_checkpoint_is_pinned(self):
-        assert SNAPSHOT_VERSION == 3
+        assert SNAPSHOT_VERSION == 4
         assert snapshot_chaos_runner(self.chaos).fingerprint() == self.CHAOS_PINNED
 
     def test_fleet_checkpoint_is_pinned(self):
         runner = FleetRunner(42, 400, working_set=48, rebuild_batch=1)
         runner.run_until(205)
         assert runner.rebuild.pending > 0  # the cut lands mid-rebuild
-        assert SNAPSHOT_VERSION == 3
+        assert SNAPSHOT_VERSION == 4
         assert snapshot_fleet_runner(runner).fingerprint() == self.FLEET_PINNED
 
     def test_checkpoint_carries_no_key_bytes(self):

@@ -86,7 +86,7 @@ class TestGcTiming:
             pattern.append(i % 4 if i % 2 == 0 else 4 + (i // 2) % cold)
         ssd.write_many(pattern)
         host_writes = len(pattern)
-        assert ssd.ftl.gc.total_relocations > 0
+        assert ssd.ftl.stats.gc_relocations > 0
         assert ssd.device.stats.counter("page_writes").value > host_writes
         assert ssd.device.stats.counter("block_erases").value > 0
 

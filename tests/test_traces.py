@@ -92,7 +92,7 @@ class TestReplayOnSsd:
         pages = ssd.ftl.logical_pages // 2
         trace = zipf_write(cfg(pages=pages, length=ssd.geometry.total_pages * 3))
         self.replay(ssd, trace)
-        assert ssd.ftl.gc.total_erases > 0
+        assert ssd.ftl.stats.gc_erases > 0
         assert ssd.write_amplification() >= 1.0
 
     def test_skewed_writes_cost_more_than_sequential(self):
@@ -103,4 +103,4 @@ class TestReplayOnSsd:
         self.replay(seq, sequential_write(cfg(pages=pages, length=length)))
         skew = self.make_ssd()
         self.replay(skew, zipf_write(cfg(pages=pages, length=length)))
-        assert skew.ftl.gc.total_relocations >= seq.ftl.gc.total_relocations
+        assert skew.ftl.stats.gc_relocations >= seq.ftl.stats.gc_relocations
