@@ -49,6 +49,10 @@ TENANT_LINES = 8
 # chaos streams need enough writes to exercise GC even for read-heavy
 # workloads; the workload's measured ratio raises this floor, never lowers it
 MIN_WRITE_FRACTION = 0.35
+# 64-bit FNV-1a, one LPA per step: the digest of the LPAs a run read
+FNV_OFFSET = 0xCBF29CE484222325
+FNV_PRIME = 0x100000001B3
+MASK64 = (1 << 64) - 1
 
 
 @dataclass
@@ -66,11 +70,12 @@ class ChaosReport(Record):
     plan_summary: Dict[str, int] = field(default_factory=dict)
     nvme_statuses: Dict[str, int] = field(default_factory=dict)
     ftl_counters: Dict[str, int] = field(default_factory=dict)
-    # the FTL's reads per flash block after the last op (the counts live in
-    # SSD DRAM, so they restart at each power-loss rebuild, and an erase ends
-    # its block's count): the one field that moves with which LPAs the run
-    # read, as far as the blocks read have not been erased since
+    # which LPAs the run read, two witnesses: the FTL's reads per flash block
+    # after the last op (the counts live in SSD DRAM, so they restart at
+    # each power-loss rebuild, and an erase ends its block's count), and a
+    # digest of every LPA the runner asked to read, which nothing clears
     block_reads: Dict[int, int] = field(default_factory=dict)
+    read_digest: int = FNV_OFFSET
     invariant_violations: int = 0
     event_log: List[str] = field(default_factory=list)
 
@@ -117,6 +122,7 @@ class ChaosRunner(Stateful):
         "_next_op",
         "_tag",
         "_prepared",
+        "read_digest",
         "rng",
         "stats",
         "ftl",
@@ -173,6 +179,7 @@ class ChaosRunner(Stateful):
         self._prepared = False
         self._next_op = 0
         self._tag = 0
+        self.read_digest = FNV_OFFSET
         self.monitors = None  # repro: allow[recovery-unserialized-state] -- MonitorSuite is re-armed via arm_monitors after restore, never serialized
 
     # -- pieces ----------------------------------------------------------------
@@ -204,6 +211,7 @@ class ChaosRunner(Stateful):
         self.expected[lpa] = payload
 
     def _read(self, op: int, lpa: int) -> None:
+        self.read_digest = ((self.read_digest ^ lpa) * FNV_PRIME) & MASK64
         try:
             cost = self.ftl.read(lpa)
         except UncorrectableReadError as exc:
@@ -369,6 +377,7 @@ class ChaosRunner(Stateful):
             nvme_statuses=dict(self.nvme_statuses),
             ftl_counters=ftl_counters,
             block_reads=block_reads,
+            read_digest=self.read_digest,
             invariant_violations=self.invariant_violations,
             event_log=list(self.event_log),
         )
