@@ -1,11 +1,13 @@
-"""Discrete-event flash device: channel + die contention and timing.
+"""Flash timing: channel + die contention.
 
-This is where the paper's bandwidth story lives. A page read occupies its
-die for ``t_RD`` then its channel for the transfer time; with C channels the
-aggregate internal bandwidth scales with C (Figure 12) while per-page latency
-and die counts bound the achievable parallelism (Figure 14).
-:func:`read_storm_time` computes the clock of a windowed read storm
-without the engine, exactly; :meth:`FlashDevice.read_storm` is its oracle.
+A page read occupies its die for ``t_RD`` then its channel for the transfer
+time; with C channels the aggregate internal bandwidth scales with C
+(Figure 12) while per-page latency and die counts bound the achievable
+parallelism (Figure 14). :func:`read_storm_time` computes the clock of a
+windowed read storm without the engine, exactly; the Figs. 12-14 probe uses
+it. :class:`FlashDevice` runs the same contention on the discrete-event
+engine: it is :class:`~repro.ftl.ssd_system.SsdSystem`'s timing, and its
+:meth:`FlashDevice.read_storm` is the closed form's oracle.
 """
 
 from __future__ import annotations
@@ -13,12 +15,10 @@ from __future__ import annotations
 from heapq import heappop, heappush, heapreplace
 from typing import Callable, Iterable, List, Optional, Tuple
 
-from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import FlashTiming
 from repro.sim.engine import Engine
 from repro.sim.resource import Resource
-from repro.sim.stats import StatRegistry
 
 Callback = Optional[Callable[[], None]]
 
@@ -26,9 +26,9 @@ Callback = Optional[Callable[[], None]]
 class FlashDevice:
     """Timing front-end of the SSD's flash array.
 
-    Optionally coupled to a :class:`FlashChip` for functional state; the
-    timing path works standalone so platform-level simulations can run
-    without byte storage.
+    Schedules page reads, page programs and block erases on the channel and
+    die resources and counts them; the functional state is the FTL's
+    :class:`~repro.flash.chip.FlashChip`.
     """
 
     def __init__(
@@ -36,55 +36,33 @@ class FlashDevice:
         engine: Engine,
         geometry: Optional[FlashGeometry] = None,
         timing: Optional[FlashTiming] = None,
-        chip: Optional[FlashChip] = None,
     ) -> None:
         self.engine = engine
         self.geometry = geometry or FlashGeometry()
         self.timing = timing or FlashTiming()
-        self.chip = chip
         self.channels = [
             Resource(engine, f"channel{i}") for i in range(self.geometry.channels)
         ]
         self.dies = [Resource(engine, f"die{i}") for i in range(self.geometry.total_dies)]
-        self.stats = StatRegistry()
-        # hot-path handles: one registry lookup at construction, not per page
-        self._page_reads = self.stats.counter("page_reads")
-        self._page_writes = self.stats.counter("page_writes")
-        self._block_erases = self.stats.counter("block_erases")
+        self.page_reads = 0
+        self.page_writes = 0
+        self.block_erases = 0
         self._page_transfer_time = self.timing.transfer_time(self.geometry.page_bytes)
 
-    # -- single-page operations ---------------------------------------------
-
-    def read(self, ppa: int, on_done: Callback = None, data_sink: Optional[list] = None) -> None:
+    def read(self, ppa: int, on_done: Callback = None) -> None:
         """Schedule a page read: die sense (t_RD), then channel transfer."""
         channel, die = self.geometry.channel_and_die(ppa)
-        self._page_reads.add()
-        if self.chip is None and data_sink is None:
-            # timing-only fast path: skip the _finish_read trampoline
-            def after_sense() -> None:
-                self.channels[channel].acquire(self._page_transfer_time, on_done=on_done)
-        else:
-            def after_sense() -> None:
-                self.channels[channel].acquire(
-                    self._page_transfer_time,
-                    on_done=lambda: self._finish_read(ppa, on_done, data_sink),
-                )
+        self.page_reads += 1
+
+        def after_sense() -> None:
+            self.channels[channel].acquire(self._page_transfer_time, on_done=on_done)
 
         self.dies[die].acquire(self.timing.read_latency, on_done=after_sense)
 
-    def _finish_read(self, ppa: int, on_done: Callback, data_sink: Optional[list]) -> None:
-        if self.chip is not None and data_sink is not None:
-            data_sink.append(self.chip.read(ppa))
-        if on_done is not None:
-            on_done()
-
-    def write(self, ppa: int, data: Optional[bytes] = None, on_done: Callback = None) -> None:
+    def write(self, ppa: int, on_done: Callback = None) -> None:
         """Schedule a page program: channel transfer, then die program."""
         channel, die = self.geometry.channel_and_die(ppa)
-        self._page_writes.add()
-        if self.chip is not None:
-            # functional state changes immediately (command ordering is FIFO)
-            self.chip.program(ppa, data if self.chip.store_data else None)
+        self.page_writes += 1
 
         def after_transfer() -> None:
             self.dies[die].acquire(self.timing.program_latency, on_done=on_done)
@@ -93,36 +71,10 @@ class FlashDevice:
 
     def erase(self, block: int, on_done: Callback = None) -> None:
         """Schedule a block erase on its die."""
-        if self.chip is not None:
-            self.chip.erase(block)
         plane = block // self.geometry.blocks_per_plane
         die = plane // self.geometry.planes_per_die
-        self._block_erases.add()
+        self.block_erases += 1
         self.dies[die].acquire(self.timing.erase_latency, on_done=on_done)
-
-    # -- batched operations ---------------------------------------------------
-
-    def read_many(self, ppas: Iterable[int], on_all_done: Callback = None) -> int:
-        """Issue many reads; ``on_all_done`` fires after the last completes.
-
-        Returns the number of reads issued.
-        """
-        ppa_list = list(ppas)
-        remaining = len(ppa_list)
-        if remaining == 0:
-            if on_all_done is not None:
-                self.engine.schedule(0.0, on_all_done)
-            return 0
-        state = {"left": remaining}
-
-        def one_done() -> None:
-            state["left"] -= 1
-            if state["left"] == 0 and on_all_done is not None:
-                on_all_done()
-
-        for ppa in ppa_list:
-            self.read(ppa, on_done=one_done)
-        return remaining
 
     def read_storm(self, ppas: Iterable[int], window: int = 64) -> int:
         """Run a windowed closed-loop read storm to completion.
@@ -148,46 +100,6 @@ class FlashDevice:
             issue_one()
         engine.run()
         return engine.events_fired - before
-
-    def write_many(self, ppas: Iterable[int], on_all_done: Callback = None) -> int:
-        """Issue many writes; ``on_all_done`` fires after the last completes."""
-        ppa_list = list(ppas)
-        remaining = len(ppa_list)
-        if remaining == 0:
-            if on_all_done is not None:
-                self.engine.schedule(0.0, on_all_done)
-            return 0
-        state = {"left": remaining}
-
-        def one_done() -> None:
-            state["left"] -= 1
-            if state["left"] == 0 and on_all_done is not None:
-                on_all_done()
-
-        for ppa in ppa_list:
-            self.write(ppa, on_done=one_done)
-        return remaining
-
-    # -- derived figures --------------------------------------------------------
-
-    def internal_bandwidth(self) -> float:
-        """Aggregate channel bandwidth in bytes/second."""
-        return self.geometry.channels * self.timing.channel_bandwidth
-
-    def max_read_throughput(self) -> float:
-        """Read throughput bound: min(channel bw, die-level parallelism).
-
-        With D dies each needing t_RD per page plus the channel transfer,
-        sustained throughput cannot exceed D * page / t_RD; the channel
-        aggregate caps it from the other side. Figure 14's latency sweep
-        crosses between these two regimes.
-        """
-        die_bound = (
-            self.geometry.total_dies
-            * self.geometry.page_bytes
-            / self.timing.read_latency
-        )
-        return min(self.internal_bandwidth(), die_bound)
 
 
 def read_storm_time(

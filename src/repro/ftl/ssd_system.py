@@ -52,7 +52,7 @@ class SsdSystem:
         self.geometry = geometry or FlashGeometry()
         chip = FlashChip(self.geometry, store_data=store_data)
         self.ftl = Ftl(self.geometry, chip=chip, **ftl_kwargs)
-        self.device = FlashDevice(self.engine, self.geometry, timing, chip=None)
+        self.device = FlashDevice(self.engine, self.geometry, timing)
         self.stats = IoStats()
         self.degradation = degradation
         self.slo = slo

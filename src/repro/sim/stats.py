@@ -152,32 +152,6 @@ def memo_cache_stats() -> Dict[str, Dict[str, int]]:
     return out
 
 
-class Counter:
-    """A named monotonically increasing counter.
-
-    Hot paths should hold the Counter object itself (one registry lookup,
-    then ``add`` per event) rather than calling ``registry.counter(name)``
-    per event.
-    """
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value: int = 0) -> None:
-        self.name = name
-        self.value = value
-
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase; use two counters for deltas")
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}={self.value})"
-
-
 def nearest_rank(ordered: Sequence[float], pct: float) -> float:
     """Exact nearest-rank ``pct`` percentile of ascending ``ordered``.
 
@@ -243,36 +217,3 @@ class Histogram:
         if not self._samples:
             raise ValueError("no samples recorded")
         return value
-
-
-class StatRegistry:
-    """A flat namespace of counters and histograms for one simulated component."""
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._histograms: Dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
-
-    def histogram(self, name: str, keep_samples: bool = False) -> Histogram:
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(name, keep_samples=keep_samples)
-        return self._histograms[name]
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flatten all stats into a name→value dict (hist → mean)."""
-        out: Dict[str, float] = {}
-        for name, counter in self._counters.items():
-            out[name] = float(counter.value)
-        for name, hist in self._histograms.items():
-            out[f"{name}.count"] = float(hist.count)
-            out[f"{name}.mean"] = hist.mean
-        return out
-
-    def reset(self) -> None:
-        for counter in self._counters.values():
-            counter.reset()
-        self._histograms.clear()

@@ -282,59 +282,24 @@ class TestDeviceTiming:
         engine.run()
         assert done == [pytest.approx(dev.timing.erase_latency)]
 
-    def test_read_many_completion(self):
-        engine, geo, dev = self.make(channels=2)
-        done = []
-        count = dev.read_many(range(10), on_all_done=lambda: done.append(engine.now))
-        engine.run()
-        assert count == 10
-        assert len(done) == 1
-        assert dev.stats.counter("page_reads").value == 10
-
-    def test_read_many_empty(self):
-        engine, _, dev = self.make()
-        done = []
-        dev.read_many([], on_all_done=lambda: done.append(engine.now))
-        engine.run()
-        assert done == [pytest.approx(0.0)]
-
     def test_channel_scaling_improves_throughput(self):
         """More channels => shorter makespan for a fixed page batch (Fig. 12)."""
         times = {}
         for channels in (1, 2, 4):
             engine, geo, dev = self.make(channels=channels)
             npages = 32
-            dev.read_many(range(npages))
-            times[channels] = engine.run()
+            dev.read_storm(range(npages), window=npages)
+            times[channels] = engine.now
         assert times[4] < times[2] < times[1]
 
     def test_higher_read_latency_slows_batch(self):
         """Figure 14: flash latency sweeps shift the read-throughput bound."""
         def makespan(read_latency_us):
             engine, geo, dev = self.make(channels=2, read_latency=read_latency_us * 1e-6)
-            dev.read_many(range(32))
-            return engine.run()
+            dev.read_storm(range(32), window=32)
+            return engine.now
 
         assert makespan(110) > makespan(10)
-
-    def test_max_read_throughput_crossover(self):
-        engine, _, dev = self.make(channels=2, read_latency=10e-6)
-        fast = dev.max_read_throughput()
-        engine2, _, dev2 = self.make(channels=2, read_latency=110e-6)
-        slow = dev2.max_read_throughput()
-        assert fast > slow
-
-    def test_functional_coupling(self):
-        engine = Engine()
-        geo = small_geometry(channels=1, chips_per_channel=1, dies_per_chip=1,
-                             planes_per_die=1, blocks_per_plane=4, pages_per_block=4)
-        chip = FlashChip(geo, store_data=True)
-        dev = FlashDevice(engine, geo, chip=chip)
-        sink = []
-        dev.write(chip.pages_of_block(0)[0], data=b"payload")
-        dev.read(chip.pages_of_block(0)[0], data_sink=sink)
-        engine.run()
-        assert sink == [b"payload"]
 
 
 class TestReadStorm:
@@ -346,7 +311,7 @@ class TestReadStorm:
         engine, dev = self.make()
         events = dev.read_storm(range(10))
         assert events == engine.events_fired == 20
-        assert dev.stats.counter("page_reads").value == 10
+        assert dev.page_reads == 10
 
     def test_empty_storm_is_a_noop(self):
         engine, dev = self.make()

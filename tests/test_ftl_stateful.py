@@ -1,9 +1,11 @@
 """Stateful property test: the FTL vs a trivial reference model.
 
 Hypothesis drives random sequences of writes, overwrites, trims, and reads
-against the full FTL (with GC and wear leveling active) and checks that it
-always agrees with a plain dict — the strongest statement that
-out-of-place writes, relocations, and erases never lose or corrupt data.
+against the full FTL (with GC, wear leveling and read-disturb refresh
+active) and checks that it always agrees with a plain dict — the strongest
+statement that out-of-place writes, relocations, and erases never lose or
+corrupt data. All three reclaim blocks through the one ``Ftl._reclaim``, so
+every chip erase is one of theirs and ends its block's read count.
 """
 
 from hypothesis import settings
@@ -19,13 +21,15 @@ from repro.flash import FlashChip, PageState
 from repro.flash.geometry import small_geometry
 from repro.ftl import Ftl
 
+# small blocks on two planes: a few steps fill blocks, so GC, wear leveling
+# and read-disturb refresh all run within one example
 GEOMETRY = small_geometry(
     channels=2,
     chips_per_channel=1,
     dies_per_chip=1,
-    planes_per_die=2,
+    planes_per_die=1,
     blocks_per_plane=8,
-    pages_per_block=8,
+    pages_per_block=4,
 )
 
 
@@ -36,7 +40,8 @@ class FtlMachine(RuleBasedStateMachine):
             GEOMETRY,
             chip=FlashChip(GEOMETRY, store_data=True),
             gc_watermark=2,
-            wear_threshold=8,
+            wear_threshold=1,
+            read_disturb_threshold=4,
         )
         self.model = {}  # lpa -> bytes
         # keep occupancy below the physical ceiling so GC can always win
@@ -60,6 +65,16 @@ class FtlMachine(RuleBasedStateMachine):
             self.ftl.write(lpa, payload)
             self.model[lpa] = payload
 
+    @rule(lpa=lpas, times=st.integers(min_value=1, max_value=64))
+    def churn(self, lpa, times):
+        """Rewrite one page many times: fills blocks and drives GC and
+        wear leveling within a few steps."""
+        if lpa in self.model:
+            for i in range(times):
+                payload = f"{lpa}:{i}".encode()
+                self.ftl.write(lpa, payload)
+            self.model[lpa] = payload
+
     @rule(lpa=lpas)
     def trim(self, lpa):
         if lpa in self.model:
@@ -70,6 +85,14 @@ class FtlMachine(RuleBasedStateMachine):
     def read_matches_model(self, lpa):
         if lpa in self.model:
             assert self.ftl.read_data(lpa) == self.model[lpa]
+
+    @rule(lpa=lpas, times=st.integers(min_value=1, max_value=8))
+    def counted_read(self, lpa, times):
+        """Host reads count toward read disturb and may refresh the block."""
+        if lpa in self.model:
+            for _ in range(times):
+                self.ftl.read(lpa)
+                assert self.ftl.read_data(lpa) == self.model[lpa]
 
     @invariant()
     def mapped_set_matches(self):
@@ -88,6 +111,19 @@ class FtlMachine(RuleBasedStateMachine):
     @invariant()
     def free_space_never_exhausted(self):
         assert self.ftl.allocator.total_free_blocks() >= 1
+
+    @invariant()
+    def every_erase_is_a_counted_reclaim(self):
+        stats = self.ftl.stats
+        assert self.ftl.chip.erases == (
+            stats.gc_erases + stats.wl_migrations + stats.disturb_refreshes
+        )
+
+    @invariant()
+    def erased_blocks_have_no_read_count(self):
+        chip = self.ftl.chip
+        for block in self.ftl.block_read_counts():
+            assert chip.write_cursor(block) != 0
 
     @invariant()
     def zero_cursor_means_all_free(self):

@@ -87,8 +87,8 @@ class TestGcTiming:
         ssd.write_many(pattern)
         host_writes = len(pattern)
         assert ssd.ftl.stats.gc_relocations > 0
-        assert ssd.device.stats.counter("page_writes").value > host_writes
-        assert ssd.device.stats.counter("block_erases").value > 0
+        assert ssd.device.page_writes > host_writes
+        assert ssd.device.block_erases > 0
 
     def test_sequential_writes_no_gc(self):
         ssd = SsdSystem(geometry=tiny())
