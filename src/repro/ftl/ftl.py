@@ -146,7 +146,8 @@ class Ftl(Stateful):
         self.mapping = MappingTable(self.logical_pages)
         self.allocator = PageAllocator(geometry, self.chip)
         # the collectors choose blocks; only _reclaim moves pages and writes
-        # the mapping, and the FTL hands it to them per call
+        # the mapping. It is handed to them per call: a bound method stored
+        # on a collector would put the FTL in a reference cycle.
         self.gc = GarbageCollector(geometry, self.chip, self.allocator, gc_watermark)
         self.wear_leveler = WearLeveler(geometry, self.chip, self.allocator, wear_threshold)
         self.read_disturb_threshold = read_disturb_threshold

@@ -8,7 +8,7 @@ config knobs — evaluating each against a real campaign (chaos runner,
 resilience/fleet/serve lab arm, crash-oracle round-trip) and scoring the
 outcome with pluggable :mod:`~repro.search.objectives`. Hits are
 delta-debugged to minimal repro genomes and persisted as a replayable,
-content-fingerprinted ``search-corpus/v3`` file (``python -m repro search``).
+content-fingerprinted ``search-corpus/v4`` file (``python -m repro search``).
 
 Everything is a pure function of the campaign seed: one threaded
 :class:`~repro.crypto.prng.XorShift64` drives every mutation and sample

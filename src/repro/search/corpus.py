@@ -1,9 +1,10 @@
 """Corpus persistence: versioned, content-fingerprinted, replayable.
 
-A campaign's hits are written as a ``search-corpus/v3`` JSON document.
-Version 3 holds every target's run fingerprint as the canonical hash of its
-report's fields (:class:`repro.sim.state.Record`); an entry of an older
-version would replay as a divergence, so v1 and v2 files are refused.
+A campaign's hits are written as a ``search-corpus/v4`` JSON document.
+Every target's run fingerprint is the canonical hash of its report's
+fields (:class:`repro.sim.state.Record`), and version 4 holds chaos and
+oracle fingerprints over the chaos report's ``read_digest``; an entry of an
+older version would replay as a divergence, so v1 to v3 files are refused.
 The document's ``fingerprint`` is the
 :func:`~repro.sim.state.canonical_fingerprint` of its body (the fingerprint
 field itself excluded), so two identical campaigns produce byte-identical
@@ -29,7 +30,7 @@ from repro.search.genome import Scenario
 from repro.search.objectives import OBJECTIVES_BY_NAME, score_evaluation
 from repro.sim.state import canonical_fingerprint
 
-SCHEMA = "search-corpus/v3"
+SCHEMA = "search-corpus/v4"
 
 
 def corpus_fingerprint(document: Dict[str, object]) -> str:

@@ -204,7 +204,7 @@ class TestCorpus:
         path = save_corpus(document, tmp_path / "corpus.json")
         loaded = load_corpus(path)
         assert loaded == document
-        assert loaded["schema"] == "search-corpus/v3"
+        assert loaded["schema"] == "search-corpus/v4"
         assert loaded["fingerprint"] == corpus_fingerprint(loaded)
 
     def test_tampering_is_detected(self, campaign, tmp_path):
@@ -219,7 +219,7 @@ class TestCorpus:
     def test_wrong_schema_is_rejected(self, tmp_path):
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps({"schema": "search-corpus/v999"}))
-        with pytest.raises(ValueError, match="not a search-corpus/v3"):
+        with pytest.raises(ValueError, match="not a search-corpus/v4"):
             load_corpus(path)
 
     @staticmethod
@@ -228,7 +228,7 @@ class TestCorpus:
         document["schema"] = schema
         document["fingerprint"] = corpus_fingerprint(document)
         path = save_corpus(document, tmp_path / "old.json")
-        with pytest.raises(ValueError, match="not a search-corpus/v3 document"):
+        with pytest.raises(ValueError, match="not a search-corpus/v4 document"):
             load_corpus(path)
 
     def test_v1_corpus_is_refused(self, campaign, tmp_path):
@@ -240,6 +240,11 @@ class TestCorpus:
         # a v2 file holds chaos and oracle run fingerprints from before the
         # chaos report became a record
         self._refuses("search-corpus/v2", campaign, tmp_path)
+
+    def test_v3_corpus_is_refused(self, campaign, tmp_path):
+        # a v3 file holds chaos and oracle run fingerprints from before the
+        # chaos report gained its read digest
+        self._refuses("search-corpus/v3", campaign, tmp_path)
 
     def test_replay_reproduces_every_entry(self, campaign):
         report = replay_corpus(build_corpus(campaign))
